@@ -96,8 +96,9 @@ def kernelize(g: MultiGraph, k: int,
             apply_ops(g, app.ops)
             k += app.k_delta
             trace.append(app)
-            assert (k, g.n, g.edge_count) < before, \
-                "every application must shrink the instance"
+            if not (k, g.n, g.edge_count) < before:
+                raise AssertionError(
+                    "every application must shrink the instance")
             if k < 0:
                 return KernelInstance(g, k, tuple(trace), True)
             fired = True

@@ -34,13 +34,14 @@ def decide(g: MultiGraph, k: int,
     memo: dict = {}
     nodes = 0
 
-    def rec_solve(h: MultiGraph, kk: int):
+    def rec_solve(h: MultiGraph, kk: int, gone: frozenset[int]):
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise SearchLimitExceeded(
                 f"exact search exceeded {node_limit} nodes")
-        key = (tuple(h.edges()), kk)
+        # h is always g minus the vertices in gone
+        key = (gone, kk)
         if key in memo:
             return memo[key]
         ok, obs = rec.is_pitg(h)
@@ -58,20 +59,22 @@ def decide(g: MultiGraph, k: int,
         for v in cands:
             h2 = h.copy()
             h2.delete_vertex(v)
-            sub = rec_solve(h2, kk - 1)
+            sub = rec_solve(h2, kk - 1, gone | {v})
             if sub is not None:
                 sol = sorted([v, *sub])
                 break
         memo[key] = sol
         return sol
 
-    out = rec_solve(g, k)
+    out = rec_solve(g, k, frozenset())
     if out is not None:
-        assert len(out) <= k
+        if len(out) > k:
+            raise AssertionError("solver exceeded its deletion budget")
         left = g.copy()
         left.delete_vertices(out)
         ok, _ = rec.is_pitg(left)
-        assert ok, "solver returned an invalid deletion set"
+        if not ok:
+            raise AssertionError("solver returned an invalid deletion set")
     return out
 
 

@@ -22,6 +22,17 @@ selector widths are deliberately uneven (group 3 takes ``k + 3`` next-side
 selectors, group 4 marks only ``k + 1`` vertices on the previous side);
 ``eta`` absorbs that with a small additive slack.  When a pool holds fewer
 vertices than a width asks for, the whole pool is used.
+
+Group 1 with Z empty already marks the first and last ``k + 3`` vertices
+of K, and groups 2-4 only ever add vertices of K, so a clique of at most
+``2(k + 3)`` vertices is marked whole without a scan.  For a larger
+clique, each vertex's adjacency to the base set is read once into a
+bitmask signature (|K|·|S| adjacency tests).  Z then ranges only over base
+vertices with a neighbor in K: one without splits K exactly as Z without
+it does, and that smaller Z is enumerated too.  For each Z, one pass over
+K sorts it into the (Z, f) pools by ``signature & mask(Z)``, keeping K's
+order, so group 1 costs C(|S_K|, <=3)·|K| instead of
+C(|S|, <=3)·2^|Z|·|K|·|Z| adjacency tests.
 """
 
 from __future__ import annotations
@@ -50,21 +61,29 @@ def _last(pool, width):
 def mark_clique(g: MultiGraph, k: int, s, path: CliquePath, idx: int) -> set[int]:
     """Marked vertices of clique ``idx`` of the partition ``path``."""
     kq = path.cliques[idx]
+    if len(kq) <= 2 * (k + 3):
+        return set(kq)
     prv = path.cliques[idx - 1] if idx > 0 else None
     nxt = path.cliques[idx + 1] if idx + 1 < len(path.cliques) else None
     s_list = sorted(s)
     adj = g.has_edge
     marked: set[int] = set()
 
+    # bit i of a signature: adjacent to s_list[i]
+    sigs = [sum(1 << i for i, x in enumerate(s_list) if adj(v, x)) for v in kq]
+    seen = 0
+    for sig in sigs:
+        seen |= sig
+    touching = [1 << i for i in range(len(s_list)) if seen >> i & 1]
     for size in range(4):
-        for z in combinations(s_list, size):
-            for bits in range(1 << size):
-                pool = [v for v in kq
-                        if all(adj(v, z[i]) == bool(bits >> i & 1)
-                               for i in range(size))]
-                take = min(k + 3, len(pool))
-                marked.update(pool[:take])
-                marked.update(pool[len(pool) - take:])
+        for z in combinations(touching, size):
+            zmask = sum(z)
+            pools: dict[int, list[int]] = {}
+            for v, sig in zip(kq, sigs):
+                pools.setdefault(sig & zmask, []).append(v)
+            for pool in pools.values():
+                marked.update(pool[:k + 3])
+                marked.update(pool[-(k + 3):])
 
     for x in s_list:
         if prv is not None:
@@ -92,7 +111,8 @@ def mark_clique(g: MultiGraph, k: int, s, path: CliquePath, idx: int) -> set[int
                 marked.update(_last([v for v in kq if adj(v, x) and not adj(v, z)],
                                     k + 3))
 
-    assert len(marked) <= eta(k, len(s_list)), "mark budget exceeded"
+    if len(marked) > eta(k, len(s_list)):
+        raise AssertionError("mark budget exceeded")
     return marked
 
 

@@ -92,7 +92,8 @@ def compute_base_set(g: MultiGraph, k: int,
     if not fallback:
         arity = SMALL_OBSTRUCTION_ARITY
         cap = arity * math.factorial(arity) * (k + 1) ** arity + 7 * k
-        assert len(s) <= cap, (len(s), cap)
+        if len(s) > cap:
+            raise AssertionError(f"base set of {len(s)} exceeds its cap {cap}")
     ok, _ = is_pitg(g.induced([v for v in g.vertices if v not in s]))
     if not ok:  # pragma: no cover - heredity of the class forbids this
         raise AssertionError("leftover graph after removing the base set is unclean")

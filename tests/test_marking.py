@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 
 import pytest
 
+import pitvd
 from pitvd.cliques import clique_path
 from pitvd.marking import eta, mark_clique, unmarked_vertices
 from pitvd.multigraph import MultiGraph
@@ -36,6 +41,16 @@ def test_small_clique_fully_marked():
     g, ids = big_clique(2 * (k + 3))
     path = clique_path(g, ids)
     assert mark_clique(g, k, [], path, 0) == set(ids)
+
+
+def test_small_clique_with_base_set_fully_marked():
+    # hub n splits K, hub n + 1 has no neighbor in it
+    k = 2
+    n = 2 * (k + 3)
+    g, ids = big_clique(n, hub_edges=[(n, range(0, n, 3)), (n + 1, [])])
+    path = clique_path(g, ids)
+    assert mark_clique(g, k, [n, n + 1], path, 0) == set(ids)
+    assert naive_marks(g, k, [n, n + 1], path, 0) == set(ids)
 
 
 def test_single_hub_signature_split():
@@ -115,6 +130,63 @@ def test_marks_match_naive_rescan(seed):
     k = rng.randint(0, 3)
     for idx in range(len(path.cliques)):
         assert mark_clique(g, k, hubs, path, idx) == naive_marks(g, k, hubs, path, idx)
+
+
+def test_marks_match_naive_rescan_on_wide_cliques():
+    # cliques wider than 2(k+3) take the signature-bucket path; hubs tied
+    # to an interval of the umbrella order, or to nothing, leave some
+    # cliques with base vertices that have no neighbor in them
+    checked = with_idle_hub = 0
+    for seed in range(40):
+        rng = random.Random(7300 + seed)
+        k = rng.randint(0, 3)
+        g = unit_interval_graph(rng, rng.randint(2 * (k + 3) + 1, 60),
+                                rng.uniform(0.5, 2.5))
+        comp = g.components()[0]
+        path = clique_path(g, comp)
+        order = path.order
+        hubs = []
+        for _ in range(rng.randint(4, 8)):
+            h = g.add_vertex()
+            hubs.append(h)
+            kind = rng.randrange(3)
+            if kind == 0:
+                targets = rng.sample(order, rng.randint(1, len(order)))
+            elif kind == 1:
+                lo = rng.randrange(len(order))
+                targets = order[lo:lo + rng.randint(1, 12)]
+            else:
+                targets = ()
+            for t in targets:
+                g.add_edge(h, t)
+        for idx, kq in enumerate(path.cliques):
+            if len(kq) <= 2 * (k + 3):
+                continue
+            assert mark_clique(g, k, hubs, path, idx) == \
+                naive_marks(g, k, hubs, path, idx), (seed, idx)
+            checked += 1
+            if any(not any(g.has_edge(h, v) for v in kq) for h in hubs):
+                with_idle_hub += 1
+    assert checked >= 40 and with_idle_hub >= 20, (checked, with_idle_hub)
+
+
+def test_mark_budget_check_survives_python_O():
+    script = textwrap.dedent("""
+        from itertools import combinations
+        import pitvd.marking as marking
+        from pitvd.cliques import clique_path
+        from pitvd.multigraph import MultiGraph
+        assert False, "asserts must be stripped"
+        g = MultiGraph.from_edges(combinations(range(20), 2))
+        marking.eta = lambda k, s_size: 0
+        marking.mark_clique(g, 0, [], clique_path(g, list(range(20))), 0)
+    """)
+    src = os.path.dirname(os.path.dirname(pitvd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "AssertionError: mark budget exceeded" in done.stderr, done.stderr
 
 
 @pytest.mark.parametrize("seed", range(15))
