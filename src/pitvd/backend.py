@@ -1,100 +1,252 @@
-"""Selects between the compiled and pure-Python bitmask primitive kernels.
+"""Bitmask graph primitives.
 
-The compiled kernel (``_bitcore_c``, Cython) stores masks in C ``uint64`` and
-therefore only handles graphs with at most 63 vertex positions; the pure
-module works on arbitrary Python ints.  Selection happens per call based on
-``len(adj)``, so one process can mix small compiled-path calls with large
-fallback calls.
+All functions work on a simple graph given as ``adj``: a list where
+``adj[i]`` is the bitmask of neighbors of vertex ``i`` (positions, not
+stable ids -- callers translate).  ``mask`` selects the vertex subset under
+consideration.  Masks are Python ints, so graphs of any width are handled.
 
-Set ``PITVD_BACKEND=python`` or ``PITVD_BACKEND=compiled`` to force a side
-(the latter raises if the extension is missing or the graph is too wide --
-used by the parity tests and the benchmark harness).
+These are the innermost loops of the whole package (the exact solver and the
+recognizer call them many thousands of times), hence the flat,
+allocation-shy style.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _bitcore as _py
-
-try:
-    from . import _bitcore_c as _c  # type: ignore[attr-defined]
-
-    HAVE_COMPILED = True
-except ImportError:  # extension not built; everything runs pure
-    _c = None
-    HAVE_COMPILED = False
-
-COMPILED_MAX_BITS = 63
-
-_forced = os.environ.get("PITVD_BACKEND", "").strip().lower()
-if _forced not in ("", "python", "compiled"):
-    raise RuntimeError(f"PITVD_BACKEND must be 'python' or 'compiled', got {_forced!r}")
+#: there is no compiled build of these primitives; ``kbench/run.py`` prints this
+HAVE_COMPILED = False
 
 
-def backend_name(width: int) -> str:
-    """Which kernel a call with ``width`` adjacency slots would use."""
-    if _forced == "python":
-        return "python"
-    if _forced == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("PITVD_BACKEND=compiled but the extension is not built")
-        if width > COMPILED_MAX_BITS:
-            raise RuntimeError(
-                f"compiled backend forced but graph needs {width} bits (max {COMPILED_MAX_BITS})"
-            )
-        return "compiled"
-    if HAVE_COMPILED and width <= COMPILED_MAX_BITS:
-        return "compiled"
-    return "python"
+def bits(x: int):
+    """Yield set bit positions of ``x`` in ascending order."""
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
 
 
-def _mod(adj):
-    return _c if backend_name(len(adj)) == "compiled" else _py
+def comp_masks(adj: list[int], mask: int) -> list[int]:
+    """Connected components of the induced subgraph, as masks, by lowest bit."""
+    comps = []
+    rem = mask
+    while rem:
+        comp = rem & -rem
+        frontier = comp
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            nxt &= mask & ~comp
+            comp |= nxt
+            frontier = nxt
+        comps.append(comp)
+        rem &= ~comp
+    return comps
 
 
-bits = _py.bits
+def count_edges(adj: list[int], mask: int) -> int:
+    total = 0
+    for v in bits(mask):
+        total += (adj[v] & mask).bit_count()
+    return total // 2
 
 
-def comp_masks(adj, mask):
-    return _mod(adj).comp_masks(adj, mask)
+def find_triangle(adj: list[int], mask: int):
+    """First triangle (a, b, c) with a < b < c in scan order, or None."""
+    for a in bits(mask):
+        for b in bits(adj[a] & mask):
+            if b <= a:
+                continue
+            common = adj[a] & adj[b] & mask & ~((1 << (b + 1)) - 1)
+            if common:
+                return (a, b, (common & -common).bit_length() - 1)
+    return None
 
 
-def count_edges(adj, mask):
-    return _mod(adj).count_edges(adj, mask)
+def find_claw(adj: list[int], mask: int):
+    """First induced claw as (center, leg1, leg2, leg3), legs ascending."""
+    for c in bits(mask):
+        nb = adj[c] & mask
+        if nb.bit_count() < 3:
+            continue
+        for a in bits(nb):
+            rest_a = nb & ~adj[a] & ~((1 << (a + 1)) - 1)
+            for b in bits(rest_a):
+                rest_b = rest_a & ~adj[b] & ~((1 << (b + 1)) - 1)
+                if rest_b:
+                    d = (rest_b & -rest_b).bit_length() - 1
+                    return (c, a, b, d)
+    return None
 
 
-def find_triangle(adj, mask):
-    return _mod(adj).find_triangle(adj, mask)
+def chordal_fail(adj: list[int], mask: int):
+    """None if the induced subgraph is chordal, else a witness triple.
+
+    The triple ``(v, x, y)`` has x, y in N(v), xy not an edge, and both x
+    and y later than v in a maximum-cardinality-search elimination order;
+    such a triple always exists in a non-chordal graph and seeds hole
+    extraction.
+    """
+    order = []
+    weight = {}
+    for v in bits(mask):
+        weight[v] = 0
+    rem = mask
+    while rem:
+        best = -1
+        bestw = -1
+        for v in bits(rem):
+            if weight[v] > bestw:
+                best, bestw = v, weight[v]
+        order.append(best)
+        rem &= ~(1 << best)
+        for u in bits(adj[best] & rem):
+            weight[u] += 1
+    # reverse MCS order is a perfect elimination order iff chordal
+    order.reverse()
+    pos = {v: i for i, v in enumerate(order)}
+    later = 0
+    later_masks = [0] * len(order)
+    for i in range(len(order) - 1, -1, -1):
+        later_masks[i] = later
+        later |= 1 << order[i]
+    for i, v in enumerate(order):
+        l_nbrs = adj[v] & later_masks[i]
+        if l_nbrs.bit_count() < 2:
+            continue
+        p = min(bits(l_nbrs), key=pos.__getitem__)
+        bad = l_nbrs & ~adj[p] & ~(1 << p)
+        if bad:
+            return (v, p, (bad & -bad).bit_length() - 1)
+    return None
 
 
-def find_claw(adj, mask):
-    return _mod(adj).find_claw(adj, mask)
+def _triangle_pendant_sets(adj, mask, a, b, c):
+    tmask = (1 << a) | (1 << b) | (1 << c)
+    pa = adj[a] & mask & ~(adj[b] | adj[c]) & ~tmask
+    pb = adj[b] & mask & ~(adj[a] | adj[c]) & ~tmask
+    pc = adj[c] & mask & ~(adj[a] | adj[b]) & ~tmask
+    return pa, pb, pc
 
 
-def chordal_fail(adj, mask):
-    return _mod(adj).chordal_fail(adj, mask)
+def _triangle_side_sets(adj, mask, a, b, c):
+    tmask = (1 << a) | (1 << b) | (1 << c)
+    qab = adj[a] & adj[b] & mask & ~adj[c] & ~tmask
+    qbc = adj[b] & adj[c] & mask & ~adj[a] & ~tmask
+    qca = adj[c] & adj[a] & mask & ~adj[b] & ~tmask
+    return qab, qbc, qca
 
 
-def net_tent_witnesses(adj, mask, find_all):
-    return _mod(adj).net_tent_witnesses(adj, mask, find_all)
+def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
+    """Induced nets and tents in the induced subgraph.
+
+    Returns ``(kind, (a, b, c, x, y, z))`` tuples where (a, b, c) is the
+    central triangle and x, y, z the outer vertices (for a net, x hangs at a,
+    y at b, z at c; for a tent, x sees ab, y sees bc, z sees ca).  With
+    ``find_all`` false, returns at most one entry.
+    """
+    out = []
+    for a in bits(mask):
+        for b in bits(adj[a] & mask):
+            if b <= a:
+                continue
+            for c in bits(adj[a] & adj[b] & mask):
+                if c <= b:
+                    continue
+                pa, pb, pc = _triangle_pendant_sets(adj, mask, a, b, c)
+                if pa and pb and pc:
+                    for x in bits(pa):
+                        pb2 = pb & ~adj[x]
+                        if not pb2:
+                            continue
+                        for y in bits(pb2):
+                            pc2 = pc & ~adj[x] & ~adj[y]
+                            if not pc2:
+                                continue
+                            for z in bits(pc2):
+                                out.append(("net", (a, b, c, x, y, z)))
+                                if not find_all:
+                                    return out
+                qab, qbc, qca = _triangle_side_sets(adj, mask, a, b, c)
+                if qab and qbc and qca:
+                    for x in bits(qab):
+                        qbc2 = qbc & ~adj[x]
+                        if not qbc2:
+                            continue
+                        for y in bits(qbc2):
+                            qca2 = qca & ~adj[x] & ~adj[y]
+                            if not qca2:
+                                continue
+                            for z in bits(qca2):
+                                out.append(("tent", (a, b, c, x, y, z)))
+                                if not find_all:
+                                    return out
+    return out
 
 
-def small_cycles(adj, mask, find_all):
-    return _mod(adj).small_cycles(adj, mask, find_all)
+def _cycle_dfs(adj, s, above, path, pmask, blocked, out, find_all) -> bool:
+    t = len(path) - 1
+    last = path[-1]
+    if t >= 2:
+        closers = adj[last] & adj[s] & above & ~pmask
+        for i in range(1, t):
+            closers &= ~adj[path[i]]
+        for w in bits(closers):
+            if path[1] < w:
+                out.append(path + (w,))
+                if not find_all:
+                    return True
+    if t >= 4:
+        return False
+    ext = adj[last] & above & ~blocked if t else adj[last] & above
+    for w in bits(ext):
+        if _cycle_dfs(adj, s, above, path + (w,), pmask | (1 << w),
+                      blocked | adj[last] | (1 << w), out, find_all):
+            return True
+    return False
 
 
-def umbrella_ok(adj, order):
-    return _mod(adj).umbrella_ok(adj, list(order))
+def small_cycles(adj: list[int], mask: int, find_all: bool) -> list:
+    """Induced cycles on 4..6 vertices, as vertex tuples in cycle order.
+
+    Canonical form: the cycle starts at its minimum vertex and runs toward
+    the smaller of its two neighbors on the cycle; each cycle appears once.
+    DFS over induced paths s, p1, ..., pt with every pi > s, closing back
+    to s; interior path vertices are kept out of N[s] so only true induced
+    cycles survive.
+    """
+    out = []
+    for s in bits(mask):
+        above = mask & ~((1 << (s + 1)) - 1)
+        if _cycle_dfs(adj, s, above, (s,), 1 << s, adj[s] | (1 << s), out,
+                      find_all):
+            return out
+    return out
 
 
-def pig_order_bruteforce(adj, mask):
-    return _mod(adj).pig_order_bruteforce(adj, mask)
+def umbrella_ok(adj: list[int], order) -> bool:
+    """True iff ``order`` is a proper-interval (umbrella) ordering.
 
-
-def component_ok(adj, mask):
-    return _mod(adj).component_ok(adj, mask)
-
-
-def pitg_ok(adj, mask):
-    return _mod(adj).pitg_ok(adj, mask)
+    Equivalent formulation checked here: every vertex's neighborhood within
+    the order occupies a contiguous position interval around the vertex.
+    """
+    pos = {}
+    omask = 0
+    for i, v in enumerate(order):
+        pos[v] = i
+        omask |= 1 << v
+    for i, v in enumerate(order):
+        nb = adj[v] & omask
+        if not nb:
+            continue
+        lo = hi = i
+        cnt = 0
+        for u in bits(nb):
+            p = pos[u]
+            if p < lo:
+                lo = p
+            if p > hi:
+                hi = p
+            cnt += 1
+        if cnt != hi - lo:
+            return False
+    return True

@@ -1,4 +1,4 @@
-"""Clique partition of proper interval components, and the bypass edit.
+"""Clique partition of proper interval components.
 
 For a connected proper interval graph with umbrella ordering v_1..v_n, the
 partition is built by prefix jumps: the first block is v_1 .. v_{r(1)} where
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import recognition as rec
-from ._bitcore import bits
+from .backend import bits
 from .multigraph import MultiGraph
 
 
@@ -58,23 +58,3 @@ def attachment(g: MultiGraph, flank, mid) -> list[int]:
     mid_set = set(mid)
     return [a for a in flank if any(u in mid_set for u in g.neighbors(a))]
 
-
-def bypass(g: MultiGraph, left, mid, right) -> tuple[list[int], list[int]]:
-    """Delete clique ``mid`` and join its attachment sets in the flanks.
-
-    Every vertex of ``left`` attached to ``mid`` becomes adjacent to every
-    vertex of ``right`` attached to ``mid`` (simple edges).  Flanking
-    cliques of a clique path are never adjacent to each other, which keeps
-    the added edges genuinely new; that is asserted, not assumed.
-    """
-    a_side = attachment(g, left, mid)
-    b_side = attachment(g, right, mid)
-    for a in a_side:
-        for b in b_side:
-            if g.has_edge(a, b):
-                raise AssertionError("flanking cliques must not be adjacent")
-    g.delete_vertices(mid)
-    for a in a_side:
-        for b in b_side:
-            g.add_edge(a, b)
-    return a_side, b_side

@@ -77,12 +77,3 @@ def decide(g: MultiGraph, k: int,
             raise AssertionError("solver returned an invalid deletion set")
     return out
 
-
-def minimum_deletion(g: MultiGraph,
-                     node_limit: int = DEFAULT_NODE_LIMIT) -> tuple[int, list[int]]:
-    """Smallest deletion set, by deepening k.  (size, vertex ids)."""
-    for k in range(g.n + 1):
-        sol = decide(g, k, node_limit=node_limit)
-        if sol is not None:
-            return k, sol
-    raise AssertionError("deleting every vertex always succeeds")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import backend as bk
-from ._bitcore import bits
+from .backend import bits
 from .multigraph import MultiGraph
 
 

@@ -331,13 +331,17 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
             y = path.cliques[i + 5][0]
             comp = sorted(v for blk in path.cliques for v in blk)
             sep = set(min_vertex_separator(g.induced(comp), x, y))
-            ell = next(e for e in (i + 1, i + 2, i + 3)
-                       if not sep.intersection(path.cliques[e]))
+            ell = next((e for e in (i + 1, i + 2, i + 3)
+                        if not sep.intersection(path.cliques[e])), None)
+            if ell is None:
+                raise AssertionError(
+                    "x-y separator meets all three middle cliques")
             mid = path.cliques[ell]
             flank_a = attachment(g, path.cliques[ell - 1], mid)
             flank_b = attachment(g, path.cliques[ell + 1], mid)
-            assert not any(g.has_edge(a, b) for a in flank_a for b in flank_b), \
-                "flanking cliques of a partition are never adjacent"
+            if any(g.has_edge(a, b) for a in flank_a for b in flank_b):
+                raise AssertionError(
+                    "flanking cliques of a partition are never adjacent")
             ops = [("del", v) for v in sorted(mid)]
             ops += [("edge", a, b, 1) for a in flank_a for b in flank_b]
             return RuleApplication(rule="13", ops=tuple(ops),

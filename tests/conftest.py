@@ -1,8 +1,9 @@
 """Shared helpers: graph builders and slow independent oracles.
 
-The oracles here deliberately avoid the package's own algorithms (they lean
-on itertools and networkx instead) so that agreement is evidence, not
-circularity.
+The brute-force oracles deliberately avoid the package's own algorithms
+(they lean on itertools and networkx instead) so that agreement is evidence,
+not circularity.  The exhaustive oracles further down compose the bitmask
+primitives, which the tests check against the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 
 import networkx as nx
 
+from pitvd import backend
+from pitvd.exact import DEFAULT_NODE_LIMIT, decide
 from pitvd.multigraph import MultiGraph
 
 
@@ -118,6 +121,79 @@ def brute_induced_cycles(adj, mask, lengths=(4, 5, 6)):
             if nx.is_isomorphic(g.subgraph(sub), ref):
                 found.add(frozenset(sub))
     return found
+
+
+# ---------------------------------------------------------------------------
+# oracles built on the package's primitives (exhaustive, small inputs only)
+# ---------------------------------------------------------------------------
+
+def pig_order_bruteforce(adj, mask):
+    """Exhaustive search for an umbrella ordering of one component, or None.
+
+    Independent of the LBFS recognizer; only the final order check
+    (``backend.umbrella_ok``) is shared with it.
+    """
+    verts = [v for v in range(len(adj)) if (mask >> v) & 1]
+    n = len(verts)
+    if n == 0:
+        return ()
+    order: list[int] = []
+    used = 0
+
+    def place() -> bool:
+        nonlocal used
+        if len(order) == n:
+            return backend.umbrella_ok(adj, order)
+        for u in verts:
+            ub = 1 << u
+            if used & ub:
+                continue
+            pn = adj[u] & used
+            k = pn.bit_count()
+            ok = True
+            for i in range(len(order) - 1, len(order) - 1 - k, -1):
+                if not (pn >> order[i]) & 1:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            order.append(u)
+            used |= ub
+            if place():
+                return True
+            order.pop()
+            used &= ~ub
+        return False
+
+    return tuple(order) if place() else None
+
+
+def component_ok(adj, mask) -> bool:
+    """Is one connected component (of a simple graph) a tree or a proper
+    interval graph?
+
+    A cyclic chordal graph always contains a triangle, so for cyclic
+    components the test collapses to chordal + claw-free + {net, tent}-free.
+    """
+    if backend.count_edges(adj, mask) == mask.bit_count() - 1:
+        return True
+    return (backend.chordal_fail(adj, mask) is None
+            and backend.find_claw(adj, mask) is None
+            and not backend.net_tent_witnesses(adj, mask, False))
+
+
+def pitg_ok(adj, mask) -> bool:
+    """Every component a tree or proper interval graph (simple-graph part)."""
+    return all(component_ok(adj, c) for c in backend.comp_masks(adj, mask))
+
+
+def minimum_deletion(g: MultiGraph, node_limit: int = DEFAULT_NODE_LIMIT):
+    """Smallest deletion set, by deepening k: (size, vertex ids)."""
+    for k in range(g.n + 1):
+        sol = decide(g, k, node_limit=node_limit)
+        if sol is not None:
+            return k, sol
+    raise AssertionError("deleting every vertex always succeeds")
 
 
 def validate_obstruction(g, obs) -> None:

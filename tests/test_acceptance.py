@@ -19,7 +19,7 @@ import time
 from itertools import combinations
 from math import factorial
 
-from pitvd import _bitcore as P
+from pitvd import backend as P
 from pitvd import recognition as R
 from pitvd.audit import audit_violations
 from pitvd.cli import _check_one, random_instance, serialize
@@ -32,7 +32,7 @@ from pitvd.multigraph import MultiGraph
 from pitvd.mutation import MUTANTS, killer_instances, mutated_rules
 from pitvd.rules import RULES, apply_ops
 
-from conftest import mask_of, all_graphs, random_multigraph
+from conftest import mask_of, all_graphs, pig_order_bruteforce, random_multigraph
 from test_combinatorics import (
     min_hitting_set_size,
     random_forest_with_hub,
@@ -343,7 +343,7 @@ def _brute_clean(g: MultiGraph) -> bool:
         ne = sum((adjm[v] & c).bit_count() for v in P.bits(c)) // 2
         if ne == nv - 1:
             continue  # connected with n-1 edges: a tree
-        if P.pig_order_bruteforce(adjm, c) is None:
+        if pig_order_bruteforce(adjm, c) is None:
             return False
     return True
 

@@ -1,7 +1,7 @@
-"""Bitmask-primitive tests: independent oracles plus compiled/pure parity.
+"""Bitmask-primitive tests: the primitives against independent oracles.
 
-The pure module is taken as subject; networkx and itertools brute force as
-judge.  Parity then transfers every result to the compiled twin.
+``pitvd.backend`` is taken as subject; networkx and itertools brute force
+as judge.
 """
 
 from __future__ import annotations
@@ -10,10 +10,8 @@ import itertools
 import random
 
 import networkx as nx
-import pytest
 
-from pitvd import _bitcore as P
-from pitvd import backend
+from pitvd import backend as P
 
 from conftest import (
     adj_from_edges,
@@ -22,15 +20,12 @@ from conftest import (
     brute_induced_cycles,
     brute_net_tent_sets,
     brute_triangles,
+    component_ok,
     mask_of,
     nx_from_adj,
+    pig_order_bruteforce,
     random_adj,
 )
-
-if backend.HAVE_COMPILED:
-    from pitvd import _bitcore_c as C
-else:  # pragma: no cover - build environments without a C toolchain
-    C = None
 
 N_SMALL = 5
 
@@ -91,8 +86,8 @@ def check_component_ok(adj, mask):
     for comp in P.comp_masks(adj, mask):
         nv = comp.bit_count()
         is_tree = P.count_edges(adj, comp) == nv - 1
-        has_order = P.pig_order_bruteforce(adj, comp) is not None
-        assert P.component_ok(adj, comp) == (is_tree or has_order)
+        has_order = pig_order_bruteforce(adj, comp) is not None
+        assert component_ok(adj, comp) == (is_tree or has_order)
 
 
 def test_exhaustive_small_graphs():
@@ -168,7 +163,7 @@ def test_pig_order_on_known_graphs():
     # paths and complete graphs are proper interval
     for n in range(1, 7):
         path = adj_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        order = P.pig_order_bruteforce(path, mask_of(n))
+        order = pig_order_bruteforce(path, mask_of(n))
         assert order is not None and P.umbrella_ok(path, list(order))
     # claw, C4, net are not
     for adj, n in [
@@ -176,7 +171,7 @@ def test_pig_order_on_known_graphs():
         (adj_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 4),
         (adj_from_edges(6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]), 6),
     ]:
-        assert P.pig_order_bruteforce(adj, mask_of(n)) is None
+        assert pig_order_bruteforce(adj, mask_of(n)) is None
 
 
 def test_comp_masks_and_count_edges():
@@ -193,63 +188,6 @@ def test_chordal_fail_none_on_trees_and_cliques():
         assert P.chordal_fail(clique, mask_of(n)) is None
     star = adj_from_edges(6, [(0, i) for i in range(1, 6)])
     assert P.chordal_fail(star, mask_of(6)) is None
-
-
-# -- compiled / pure parity --------------------------------------------------
-
-FUNCS = [
-    ("comp_masks", lambda m, adj, full: m.comp_masks(adj, full)),
-    ("count_edges", lambda m, adj, full: m.count_edges(adj, full)),
-    ("find_triangle", lambda m, adj, full: m.find_triangle(adj, full)),
-    ("find_claw", lambda m, adj, full: m.find_claw(adj, full)),
-    ("chordal_fail", lambda m, adj, full: m.chordal_fail(adj, full)),
-    ("net_tent_all", lambda m, adj, full: m.net_tent_witnesses(adj, full, True)),
-    ("net_tent_first", lambda m, adj, full: m.net_tent_witnesses(adj, full, False)),
-    ("cycles_all", lambda m, adj, full: m.small_cycles(adj, full, True)),
-    ("cycles_first", lambda m, adj, full: m.small_cycles(adj, full, False)),
-    ("pig_order", lambda m, adj, full: m.pig_order_bruteforce(adj, full)),
-    ("component_ok", lambda m, adj, full: [m.component_ok(adj, c) for c in m.comp_masks(adj, full)]),
-    ("pitg_ok", lambda m, adj, full: m.pitg_ok(adj, full)),
-]
-
-
-@pytest.mark.skipif(C is None, reason="compiled backend not built")
-def test_backend_parity_exhaustive_n4():
-    for adj in all_graphs(4):
-        for name, fn in FUNCS:
-            assert fn(P, adj, 15) == fn(C, adj, 15), name
-
-
-@pytest.mark.skipif(C is None, reason="compiled backend not built")
-def test_backend_parity_random():
-    rng = random.Random(7)
-    for trial in range(250):
-        n = rng.randint(5, 11)
-        adj = random_adj(rng, n, rng.uniform(0.1, 0.8))
-        full = mask_of(n)
-        # also exercise strict submasks
-        sub = full & rng.getrandbits(n) if trial % 3 == 0 else full
-        for name, fn in FUNCS:
-            assert fn(P, adj, sub) == fn(C, adj, sub), (name, n, adj, sub)
-
-
-@pytest.mark.skipif(C is None, reason="compiled backend not built")
-def test_backend_parity_wide_graph():
-    rng = random.Random(11)
-    adj = random_adj(rng, 60, 0.07)
-    full = mask_of(60)
-    for name, fn in FUNCS:
-        if name in ("pig_order",):  # exponential; keep the wide case cheap
-            continue
-        assert fn(P, adj, full) == fn(C, adj, full), name
-
-
-def test_backend_dispatch_width():
-    assert backend.backend_name(10) in ("python", "compiled")
-    assert backend.backend_name(200) == "python"
-    if backend.HAVE_COMPILED:
-        assert backend.backend_name(63) == "compiled"
-        assert backend.backend_name(64) == "python"
 
 
 def test_umbrella_equivalence_exhaustive():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pitvd.cliques import bypass, clique_path
+from pitvd.cliques import clique_path
 from pitvd.multigraph import MultiGraph
 
 
@@ -73,30 +73,3 @@ def test_random_unit_interval_invariants():
         for comp in g.components():
             check_invariants(g, comp)
 
-
-def test_bypass_mechanics():
-    # three-block path:  {0,1} - {2,3} - {4,5}
-    edges = [(0, 1), (2, 3), (4, 5), (1, 2), (1, 3), (3, 4)]
-    g = mg(edges)
-    cp = clique_path(g, list(range(6)))
-    assert cp.cliques == ((0, 1), (2, 3), (4, 5))
-    a_side, b_side = bypass(g, [0, 1], [2, 3], [4, 5])
-    assert a_side == [1] and b_side == [4]
-    assert not g.has_vertex(2) and not g.has_vertex(3)
-    assert g.has_edge(1, 4)
-    assert g.edge_count == 3  # 0-1, 4-5, 1-4, and nothing else new
-
-
-def test_bypass_rejects_adjacent_flanks():
-    edges = [(0, 1), (1, 2), (0, 2)]
-    g = mg(edges)
-    with pytest.raises(AssertionError):
-        bypass(g, [0], [1], [2])
-
-
-def test_bypass_end_block():
-    edges = [(0, 1), (1, 2), (2, 3)]
-    g = mg(edges)
-    bypass(g, [], [0, 1], [2, 3])
-    assert g.vertices == [2, 3]
-    assert g.has_edge(2, 3)

@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from pitvd import _bitcore as P
-from pitvd.exact import SearchLimitExceeded, decide, minimum_deletion
+from pitvd.exact import SearchLimitExceeded, decide
 from pitvd.multigraph import MultiGraph
 
-from conftest import random_multigraph
+from conftest import minimum_deletion, pitg_ok, random_multigraph
 
 
 def mg(edges, vertices=()):
@@ -26,7 +25,7 @@ def brute_decide(g: MultiGraph, k: int) -> bool:
             if not h.is_simple:
                 continue
             ids, _, adjm = h.compact()
-            if P.pitg_ok(adjm, (1 << len(ids)) - 1):
+            if pitg_ok(adjm, (1 << len(ids)) - 1):
                 return True
     return False
 

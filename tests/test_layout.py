@@ -1,0 +1,35 @@
+"""Repository-shape checks: the package holds source only, and the names
+the benchmark tracer wraps still exist."""
+
+from __future__ import annotations
+
+import importlib
+import os
+
+from pitvd import backend
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE_DIR = os.path.join(ROOT, "src", "pitvd")
+KBENCH_DIR = os.path.join(ROOT, "kbench")
+
+
+def test_package_holds_only_python_sources():
+    stray = []
+    for root, dirs, files in os.walk(PACKAGE_DIR):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        stray += [os.path.join(root, f) for f in files
+                  if not f.endswith(".py")]
+    assert not stray
+
+
+def test_traced_names_resolve(monkeypatch):
+    """Every function ``kbench/tracer.py`` wraps is a callable of pitvd."""
+    monkeypatch.syspath_prepend(KBENCH_DIR)
+    from tracer import TRACED
+
+    for modname, path in TRACED:
+        owner = importlib.import_module(f"pitvd.{modname}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (modname, path)
+    assert backend.HAVE_COMPILED is False

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from pitvd import _bitcore as P
 from pitvd import backend as bk
 from pitvd import recognition as R
 from pitvd.multigraph import MultiGraph
@@ -12,6 +11,8 @@ from pitvd.multigraph import MultiGraph
 from conftest import (
     all_graphs,
     mask_of,
+    pig_order_bruteforce,
+    pitg_ok,
     random_adj,
     random_multigraph,
     validate_obstruction,
@@ -27,10 +28,10 @@ def mg(edges, vertices=()):
 def check_pig_order(adj, full):
     for comp in bk.comp_masks(adj, full):
         got = R.pig_order(adj, comp)
-        want = P.pig_order_bruteforce(adj, comp)
+        want = pig_order_bruteforce(adj, comp)
         assert (got is None) == (want is None), (adj, comp)
         if got is not None:
-            assert P.umbrella_ok(adj, list(got))
+            assert bk.umbrella_ok(adj, list(got))
 
 
 def test_pig_order_exhaustive_small():
@@ -143,7 +144,7 @@ def test_is_pitg_matches_characterization_random():
         ok, obs = R.is_pitg(g)
         ids, _, adjm = g.compact()
         full = (1 << len(ids)) - 1
-        want = g.is_simple and P.pitg_ok(adjm, full)
+        want = g.is_simple and pitg_ok(adjm, full)
         assert ok == want
         if ok:
             assert obs is None

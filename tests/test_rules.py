@@ -6,10 +6,15 @@ multigraphs and confirm after every single edit that the exact decision
 is unchanged.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import pitvd
 from pitvd import rules as R
 from pitvd.cliques import clique_path
 from pitvd.exact import decide
@@ -236,12 +241,18 @@ def test_rule12_deletes_wide_clique_neighbor():
     assert R.rule12_many_cliques_neighbor(g, 1, mod) is None   # needs 11
 
 
-def test_rule13_bypasses_a_clique_in_a_free_run():
+def rule13_instance():
+    """A 22-block strip tied to base vertex 0 at both ends: at k = 1 rule
+    13 has one free run long enough to fire in."""
     g = strip(66)
     g.ensure_vertex(0)
     g.add_edge(0, 1)
     g.add_edge(0, 66)
-    mod = classify_tree_side(g, [0])
+    return g, classify_tree_side(g, [0])
+
+
+def test_rule13_bypasses_a_clique_in_a_free_run():
+    g, mod = rule13_instance()
     blocks = clique_path(g.induced(sorted(mod.v1)),
                          sorted(mod.v1)).cliques
     app = R.rule13_bypass_clique(g, 1, mod)
@@ -253,6 +264,47 @@ def test_rule13_bypasses_a_clique_in_a_free_run():
     h = apply(g, app)
     assert h.n == g.n - 3
     assert (decide(g, 1) is None) == (decide(h, 1) is None)
+
+
+#: name -> (rules attribute, stand-in, message of the check it trips)
+RULE13_BREAKS = {
+    # a separator through every vertex meets all three middle cliques
+    "separator": ("min_vertex_separator", lambda h, x, y: h.vertices,
+                  "x-y separator meets all three middle cliques"),
+    # flanks taken from the middle clique itself are adjacent
+    "flanks": ("attachment", lambda g, flank, mid: list(mid),
+               "flanking cliques of a partition are never adjacent"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE13_BREAKS))
+def test_rule13_checks_raise(monkeypatch, name):
+    attr, stand_in, message = RULE13_BREAKS[name]
+    g, mod = rule13_instance()
+    monkeypatch.setattr(R, attr, stand_in)
+    with pytest.raises(AssertionError, match=message):
+        R.rule13_bypass_clique(g, 1, mod)
+
+
+@pytest.mark.parametrize("name", sorted(RULE13_BREAKS))
+def test_rule13_checks_survive_python_O(name):
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {os.path.dirname(__file__)!r})
+        import test_rules as T
+        assert False, "asserts must be stripped"
+        attr, stand_in, _ = T.RULE13_BREAKS[{name!r}]
+        setattr(T.R, attr, stand_in)
+        g, mod = T.rule13_instance()
+        T.R.rule13_bypass_clique(g, 1, mod)
+    """)
+    src = os.path.dirname(os.path.dirname(pitvd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    message = RULE13_BREAKS[name][2]
+    assert f"AssertionError: {message}" in done.stderr, done.stderr
 
 
 def test_rule13_ignores_short_runs():
