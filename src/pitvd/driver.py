@@ -5,9 +5,13 @@ a rule only ever fires with all earlier ones exhausted.  The later rules
 need a base set (vertices whose removal leaves every component a proper
 interval graph or a tree); the driver computes one lazily when a pass
 first reaches those rules, prunes it after deletions, and recomputes it
-only when an edit broke it.  Every application strictly shrinks the
-triple (budget, vertex count, edge count) in lexicographic order, which
-is asserted and is what guarantees termination.
+only when an edit broke it.  Whether G - S is still clean is decided by
+``classify_tree_side`` alone: it raises ``ValueError`` on a broken S,
+which on a reused S means "recompute" and on a fresh one propagates.
+
+Every application strictly shrinks the triple (budget, vertex count,
+edge count) in lexicographic order, which is checked and is what
+guarantees termination.
 
 The full run is recorded as a trace of rule applications; replaying a
 trace against the original graph reproduces the kernel bit for bit.
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from .exact import DEFAULT_NODE_LIMIT
 from .modulator import classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
-from .recognition import is_pitg
 from .rules import RULES, RuleApplication, apply_ops
 
 
@@ -66,27 +69,25 @@ def kernelize(g: MultiGraph, k: int,
     g = g.copy()
     trace: list[RuleApplication] = []
     s: set[int] | None = None
-    fallback = False
 
     while True:
         mod = None
         fired = False
         for _rule_id, needs_mod, fn in rules:
             if needs_mod:
+                if mod is None and s is not None:
+                    s = {v for v in s if g.has_vertex(v)}
+                    try:
+                        mod = classify_tree_side(g, s)
+                    except ValueError:  # an edit left G - S unclean
+                        s = None
                 if mod is None:
-                    if s is not None:
-                        s = {v for v in s if g.has_vertex(v)}
-                        rest = [v for v in g.vertices if v not in s]
-                        if not is_pitg(g.induced(rest))[0]:
-                            s = None
+                    s, _ = compute_base_set(g, k, node_limit)
                     if s is None:
-                        s, fallback = compute_base_set(g, k, node_limit)
-                        if s is None:
-                            return KernelInstance(g, k, tuple(trace), True)
-                        trace.append(RuleApplication(
-                            rule="base-set", ops=(),
-                            affected=tuple(sorted(s))))
-                    mod = classify_tree_side(g, s, fallback)
+                        return KernelInstance(g, k, tuple(trace), True)
+                    trace.append(RuleApplication(
+                        rule="base-set", ops=(), affected=tuple(sorted(s))))
+                    mod = classify_tree_side(g, s)
                 app = fn(g, k, mod)
             else:
                 app = fn(g, k)

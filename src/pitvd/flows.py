@@ -42,20 +42,35 @@ class Dinic:
                     dq.append(v)
         return level if level[t] >= 0 else None
 
-    def _push(self, u, t, f, level, it):
-        if u == t:
-            return f
-        while it[u] < len(self.heads[u]):
-            idx = self.heads[u][it[u]]
-            v = self.to[idx]
-            if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                got = self._push(v, t, min(f, self.cap[idx]), level, it)
-                if got:
-                    self.cap[idx] -= got
-                    self.cap[idx ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
+    def _push(self, s, t, level, it):
+        """Push one augmenting path along the level graph; return its flow.
+
+        Depth-first over an explicit stack of arcs, so the path length is
+        not bounded by the recursion limit; ``it[u]`` is the next arc of u
+        to try, and a dead end retreats one arc and moves its tail past it.
+        """
+        path: list[int] = []
+        u = s
+        while u != t:
+            heads = self.heads[u]
+            while it[u] < len(heads):
+                idx = heads[it[u]]
+                if self.cap[idx] > 0 and level[self.to[idx]] == level[u] + 1:
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = self.to[path.pop() ^ 1]
+                it[u] += 1
+                continue
+            path.append(idx)
+            u = self.to[idx]
+        f = min((self.cap[idx] for idx in path), default=INF)
+        for idx in path:
+            self.cap[idx] -= f
+            self.cap[idx ^ 1] += f
+        return f
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
@@ -65,7 +80,7 @@ class Dinic:
                 return total
             it = [0] * self.n
             while True:
-                f = self._push(s, t, INF, level, it)
+                f = self._push(s, t, level, it)
                 if not f:
                     break
                 total += f
@@ -87,30 +102,24 @@ class Dinic:
         return seen
 
 
-def min_vertex_separator(g: MultiGraph, x: int, y: int,
-                         excluded=()) -> list[int]:
-    """Minimum x-y vertex separator avoiding x, y, and ``excluded``.
+def min_vertex_separator(g: MultiGraph, x: int, y: int) -> list[int]:
+    """Minimum x-y vertex separator avoiding x and y.
 
-    Works on the underlying simple graph restricted away from ``excluded``.
-    Requires x and y nonadjacent there.  Each other vertex is split into an
-    in/out pair of unit capacity, so the max-flow value equals the separator
-    size and the saturated split arcs on the residual boundary name the
-    separator vertices.
+    Works on the underlying simple graph and requires x and y
+    nonadjacent.  Each other vertex is split into an in/out pair of unit
+    capacity, so the max-flow value equals the separator size and the
+    saturated split arcs on the residual boundary name the separator
+    vertices.
     """
-    drop = set(excluded)
-    if x in drop or y in drop:
-        raise ValueError("endpoints cannot be excluded")
     if g.has_edge(x, y):
         raise ValueError("adjacent endpoints admit no separator")
-    verts = [v for v in g.vertices if v not in drop]
+    verts = g.vertices
     v_in = {v: 2 * i for i, v in enumerate(verts)}
     v_out = {v: 2 * i + 1 for i, v in enumerate(verts)}
     net = Dinic(2 * len(verts))
     for v in verts:
         net.add_edge(v_in[v], v_out[v], 1 if v not in (x, y) else INF)
     for u, v, _m in g.edges():
-        if u in drop or v in drop:
-            continue
         net.add_edge(v_out[u], v_in[v], INF)
         net.add_edge(v_out[v], v_in[u], INF)
     net.max_flow(v_out[x], v_in[y])

@@ -74,7 +74,9 @@ def compute_base_set(g: MultiGraph, k: int,
 
     ``used_fallback`` is set when the bootstrap half came from the greedy
     witness deletion instead of the exact search; the size bound is then
-    not guaranteed (the reductions stay safe regardless).
+    not guaranteed (the reductions stay safe regardless).  Both halves
+    leave a clean graph, so S does too; :func:`classify_tree_side` is
+    where that is checked.
     """
     core = sunflower_reduce(small_obstruction_family(g), k)
     fallback = False
@@ -94,9 +96,6 @@ def compute_base_set(g: MultiGraph, k: int,
         cap = arity * math.factorial(arity) * (k + 1) ** arity + 7 * k
         if len(s) > cap:
             raise AssertionError(f"base set of {len(s)} exceeds its cap {cap}")
-    ok, _ = is_pitg(g.induced([v for v in g.vertices if v not in s]))
-    if not ok:  # pragma: no cover - heredity of the class forbids this
-        raise AssertionError("leftover graph after removing the base set is unclean")
     return s, fallback
 
 
@@ -115,8 +114,6 @@ class Modulator:
     bad_hooks: frozenset[int]
     #: hook vertex -> its pendant subtrees, each disjoint from the connectors
     hangers: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
-    #: bootstrap half of S came from the greedy fallback
-    fallback: bool = False
 
     @property
     def hooks(self) -> frozenset[int]:
@@ -136,7 +133,7 @@ def _branch(h: MultiGraph, w: int, u: int) -> set[int]:
     return seen
 
 
-def classify_tree_side(g: MultiGraph, s, fallback: bool = False) -> Modulator:
+def classify_tree_side(g: MultiGraph, s) -> Modulator:
     """Compute all strata of ``g`` relative to the base set ``s``.
 
     Raises if removing ``s`` does not leave a clean graph (every component
@@ -196,13 +193,16 @@ def classify_tree_side(g: MultiGraph, s, fallback: bool = False) -> Modulator:
         f3c |= crit
 
         for w in f3t - crit:
-            assert sdeg[w] == 2, "connector chains must have degree 2"
+            if sdeg[w] != 2:
+                raise AssertionError("connector chains must have degree 2")
             branches = []
             for u in sorted(h.neighbors(w)):
                 if u in alive:
                     continue
                 branch = _branch(h, w, u)
-                assert not branch & alive
+                if branch & alive:
+                    raise AssertionError(
+                        "a hanger may not reach the connectors")
                 branches.append(frozenset(branch))
             if branches:
                 hangers[w] = tuple(branches)
@@ -219,9 +219,12 @@ def classify_tree_side(g: MultiGraph, s, fallback: bool = False) -> Modulator:
                 while cur not in anchor:
                     interior.append(cur)
                     nxts = [w for w in h.neighbors(cur) if w in alive and w != prev]
-                    assert len(nxts) == 1
+                    if len(nxts) != 1:
+                        raise AssertionError(
+                            "a chain vertex has exactly one successor")
                     prev, cur = cur, nxts[0]
-                assert cur != a, "chain looped back in a tree"
+                if cur == a:
+                    raise AssertionError("chain looped back in a tree")
                 if cur < a:  # this chain is walked from its smaller anchor
                     continue
                 chain_hooks = [w for w in interior if w in hangers]
@@ -231,19 +234,13 @@ def classify_tree_side(g: MultiGraph, s, fallback: bool = False) -> Modulator:
                     else:
                         bad.add(w)
 
-    assert len(f3c) <= len(f1), "branch points cannot outnumber S-neighbors"
-    assert set(hangers) == good | bad
+    if len(f3c) > len(f1):
+        raise AssertionError("branch points cannot outnumber S-neighbors")
+    if set(hangers) != good | bad:
+        raise AssertionError("every hook is either good or bad")
     return Modulator(s=s, v1=frozenset(v1), v2=frozenset(v2),
                      f1=frozenset(f1), f2=frozenset(f2), f3=frozenset(f3),
                      f3_critical=frozenset(f3c),
                      good_hooks=frozenset(good), bad_hooks=frozenset(bad),
-                     hangers=hangers, fallback=fallback)
+                     hangers=hangers)
 
-
-def compute_modulator(g: MultiGraph, k: int,
-                      node_limit: int = DEFAULT_NODE_LIMIT):
-    """Base set plus strata in one go; ``None`` means decided-no."""
-    s, fallback = compute_base_set(g, k, node_limit)
-    if s is None:
-        return None
-    return classify_tree_side(g, s, fallback)

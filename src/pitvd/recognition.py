@@ -227,6 +227,14 @@ def _translate(obs: Obstruction, ids: list[int]) -> Obstruction:
     raise TypeError(obs)
 
 
+def _tree_or_pig(adjm: list[int], comp: int) -> bool:
+    """Is the connected simple component ``comp`` a tree or a proper
+    interval graph?"""
+    if bk.count_edges(adjm, comp) == comp.bit_count() - 1:
+        return True  # connected with n-1 edges: a tree
+    return pig_order(adjm, comp) is not None
+
+
 def is_pitg(g: MultiGraph) -> tuple[bool, Obstruction | None]:
     """Decide membership in the target class; certify failure.
 
@@ -241,10 +249,7 @@ def is_pitg(g: MultiGraph) -> tuple[bool, Obstruction | None]:
     ids, _, adjm = g.compact()
     full = (1 << len(ids)) - 1
     for comp in bk.comp_masks(adjm, full):
-        nv = comp.bit_count()
-        if bk.count_edges(adjm, comp) == nv - 1:
-            continue  # connected with n-1 edges: a tree
-        if pig_order(adjm, comp) is not None:
+        if _tree_or_pig(adjm, comp):
             continue
         obs = _component_witness(adjm, comp)
         if obs is None:  # pragma: no cover - sweeps and witnesses disagree
@@ -255,15 +260,12 @@ def is_pitg(g: MultiGraph) -> tuple[bool, Obstruction | None]:
 
 def component_clean(g: MultiGraph, comp: list[int]) -> bool:
     """Is the induced component simple and a proper interval graph or tree?"""
+    members = set(comp)
+    if any(g.multiplicity(u, v) >= 2
+           for u in comp for v in g.neighbors(u) if v in members):
+        return False
     ids, _, adjm = g.compact(comp)
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            if g.multiplicity(u, v) >= 2:
-                return False
-    full = (1 << len(ids)) - 1
-    if bk.count_edges(adjm, full) == len(ids) - 1:
-        return True
-    return pig_order(adjm, full) is not None
+    return _tree_or_pig(adjm, (1 << len(ids)) - 1)
 
 
 def obstruction_sets(g: MultiGraph) -> list[tuple[str, frozenset[int]]]:

@@ -161,7 +161,8 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
                         parent[w] = u
                         nxt.append(w)
                 found = [w for w in nxt if g.degree(w) >= 3]
-                assert len(found) <= 1, "nearest branching vertex is unique"
+                if len(found) > 1:
+                    raise AssertionError("nearest branching vertex is unique")
                 if found:
                     v = found[0]
                 frontier = nxt
@@ -230,8 +231,10 @@ def rule10_rewire_expansion(g: MultiGraph, k: int, mod: Modulator):
     """
     for v in sorted(mod.s):
         order, z_v = tree_side_flower(g, v, mod)
-        assert order <= 4 * k + 2, "flower rule must fire before this one"
-        assert len(z_v) <= 8 * k + 4
+        if order > 4 * k + 2:
+            raise AssertionError("flower rule must fire before this one")
+        if len(z_v) > 8 * k + 4:
+            raise AssertionError("the cycle cover outgrew its flower")
         deg = sum(g.multiplicity(v, u) for u in g.neighbors(v) if u in mod.v2)
         if deg < 7 * (len(mod.s) + len(z_v)) + 5:
             continue
@@ -244,24 +247,32 @@ def rule10_rewire_expansion(g: MultiGraph, k: int, mod: Modulator):
             touched = [u for u in comp if g.has_edge(v, u)]
             if not touched:
                 continue
-            assert len(touched) == 1 and g.multiplicity(v, touched[0]) == 1, \
-                "a second contact would be a cycle missed by the cover"
+            if len(touched) != 1 or g.multiplicity(v, touched[0]) != 1:
+                raise AssertionError(
+                    "a second contact would be a cycle missed by the cover")
             label = comp[0]
             comps[label] = set(comp)
             contact[label] = touched[0]
             nbrs[label] = [z for z in left
                            if any(g.has_edge(z, u) for u in comp)]
-        assert len(comps) >= 5 * (len(mod.s) + len(z_v)) + 5, \
-            "the degree bound must force this many contact components"
+        if len(comps) < 5 * (len(mod.s) + len(z_v)) + 5:
+            raise AssertionError(
+                "the degree bound must force this many contact components")
         a_set, b_set, match = q_expansion(left, sorted(comps), nbrs, 5)
-        assert a_set, "expansion side A may not be empty at this size"
+        if not a_set:
+            raise AssertionError(
+                "expansion side A may not be empty at this size")
         saturated = {lbl for partners in match.values() for lbl in partners}
-        assert saturated <= b_set
-        assert len(b_set) - len(saturated) >= 5
+        if not saturated <= b_set:
+            raise AssertionError("the expansion saturates only side B")
+        if len(b_set) - len(saturated) < 5:
+            raise AssertionError(
+                "side B keeps at least five unsaturated components")
         for lbl in sorted(b_set):
             outside = {w for u in comps[lbl] for w in g.neighbors(u)} - comps[lbl]
-            assert outside <= set(a_set) | {v}, \
-                "expansion components may only reach A and v"
+            if not outside <= set(a_set) | {v}:
+                raise AssertionError(
+                    "expansion components may only reach A and v")
         ops = [("mult", v, contact[lbl], 0) for lbl in sorted(saturated)]
         ops += [("mult", v, a, 2) for a in sorted(a_set)]
         return RuleApplication(rule="10", ops=tuple(ops),
@@ -281,10 +292,13 @@ def rule11_delete_expansion_side(g: MultiGraph, k: int, mod: Modulator):
     for label, comp in comps.items():
         touching = [s for s in sorted(mod.s)
                     if any(g.has_edge(s, u) for u in comp)]
-        assert touching, "a stranded cyclic part would be a clean component"
+        if not touching:
+            raise AssertionError(
+                "a stranded cyclic part would be a clean component")
         nbrs[label] = touching
     s_hat, _, _ = q_expansion(sorted(mod.s), sorted(comps), nbrs, 3)
-    assert s_hat, "expansion of a nonempty base set cannot vanish"
+    if not s_hat:
+        raise AssertionError("expansion of a nonempty base set cannot vanish")
     return _deletion("11", sorted(s_hat), k_delta=-len(s_hat))
 
 

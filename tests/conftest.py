@@ -14,6 +14,7 @@ import networkx as nx
 
 from pitvd import backend
 from pitvd.exact import DEFAULT_NODE_LIMIT, decide
+from pitvd.modulator import classify_tree_side, compute_base_set
 from pitvd.multigraph import MultiGraph
 
 
@@ -194,6 +195,13 @@ def minimum_deletion(g: MultiGraph, node_limit: int = DEFAULT_NODE_LIMIT):
         if sol is not None:
             return k, sol
     raise AssertionError("deleting every vertex always succeeds")
+
+
+def compute_modulator(g: MultiGraph, k: int,
+                      node_limit: int = DEFAULT_NODE_LIMIT):
+    """Base set plus strata in one go; ``None`` means decided-no."""
+    s, _ = compute_base_set(g, k, node_limit)
+    return None if s is None else classify_tree_side(g, s)
 
 
 def validate_obstruction(g, obs) -> None:

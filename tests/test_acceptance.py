@@ -27,12 +27,12 @@ from pitvd.cliques import clique_path
 from pitvd.combinatorics import flower_in_forest, q_expansion, sunflower_reduce
 from pitvd.driver import kernelize
 from pitvd.exact import decide
-from pitvd.modulator import compute_modulator
 from pitvd.multigraph import MultiGraph
 from pitvd.mutation import MUTANTS, killer_instances, mutated_rules
 from pitvd.rules import RULES, apply_ops
 
-from conftest import mask_of, all_graphs, pig_order_bruteforce, random_multigraph
+from conftest import (mask_of, all_graphs, compute_modulator,
+                      pig_order_bruteforce, random_multigraph)
 from test_combinatorics import (
     min_hitting_set_size,
     random_forest_with_hub,

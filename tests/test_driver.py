@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from pitvd import driver
 from pitvd.driver import kernelize, replay
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
-from pitvd.rules import RULES
+from pitvd.rules import RULES, RuleApplication
 
 from conftest import random_multigraph, unit_interval_graph
 
@@ -23,10 +24,10 @@ def no_rule_applies(res) -> bool:
     for _rule_id, needs_mod, fn in RULES:
         if needs_mod:
             if mod is None:
-                s, fb = compute_base_set(g, k)
+                s, _ = compute_base_set(g, k)
                 if s is None:
                     return False
-                mod = classify_tree_side(g, s, fb)
+                mod = classify_tree_side(g, s)
             app = fn(g, k, mod)
         else:
             app = fn(g, k)
@@ -128,6 +129,34 @@ def test_traces_replay_and_runs_are_deterministic(seed):
     assert res.trace == again.trace and res.k == again.k
     h, kk = replay(g, k, res.trace)
     assert same_graph(h, res.graph) and kk == res.k
+
+
+def _eight_cycle_closed_up():
+    """An 8-hole (base set {0}) and a rule that deletes 0 once and closes
+    the leftover path into a 7-hole, so the pruned base set breaks."""
+    g = MultiGraph.from_edges([(i, (i + 1) % 8) for i in range(8)])
+
+    def close_up(g, k, mod):
+        if not g.has_vertex(0):
+            return None
+        return RuleApplication(rule="x", ops=(("del", 0), ("edge", 1, 7, 1)))
+
+    return g, (("x", True, close_up),)
+
+
+def test_broken_base_set_is_recomputed():
+    g, battery = _eight_cycle_closed_up()
+    res = kernelize(g, 1, rules=battery)
+    assert [(app.rule, app.affected) for app in res.trace] == [
+        ("base-set", (0,)), ("x", ()), ("base-set", (1,))]
+
+
+def test_unclean_fresh_base_set_raises(monkeypatch):
+    g, battery = _eight_cycle_closed_up()
+    monkeypatch.setattr(driver, "compute_base_set",
+                        lambda g, k, node_limit: (set(), False))
+    with pytest.raises(ValueError):
+        kernelize(g, 1, rules=battery)
 
 
 def test_trace_records_budget_spending_rules():

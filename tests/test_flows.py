@@ -40,9 +40,8 @@ def test_dinic_flow_on_and_residual():
     assert net.residual_reachable(0) == {0, 1}
 
 
-def brute_min_separator(g: MultiGraph, x, y, excluded):
+def brute_min_separator(g: MultiGraph, x, y):
     base = to_networkx(g)
-    base.remove_nodes_from(excluded)
     others = [v for v in base.nodes if v not in (x, y)]
     for size in range(len(others) + 1):
         for cut in itertools.combinations(others, size):
@@ -61,13 +60,16 @@ def test_separator_fixed():
     assert min_vertex_separator(g2, 0, 2) == [1]
 
 
-def test_separator_rejects_adjacent_or_excluded_endpoints():
+def test_separator_rejects_adjacent_endpoints():
     g = MultiGraph.from_edges([(0, 1)])
     with pytest.raises(ValueError):
         min_vertex_separator(g, 0, 1)
-    g2 = MultiGraph.from_edges([(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        min_vertex_separator(g2, 0, 2, excluded=[2])
+
+
+def test_separator_on_a_long_path():
+    """Augmenting paths longer than the interpreter's recursion limit."""
+    g = MultiGraph.from_edges([(i, i + 1) for i in range(699)])
+    assert min_vertex_separator(g, 0, 699) == [1]
 
 
 def test_separator_random_vs_bruteforce():
@@ -79,16 +81,15 @@ def test_separator_random_vs_bruteforce():
         x, y = rng.sample(verts, 2)
         if g.has_edge(x, y):
             continue
-        excluded = [v for v in verts
-                    if v not in (x, y) and rng.random() < 0.15]
+        g = g.induced([v for v in verts
+                       if v in (x, y) or rng.random() >= 0.15])
         gx = to_networkx(g)
-        gx.remove_nodes_from(excluded)
-        cut = min_vertex_separator(g, x, y, excluded)
+        cut = min_vertex_separator(g, x, y)
         # the returned set separates
         gx.remove_nodes_from(cut)
         assert not nx.has_path(gx, x, y)
         # and is minimum
-        assert len(cut) == brute_min_separator(g, x, y, excluded)
+        assert len(cut) == brute_min_separator(g, x, y)
         done += 1
 
 

@@ -1,8 +1,11 @@
-"""Repository-shape checks: the package holds source only, and the names
-the benchmark tracer wraps still exist."""
+"""Repository-shape checks: the package holds source only, its checks
+survive ``python -O``, and the names the benchmark tracer wraps still
+exist."""
 
 from __future__ import annotations
 
+import ast
+import glob
 import importlib
 import os
 
@@ -20,6 +23,17 @@ def test_package_holds_only_python_sources():
         stray += [os.path.join(root, f) for f in files
                   if not f.endswith(".py")]
     assert not stray
+
+
+def test_package_has_no_assert_statements():
+    """``python -O`` strips ``assert``; checks must ``raise`` instead."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found
 
 
 def test_traced_names_resolve(monkeypatch):

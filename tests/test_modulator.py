@@ -6,11 +6,11 @@ import networkx as nx
 import pytest
 
 from pitvd.modulator import (classify_tree_side, compute_base_set,
-                             compute_modulator, small_obstruction_family)
+                             small_obstruction_family)
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
-from conftest import minimum_deletion, random_multigraph
+from conftest import compute_modulator, minimum_deletion, random_multigraph
 
 TENT = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]
 
