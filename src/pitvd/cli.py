@@ -9,9 +9,11 @@ column::
 
 ``kernelize`` reads one instance, runs the reduction pipeline and writes
 the kernel back in the same format (exit 0), or reports a definite
-negative (exit 20); malformed input exits 2.  ``generate`` emits seeded
-random instances, ``verify`` round-trips generated instances through the
-pipeline against the exact solver and audits every kernel.  With
+negative (exit 20); malformed input, a header announcing more than
+``MAX_VERTICES`` vertices and out-of-range arguments exit 2.
+``generate`` emits seeded random instances, ``verify`` round-trips
+generated instances through the pipeline against the exact solver and
+audits every kernel.  With
 ``--mutation-test`` the verifier swaps one rule for its deliberately
 broken variant and reports whether the checks notice; a detected mutant
 exits 0, a surviving one exits 1.
@@ -36,6 +38,10 @@ from .mutation import killer_instances, mutated_rules
 from .rules import RULES, RuleApplication
 
 DENSITIES = (0.15, 0.3, 0.5)
+
+#: largest vertex count an instance header may announce; every header
+#: vertex is created before the first edge is read
+MAX_VERTICES = 100_000
 
 
 class ParseError(ValueError):
@@ -66,6 +72,9 @@ def parse(text: str) -> tuple[MultiGraph, int]:
                 raise ParseError(f"line {lineno}: non-integer header field")
             if n < 0 or m < 0 or k < 0:
                 raise ParseError(f"line {lineno}: negative header field")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: {n} vertices exceed the "
+                                 f"limit of {MAX_VERTICES}")
             for v in range(1, n + 1):
                 g.ensure_vertex(v)
         elif fields[0] == "e":
@@ -262,6 +271,18 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {lo}, got {value}")
+        return value
+    convert.__name__ = "int"  # argparse names the type in its error message
+    return convert
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="pitvd",
@@ -278,24 +299,25 @@ def main(argv=None) -> int:
 
     vf = sub.add_parser("verify", help="round-trip random instances against "
                                        "the exact solver")
-    vf.add_argument("--count", type=int, default=100,
+    vf.add_argument("--count", type=_int_at_least(0), default=100,
                     help="number of random instances (default 100)")
     vf.add_argument("--seed", type=int, default=1)
-    vf.add_argument("--max-n", type=int, default=12,
-                    help="largest vertex count to generate (default 12)")
-    vf.add_argument("--max-k", type=int, default=4,
+    vf.add_argument("--max-n", type=_int_at_least(4), default=12,
+                    help="largest vertex count to generate, at least 4 "
+                         "(default 12)")
+    vf.add_argument("--max-k", type=_int_at_least(0), default=4,
                     help="largest budget to generate (default 4)")
     vf.add_argument("--mutation-test", metavar="RULE",
                     help="swap rule RULE (1..14) for its broken variant and "
                          "check the suite notices; exit 0 iff detected")
 
     gn = sub.add_parser("generate", help="emit a seeded random instance")
-    gn.add_argument("--n", type=int, default=12)
+    gn.add_argument("--n", type=_int_at_least(0), default=12)
     gn.add_argument("--density", type=float, default=0.3)
     gn.add_argument("--double-rate", type=float, default=0.1,
                     help="chance a chosen edge is doubled (default 0.1)")
     gn.add_argument("--seed", type=int, default=1)
-    gn.add_argument("--k", type=int, default=3)
+    gn.add_argument("--k", type=_int_at_least(0), default=3)
     gn.add_argument("-o", "--output", metavar="PATH",
                     help="instance file (default: stdout)")
 

@@ -52,7 +52,7 @@ def decide(g: MultiGraph, k: int,
             return None
         if isinstance(obs, rec.ClawTrianglePair):
             # the whole component is bad; some vertex of it must go
-            cands = sorted(h.component_of(obs.claw[0]))
+            cands = h.component_of(obs.claw[0])
         else:
             cands = sorted(set(obs.vertices))
         sol = None

@@ -120,19 +120,6 @@ class Modulator:
         return self.good_hooks | self.bad_hooks
 
 
-def _branch(h: MultiGraph, w: int, u: int) -> set[int]:
-    """Vertices of the component of the tree minus ``w`` that contains ``u``."""
-    seen = {u}
-    queue = [u]
-    while queue:
-        x = queue.pop()
-        for y in h.neighbors(x):
-            if y != w and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
 def classify_tree_side(g: MultiGraph, s) -> Modulator:
     """Compute all strata of ``g`` relative to the base set ``s``.
 
@@ -192,20 +179,21 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
         crit = {u for u in f3t if sdeg[u] >= 3}
         f3c |= crit
 
-        for w in f3t - crit:
-            if sdeg[w] != 2:
-                raise AssertionError("connector chains must have degree 2")
-            branches = []
-            for u in sorted(h.neighbors(w)):
-                if u in alive:
-                    continue
-                branch = _branch(h, w, u)
-                if branch & alive:
-                    raise AssertionError(
-                        "a hanger may not reach the connectors")
-                branches.append(frozenset(branch))
-            if branches:
-                hangers[w] = tuple(branches)
+        if any(sdeg[w] != 2 for w in f3t - crit):
+            raise AssertionError("connector chains must have degree 2")
+        # The rest of the tree falls into pendant pieces, each hanging by
+        # one edge wu from a vertex w of the spanning subtree; the pieces
+        # below a degree-2 connector w are its hangers, ordered by u.
+        hung = []
+        for piece in h.components(set(comp) - alive):
+            feet = [(w, u) for u in piece for w in h.neighbors(u) if w in alive]
+            if len(feet) != 1:
+                raise AssertionError("a hanger hangs by exactly one edge")
+            (w, u), = feet
+            if w in f3t and w not in crit:
+                hung.append((w, u, frozenset(piece)))
+        for w, _, piece in sorted(hung):
+            hangers[w] = hangers.get(w, ()) + (piece,)
 
         # Chains between two anchors (f1t or branch points): only the
         # outermost hook of each chain keeps its hangers.

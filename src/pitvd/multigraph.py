@@ -166,33 +166,33 @@ class MultiGraph:
 
     # -- structure ------------------------------------------------------
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by minimum id."""
+    def components(self, vs: Iterable[int] | None = None) -> list[list[int]]:
+        """Connected components of the subgraph induced on ``vs`` (default:
+        the whole graph), as sorted vertex lists ordered by minimum id.
+
+        Nothing is copied: the search walks this graph and skips every
+        vertex outside ``vs``.
+        """
+        keep = self._subset(vs)
         seen: set[int] = set()
         comps = []
-        for s in sorted(self._adj):
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        queue.append(y)
-            comps.append(sorted(comp))
+        for s in sorted(keep):
+            if s not in seen:
+                comp = self.component_of(s, keep)
+                seen.update(comp)
+                comps.append(comp)
         return comps
 
-    def component_of(self, v: int) -> list[int]:
+    def component_of(self, v: int, vs: Iterable[int] | None = None) -> list[int]:
+        """Sorted component of ``v`` in the subgraph induced on ``vs``
+        (default: the whole graph); ``v`` must lie in ``vs``."""
+        keep = self._subset(vs)
         seen = {v}
         queue = deque([v])
         while queue:
             x = queue.popleft()
             for y in self._adj[x]:
-                if y not in seen:
+                if y not in seen and y in keep:
                     seen.add(y)
                     queue.append(y)
         return sorted(seen)
@@ -210,46 +210,33 @@ class MultiGraph:
 
     def is_tree(self, vs: Iterable[int] | None = None) -> bool:
         """True iff the (sub)graph induced on ``vs`` is a simple connected tree."""
-        verts = list(self._adj) if vs is None else list(vs)
-        if not verts:
+        keep = self._subset(vs)
+        if not keep or self._simple_edge_count(keep) != len(keep) - 1:
             return False
-        keep = set(verts)
-        m = 0
-        for v in verts:
-            for u, mult in self._adj[v].items():
-                if u in keep:
-                    if mult > 1:
-                        return False
-                    m += 1
-        m //= 2
-        if m != len(verts) - 1:
-            return False
-        # connected?
-        seen = {verts[0]}
-        queue = deque([verts[0]])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y in keep and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == len(verts)
+        return len(self.component_of(next(iter(keep)), keep)) == len(keep)
 
     def is_forest(self, vs: Iterable[int] | None = None) -> bool:
-        verts = list(self._adj) if vs is None else list(vs)
-        keep = set(verts)
+        """True iff the (sub)graph induced on ``vs`` is simple and acyclic."""
+        keep = self._subset(vs)
+        m = self._simple_edge_count(keep)
+        return m is not None and m == len(keep) - len(self.components(keep))
+
+    def _subset(self, vs: Iterable[int] | None):
+        """``vs`` as a container with fast membership (the graph if None)."""
+        if vs is None:
+            return self._adj
+        return vs if isinstance(vs, (set, frozenset)) else set(vs)
+
+    def _simple_edge_count(self, keep) -> int | None:
+        """Edges induced on ``keep``, or None if two of them are parallel."""
         m = 0
-        for v in verts:
+        for v in keep:
             for u, mult in self._adj[v].items():
                 if u in keep:
                     if mult > 1:
-                        return False
+                        return None
                     m += 1
-        m //= 2
-        if not verts:
-            return True
-        sub = self.induced(verts) if vs is not None else self
-        return m == len(verts) - len(sub.components())
+        return m // 2
 
     # -- degree-2 structure --------------------------------------------
 

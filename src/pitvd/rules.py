@@ -122,15 +122,12 @@ def pendant_trees_at(g: MultiGraph, x: int) -> list[list[int]]:
     """Tree components of (component of x) - x linked back by one plain edge."""
     comp = set(g.component_of(x))
     comp.discard(x)
-    if not comp:
-        return []
-    sub = g.induced(comp)
-    pieces = sub.components()
+    pieces = g.components(comp)
     if len(pieces) < 2:  # x is not a cut vertex
         return []
     out = []
     for piece in pieces:
-        if not sub.is_tree(piece):
+        if not g.is_tree(piece):
             continue
         links = [u for u in piece if g.has_edge(x, u)]
         if len(links) == 1 and g.multiplicity(x, links[0]) == 1:
@@ -238,12 +235,11 @@ def rule10_rewire_expansion(g: MultiGraph, k: int, mod: Modulator):
         deg = sum(g.multiplicity(v, u) for u in g.neighbors(v) if u in mod.v2)
         if deg < 7 * (len(mod.s) + len(z_v)) + 5:
             continue
-        sub = g.induced([u for u in mod.v2 if u not in z_v])
         left = sorted((set(z_v) | mod.s) - {v})
         comps = {}      # component label -> vertex set
         contact = {}    # component label -> the one neighbor of v inside
         nbrs = {}       # component label -> left-side neighbors
-        for comp in sub.components():
+        for comp in g.components(mod.v2 - set(z_v)):
             touched = [u for u in comp if g.has_edge(v, u)]
             if not touched:
                 continue
@@ -284,8 +280,7 @@ def rule11_delete_expansion_side(g: MultiGraph, k: int, mod: Modulator):
     """Many cyclic components force part of the base set into the solution."""
     if not mod.v1:
         return None
-    sub = g.induced(sorted(mod.v1))
-    comps = {c[0]: c for c in sub.components()}
+    comps = {c[0]: c for c in g.components(mod.v1)}
     if len(comps) < 3 * len(mod.s):
         return None
     nbrs = {}
@@ -303,10 +298,7 @@ def rule11_delete_expansion_side(g: MultiGraph, k: int, mod: Modulator):
 
 
 def _v1_paths(g: MultiGraph, mod: Modulator) -> list[CliquePath]:
-    if not mod.v1:
-        return []
-    sub = g.induced(sorted(mod.v1))
-    return [clique_path(g, comp) for comp in sub.components()]
+    return [clique_path(g, comp) for comp in g.components(mod.v1)]
 
 
 def rule12_many_cliques_neighbor(g: MultiGraph, k: int, mod: Modulator):

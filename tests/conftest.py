@@ -79,6 +79,17 @@ def random_multigraph(rng, n: int, p: float, double_frac: float = 0.0) -> MultiG
     return g
 
 
+def random_near_tree(rng, n: int) -> MultiGraph:
+    """Random tree on 0..n-1, about a tenth of its edges doubled, plus up to
+    three extra edges: its subsets are trees, forests and neither."""
+    g = MultiGraph.from_edges([], vertices=range(n))
+    for v in range(1, n):
+        g.add_edge(rng.randrange(v), v, 2 if rng.random() < 0.1 else 1)
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
+        g.add_edge(*rng.sample(range(n), 2))
+    return g
+
+
 def to_networkx(g: MultiGraph) -> nx.Graph:
     """Underlying simple graph of a MultiGraph."""
     out = nx.Graph()
@@ -202,6 +213,27 @@ def compute_modulator(g: MultiGraph, k: int,
     """Base set plus strata in one go; ``None`` means decided-no."""
     s, _ = compute_base_set(g, k, node_limit)
     return None if s is None else classify_tree_side(g, s)
+
+
+def pendant_trees_by_copy(g: MultiGraph, x: int) -> list[list[int]]:
+    """``rules.pendant_trees_at`` read off an induced copy of the component
+    of x minus x: the copy-based form the in-place version replaced."""
+    comp = set(g.component_of(x))
+    comp.discard(x)
+    if not comp:
+        return []
+    sub = g.induced(comp)
+    pieces = sub.components()
+    if len(pieces) < 2:
+        return []
+    out = []
+    for piece in pieces:
+        if not sub.is_tree(piece):
+            continue
+        links = [u for u in piece if g.has_edge(x, u)]
+        if len(links) == 1 and g.multiplicity(x, links[0]) == 1:
+            out.append(piece)
+    return out
 
 
 def validate_obstruction(g, obs) -> None:

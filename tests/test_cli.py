@@ -7,8 +7,8 @@ import random
 import pytest
 from conftest import random_multigraph
 
-from pitvd.cli import (ParseError, load_trace, main, parse, serialize,
-                       trace_lines)
+from pitvd.cli import (MAX_VERTICES, ParseError, load_trace, main, parse,
+                       serialize, trace_lines)
 from pitvd.driver import kernelize, replay
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
@@ -52,6 +52,30 @@ def test_parse_isolated_vertices_from_header():
     g, k = parse("p pitvd 5 1 2\ne 2 4 1\n")
     assert g.n == 5
     assert g.degree(1) == 0
+
+
+def count_header_vertices(monkeypatch) -> list[int]:
+    """Make ``MultiGraph.ensure_vertex`` record its calls instead of
+    allocating, and fail once it passes the header cap."""
+    calls: list[int] = []
+
+    def ensure_vertex(self, v):
+        calls.append(v)
+        if len(calls) > MAX_VERTICES:
+            raise MemoryError("header vertices created past the cap")
+
+    monkeypatch.setattr(MultiGraph, "ensure_vertex", ensure_vertex)
+    return calls
+
+
+def test_parse_rejects_huge_header_before_allocating(monkeypatch):
+    calls = count_header_vertices(monkeypatch)
+    for n in (MAX_VERTICES + 1, 10**9):
+        with pytest.raises(ParseError, match="exceed"):
+            parse(f"p pitvd {n} 0 0\n")
+    assert calls == []
+    parse(f"p pitvd {MAX_VERTICES} 0 0\n")  # the cap itself is allowed
+    assert len(calls) == MAX_VERTICES
 
 
 def test_parse_comments_and_blanks_ignored():
@@ -180,6 +204,36 @@ def test_kernelize_trace_replays_to_identical_kernel(tmp_path):
     g, k = parse(src.read_text())
     h, k2 = replay(g, k, load_trace(tr.read_text()))
     assert serialize(h, k2) == out.read_text()
+
+
+def test_kernelize_rejects_huge_header(tmp_path, capsys, monkeypatch):
+    count_header_vertices(monkeypatch)
+    path = write(tmp_path, "huge.txt", "p pitvd 1000000000 0 0\n")
+    assert main(["kernelize", path]) == 2
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-n", "3"],
+    ["verify", "--max-k", "-1"],
+    ["verify", "--count", "-1"],
+    ["verify", "--count", "many"],
+    ["generate", "--n", "-1"],
+    ["generate", "--k", "-1"],
+])
+def test_out_of_range_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
+def test_smallest_allowed_arguments_run(tmp_path, capsys):
+    assert main(["verify", "--count", "2", "--max-n", "4", "--max-k", "0"]) == 0
+    assert "passed 2/2" in capsys.readouterr().out
+    out = tmp_path / "empty.txt"
+    assert main(["generate", "--n", "0", "--k", "0", "-o", str(out)]) == 0
+    assert out.read_text() == "p pitvd 0 0 0\n"
 
 
 def test_verify_small_run_passes(capsys):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from conftest import random_multigraph, random_near_tree
 from hypothesis import given, strategies as st
 
 from pitvd.multigraph import MultiGraph
@@ -95,6 +98,36 @@ def test_is_tree_and_forest():
     assert not two_comp.is_tree()
     assert two_comp.is_forest()
     assert two_comp.is_tree([0, 1])
+
+
+def test_subset_queries_match_induced_copy():
+    rng = random.Random(2024)
+    outcomes = set()
+    for trial in range(300):
+        if trial % 2:
+            g = random_multigraph(rng, rng.randint(1, 12),
+                                  rng.choice((0.15, 0.3, 0.5)), 0.15)
+        else:
+            g = random_near_tree(rng, rng.randint(1, 14))
+        vs = [v for v in g.vertices if rng.random() < 0.7]
+        sub = g.induced(vs)
+        for arg in (vs, set(vs), frozenset(vs)):
+            assert g.components(arg) == sub.components()
+            assert g.is_tree(arg) == sub.is_tree()
+            assert g.is_forest(arg) == sub.is_forest()
+        for v in vs:
+            assert g.component_of(v, vs) == sub.component_of(v)
+        assert g.components(g.vertices) == g.components()
+        outcomes.add((sub.is_tree(), sub.is_forest()))
+    # both answers of both predicates occurred
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_subset_queries_reject_missing_vertices():
+    g = build([(0, 1)])
+    for query in (g.components, g.is_tree, g.is_forest):
+        with pytest.raises(KeyError):
+            query([0, 7])
 
 
 def test_attach_tail():

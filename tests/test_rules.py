@@ -23,7 +23,7 @@ from pitvd.modulator import classify_tree_side
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
-from conftest import random_multigraph
+from conftest import pendant_trees_by_copy, random_multigraph, random_near_tree
 
 
 def strip(n):
@@ -135,6 +135,22 @@ def test_rule7_keeps_three_pendant_trees():
 def test_pendant_trees_exclude_heavy_links():
     g = MultiGraph.from_edges([(0, 1, 2), (0, 2), (0, 3), (0, 4)])
     assert [min(t) for t in R.pendant_trees_at(g, 0)] == [2, 3, 4]
+
+
+def test_pendant_trees_match_the_copy_based_oracle():
+    rng = random.Random(606)
+    found = 0
+    for trial in range(120):
+        n = rng.randint(2, 14)
+        if trial % 2:
+            g = random_multigraph(rng, n, rng.choice((0.15, 0.3)), 0.15)
+        else:
+            g = random_near_tree(rng, n)
+        for x in g.vertices:
+            got = R.pendant_trees_at(g, x)
+            assert got == pendant_trees_by_copy(g, x)
+            found += len(got)
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------
