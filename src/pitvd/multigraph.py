@@ -222,10 +222,14 @@ class MultiGraph:
         return m is not None and m == len(keep) - len(self.components(keep))
 
     def _subset(self, vs: Iterable[int] | None):
-        """``vs`` as a container with fast membership (the graph if None)."""
+        """``vs`` as a container with fast membership (the graph if None).
+
+        Sets and dicts pass through uncopied, so ``components`` can hand
+        its container to ``component_of`` once per component for free.
+        """
         if vs is None:
             return self._adj
-        return vs if isinstance(vs, (set, frozenset)) else set(vs)
+        return vs if isinstance(vs, (set, frozenset, dict)) else set(vs)
 
     def _simple_edge_count(self, keep) -> int | None:
         """Edges induced on ``keep``, or None if two of them are parallel."""

@@ -130,6 +130,35 @@ def test_subset_queries_reject_missing_vertices():
             query([0, 7])
 
 
+def test_subset_queries_copy_the_subset_at_most_once(monkeypatch):
+    """A query builds one membership set, not one per component.
+
+    Every ``set(...)`` built inside ``multigraph`` is counted; a copy per
+    component would make the whole-graph search quadratic on a graph of
+    many small components.
+    """
+    import pitvd.multigraph as mg
+
+    class CountingSet(set):
+        built = 0
+
+        def __init__(self, *args):
+            CountingSet.built += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(mg, "set", CountingSet, raising=False)
+    triangles = [(u, u + t) for u in range(0, 300, 3) for t in (1, 2)]
+    triangles += [(u + 1, u + 2) for u in range(0, 300, 3)]
+    g = build(triangles, vertices=range(300, 700))
+    for query, expected in ((lambda: len(g.components()), 500),
+                            (lambda: len(g.components(g.vertices)), 500),
+                            (lambda: g.is_forest(), False),
+                            (lambda: g.is_forest(range(300, 700)), True)):
+        CountingSet.built = 0
+        assert query() == expected
+        assert CountingSet.built <= 2
+
+
 def test_attach_tail():
     g = build([(0, 1)])
     new = g.attach_tail(1, 3)
