@@ -226,9 +226,9 @@ def cmd_generate(args) -> int:
 
 def _check_one(g: MultiGraph, k: int, battery) -> list[str]:
     """Problems one instance exhibits under the given rule battery."""
-    truth = decide(g.copy(), k) is not None
+    truth = decide(g, k) is not None
     try:
-        res = kernelize(g.copy(), k, rules=battery)
+        res = kernelize(g, k, rules=battery)
     except Exception as exc:  # a broken battery may trip internal checks
         return [f"crash: {exc!r}"]
     if res.decided_no:
@@ -271,16 +271,24 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer no smaller than ``lo``."""
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in ``[lo, hi]`` (no upper end if None)."""
     def convert(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {lo}, got {value}")
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
         return value
     convert.__name__ = "int"  # argparse names the type in its error message
     return convert
+
+
+def _fraction(text: str) -> float:
+    """argparse type: a float in [0, 1] (nan is not one)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -299,25 +307,28 @@ def main(argv=None) -> int:
 
     vf = sub.add_parser("verify", help="round-trip random instances against "
                                        "the exact solver")
-    vf.add_argument("--count", type=_int_at_least(0), default=100,
+    vf.add_argument("--count", type=_int_in(0), default=100,
                     help="number of random instances (default 100)")
     vf.add_argument("--seed", type=int, default=1)
-    vf.add_argument("--max-n", type=_int_at_least(4), default=12,
+    vf.add_argument("--max-n", type=_int_in(4), default=12,
                     help="largest vertex count to generate, at least 4 "
                          "(default 12)")
-    vf.add_argument("--max-k", type=_int_at_least(0), default=4,
+    vf.add_argument("--max-k", type=_int_in(0), default=4,
                     help="largest budget to generate (default 4)")
     vf.add_argument("--mutation-test", metavar="RULE",
                     help="swap rule RULE (1..14) for its broken variant and "
                          "check the suite notices; exit 0 iff detected")
 
     gn = sub.add_parser("generate", help="emit a seeded random instance")
-    gn.add_argument("--n", type=_int_at_least(0), default=12)
-    gn.add_argument("--density", type=float, default=0.3)
-    gn.add_argument("--double-rate", type=float, default=0.1,
-                    help="chance a chosen edge is doubled (default 0.1)")
+    gn.add_argument("--n", type=_int_in(0, MAX_VERTICES), default=12,
+                    help=f"vertex count, at most {MAX_VERTICES} (default 12)")
+    gn.add_argument("--density", type=_fraction, default=0.3,
+                    help="chance each pair is joined, in [0, 1] (default 0.3)")
+    gn.add_argument("--double-rate", type=_fraction, default=0.1,
+                    help="chance a chosen edge is doubled, in [0, 1] "
+                         "(default 0.1)")
     gn.add_argument("--seed", type=int, default=1)
-    gn.add_argument("--k", type=_int_at_least(0), default=3)
+    gn.add_argument("--k", type=_int_in(0), default=3)
     gn.add_argument("-o", "--output", metavar="PATH",
                     help="instance file (default: stdout)")
 

@@ -9,6 +9,9 @@ hosting both a claw and a triangle must lose *some* vertex, so the branch
 ranges over that component.  Memoization collapses permutations of the
 same deletions.
 
+The state of a search node is its deleted set alone: every recognition
+runs in place on the vertices still alive, so no node copies the graph.
+
 This is exponential and guarded by an explicit node budget; it serves as
 the bootstrap for the modulator and as the correctness oracle for the
 reduction pipeline, not as a general-purpose solver.
@@ -31,20 +34,21 @@ def decide(g: MultiGraph, k: int,
     """A deletion set of size <= k (sorted ids), or None if none exists."""
     if k < 0:
         return None
+    verts = frozenset(g.vertices)
     memo: dict = {}
     nodes = 0
 
-    def rec_solve(h: MultiGraph, kk: int, gone: frozenset[int]):
+    def rec_solve(kk: int, gone: frozenset[int]):
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise SearchLimitExceeded(
                 f"exact search exceeded {node_limit} nodes")
-        # h is always g minus the vertices in gone
         key = (gone, kk)
         if key in memo:
             return memo[key]
-        ok, obs = rec.is_pitg(h)
+        alive = verts - gone
+        ok, obs = rec.is_pitg(g, alive)
         if ok:
             return []
         if kk == 0:
@@ -52,28 +56,23 @@ def decide(g: MultiGraph, k: int,
             return None
         if isinstance(obs, rec.ClawTrianglePair):
             # the whole component is bad; some vertex of it must go
-            cands = h.component_of(obs.claw[0])
+            cands = g.component_of(obs.claw[0], alive)
         else:
             cands = sorted(set(obs.vertices))
         sol = None
         for v in cands:
-            h2 = h.copy()
-            h2.delete_vertex(v)
-            sub = rec_solve(h2, kk - 1, gone | {v})
+            sub = rec_solve(kk - 1, gone | {v})
             if sub is not None:
                 sol = sorted([v, *sub])
                 break
         memo[key] = sol
         return sol
 
-    out = rec_solve(g, k, frozenset())
+    out = rec_solve(k, frozenset())
     if out is not None:
         if len(out) > k:
             raise AssertionError("solver exceeded its deletion budget")
-        left = g.copy()
-        left.delete_vertices(out)
-        ok, _ = rec.is_pitg(left)
+        ok, _ = rec.is_pitg(g, verts.difference(out))
         if not ok:
             raise AssertionError("solver returned an invalid deletion set")
     return out
-

@@ -56,15 +56,15 @@ def greedy_modulator(g: MultiGraph) -> set[int]:
     Fallback for instances where the exact search is too slow.  The result
     leaves a valid graph behind but carries no size guarantee.
     """
-    h = g.copy()
+    alive = set(g.vertices)
     out: set[int] = set()
     while True:
-        ok, obs = is_pitg(h)
+        ok, obs = is_pitg(g, alive)
         if ok:
             return out
         vs = set(obs.vertices)
         out |= vs
-        h.delete_vertices(vs)
+        alive -= vs
 
 
 def compute_base_set(g: MultiGraph, k: int,

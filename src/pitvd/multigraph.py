@@ -85,10 +85,6 @@ class MultiGraph:
             del self._adj[u][v]
         del self._adj[v]
 
-    def delete_vertices(self, vs: Iterable[int]) -> None:
-        for v in list(vs):
-            self.delete_vertex(v)
-
     @property
     def vertices(self) -> list[int]:
         return sorted(self._adj)
@@ -137,9 +133,6 @@ class MultiGraph:
         """Degree counting multiplicities."""
         return sum(self._adj[v].values())
 
-    def simple_degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(u, v, multiplicity)`` with u < v, sorted."""
         for u in sorted(self._adj):
@@ -152,17 +145,13 @@ class MultiGraph:
         """Number of edges counting multiplicities."""
         return sum(m for _, _, m in self.edges())
 
-    @property
-    def distinct_edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
-
-    @property
-    def is_simple(self) -> bool:
-        return all(m == 1 for _, _, m in self.edges())
-
-    def double_edges(self) -> list[tuple[int, int]]:
-        """Pairs (u, v), u < v, joined by 2 or more parallel edges."""
-        return [(u, v) for u, v, m in self.edges() if m >= 2]
+    def double_edges(self, vs: Iterable[int] | None = None
+                     ) -> list[tuple[int, int]]:
+        """Sorted pairs (u, v), u < v, joined by 2 or more parallel edges in
+        the subgraph induced on ``vs`` (default: the whole graph)."""
+        keep = self._subset(vs)
+        return sorted((u, v) for u in keep for v, m in self._adj[u].items()
+                      if m >= 2 and u < v and v in keep)
 
     # -- structure ------------------------------------------------------
 
@@ -243,19 +232,6 @@ class MultiGraph:
         return m // 2
 
     # -- degree-2 structure --------------------------------------------
-
-    def attach_tail(self, v: int, length: int) -> list[int]:
-        """Attach a fresh path u1..u_length pendant at v; returns the new ids."""
-        if length <= 0:
-            raise ValueError("tail length must be positive")
-        new = []
-        prev = v
-        for _ in range(length):
-            u = self.add_vertex()
-            self.add_edge(prev, u)
-            new.append(u)
-            prev = u
-        return new
 
     def find_degree2_paths(self) -> list[Deg2Path]:
         """All maximal degree-2 paths, canonically oriented and sorted.

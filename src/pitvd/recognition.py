@@ -25,6 +25,7 @@ independent of the sweeps, so the two halves cross-check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from . import backend as bk
 from .backend import bits
@@ -88,31 +89,31 @@ Obstruction = DoubleEdge | Net | Tent | Hole | ClawTrianglePair
 # lexicographic BFS
 # ---------------------------------------------------------------------------
 
-def _lbfs(adjm: list[int], verts: list[int], prev_pos=None) -> list[int]:
-    """One LBFS sweep over ``verts`` (positions), by partition refinement.
+def _lbfs(adjm: list[int], comp: int, prev_pos=None) -> list[int]:
+    """One LBFS sweep over the positions in ``comp``, by partition
+    refinement of bitmask slices.
 
-    Ties inside the first slice go to the smallest position on the first
+    Ties inside the first slice go to the lowest position on the first
     sweep, and to the vertex latest in the previous sweep afterwards.
     """
-    slices = [list(verts)]
+    slices = [comp]
     order: list[int] = []
     while slices:
         first = slices[0]
         if prev_pos is None:
-            v = min(first)
+            v = (first & -first).bit_length() - 1
         else:
-            v = max(first, key=prev_pos.__getitem__)
-        first.remove(v)
+            v = max(bits(first), key=prev_pos.__getitem__)
+        slices[0] = first & ~(1 << v)
         order.append(v)
         nb = adjm[v]
         refined = []
         for s in slices:
-            ins = [u for u in s if (nb >> u) & 1]
-            outs = [u for u in s if not (nb >> u) & 1]
+            ins = s & nb
             if ins:
                 refined.append(ins)
-            if outs:
-                refined.append(outs)
+            if ins != s:
+                refined.append(s & ~nb)
         slices = refined
     return order
 
@@ -123,12 +124,11 @@ def pig_order(adjm: list[int], comp: int):
     Three-sweep LBFS; the final sweep is an umbrella ordering iff the
     component is a proper interval graph, which the last step verifies.
     """
-    verts = [v for v in bits(comp)]
-    if len(verts) <= 2:
-        return tuple(verts)
-    s1 = _lbfs(adjm, verts)
-    s2 = _lbfs(adjm, verts, {v: i for i, v in enumerate(s1)})
-    s3 = _lbfs(adjm, verts, {v: i for i, v in enumerate(s2)})
+    if comp.bit_count() <= 2:
+        return tuple(bits(comp))
+    s1 = _lbfs(adjm, comp)
+    s2 = _lbfs(adjm, comp, {v: i for i, v in enumerate(s1)})
+    s3 = _lbfs(adjm, comp, {v: i for i, v in enumerate(s2)})
     return tuple(s3) if bk.umbrella_ok(adjm, s3) else None
 
 
@@ -235,18 +235,20 @@ def _tree_or_pig(adjm: list[int], comp: int) -> bool:
     return pig_order(adjm, comp) is not None
 
 
-def is_pitg(g: MultiGraph) -> tuple[bool, Obstruction | None]:
+def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
+            ) -> tuple[bool, Obstruction | None]:
     """Decide membership in the target class; certify failure.
 
-    Returns ``(True, None)`` or ``(False, obstruction)`` with the
-    obstruction stated in stable vertex ids.  Preference order: double
-    edge, then per first bad component: net, tent, short hole, any hole,
-    claw+triangle pair.
+    Answers for the subgraph induced on ``vs`` (default: the whole graph)
+    without copying it.  Returns ``(True, None)`` or ``(False,
+    obstruction)`` with the obstruction stated in stable vertex ids.
+    Preference order: double edge, then per first bad component: net,
+    tent, short hole, any hole, claw+triangle pair.
     """
-    doubles = g.double_edges()
+    doubles = g.double_edges(vs)
     if doubles:
         return False, DoubleEdge(*doubles[0])
-    ids, _, adjm = g.compact()
+    ids, _, adjm = g.compact(vs)
     full = (1 << len(ids)) - 1
     for comp in bk.comp_masks(adjm, full):
         if _tree_or_pig(adjm, comp):
@@ -260,9 +262,7 @@ def is_pitg(g: MultiGraph) -> tuple[bool, Obstruction | None]:
 
 def component_clean(g: MultiGraph, comp: list[int]) -> bool:
     """Is the induced component simple and a proper interval graph or tree?"""
-    members = set(comp)
-    if any(g.multiplicity(u, v) >= 2
-           for u in comp for v in g.neighbors(u) if v in members):
+    if g.double_edges(comp):
         return False
     ids, _, adjm = g.compact(comp)
     return _tree_or_pig(adjm, (1 << len(ids)) - 1)

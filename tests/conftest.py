@@ -90,6 +90,14 @@ def random_near_tree(rng, n: int) -> MultiGraph:
     return g
 
 
+def attach_tail(g: MultiGraph, v: int, length: int) -> None:
+    """Attach a fresh path of ``length`` vertices pendant at v."""
+    for _ in range(length):
+        u = g.add_vertex()
+        g.add_edge(v, u)
+        v = u
+
+
 def to_networkx(g: MultiGraph) -> nx.Graph:
     """Underlying simple graph of a MultiGraph."""
     out = nx.Graph()
@@ -138,6 +146,32 @@ def brute_induced_cycles(adj, mask, lengths=(4, 5, 6)):
 # ---------------------------------------------------------------------------
 # oracles built on the package's primitives (exhaustive, small inputs only)
 # ---------------------------------------------------------------------------
+
+def lbfs_by_lists(adjm: list[int], verts: list[int], prev_pos=None):
+    """One LBFS sweep refining Python lists of positions: the form the
+    bitmask ``recognition._lbfs`` replaced, kept as its oracle."""
+    slices = [list(verts)]
+    order: list[int] = []
+    while slices:
+        first = slices[0]
+        if prev_pos is None:
+            v = min(first)
+        else:
+            v = max(first, key=prev_pos.__getitem__)
+        first.remove(v)
+        order.append(v)
+        nb = adjm[v]
+        refined = []
+        for s in slices:
+            ins = [u for u in s if (nb >> u) & 1]
+            outs = [u for u in s if not (nb >> u) & 1]
+            if ins:
+                refined.append(ins)
+            if outs:
+                refined.append(outs)
+        slices = refined
+    return order
+
 
 def pig_order_bruteforce(adj, mask):
     """Exhaustive search for an umbrella ordering of one component, or None.

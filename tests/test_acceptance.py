@@ -31,7 +31,7 @@ from pitvd.multigraph import MultiGraph
 from pitvd.mutation import MUTANTS, killer_instances, mutated_rules
 from pitvd.rules import RULES, apply_ops
 
-from conftest import (mask_of, all_graphs, compute_modulator,
+from conftest import (mask_of, all_graphs, attach_tail, compute_modulator,
                       pig_order_bruteforce, random_multigraph)
 from test_combinatorics import (
     min_hitting_set_size,
@@ -334,7 +334,7 @@ def test_criterion_2_per_rule_safety(capsys):
 def _brute_clean(g: MultiGraph) -> bool:
     """Simple, and every component a tree or properly orderable -- checked
     by exhaustive ordering search, not by the production recognizer."""
-    if not g.is_simple:
+    if g.double_edges():
         return False
     _, _, adjm = g.compact()
     full = (1 << len(adjm)) - 1
@@ -549,7 +549,7 @@ def test_criterion_6_structural_lemmas(capsys):
         assert ok
         pendants = [v for v in g.vertices if g.degree(v) == 1]
         v = rng.choice(pendants)
-        g.attach_tail(v, rng.randint(1, 5))
+        attach_tail(g, v, rng.randint(1, 5))
         ok, obs = R.is_pitg(g)
         assert ok, obs
         tails += 1

@@ -7,12 +7,15 @@ import random
 import pytest
 from conftest import random_multigraph
 
+from pitvd import cli
+from pitvd.audit import audit_violations
 from pitvd.cli import (MAX_VERTICES, ParseError, load_trace, main, parse,
                        serialize, trace_lines)
 from pitvd.driver import kernelize, replay
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
 from pitvd.mutation import killer_instances
+from pitvd.recognition import is_pitg
 from pitvd.rules import RULES
 
 
@@ -219,9 +222,18 @@ def test_kernelize_rejects_huge_header(tmp_path, capsys, monkeypatch):
     ["verify", "--count", "-1"],
     ["verify", "--count", "many"],
     ["generate", "--n", "-1"],
+    ["generate", "--n", "6"],
     ["generate", "--k", "-1"],
+    ["generate", "--density", "-0.1"],
+    ["generate", "--density", "1.5"],
+    ["generate", "--density", "nan"],
+    ["generate", "--double-rate", "-1"],
+    ["generate", "--double-rate", "2"],
+    ["generate", "--double-rate", "nan"],
 ])
-def test_out_of_range_arguments_exit_2(argv, capsys):
+def test_out_of_range_arguments_exit_2(argv, capsys, monkeypatch):
+    # a small vertex cap, so an --n past it never reaches the edge loop
+    monkeypatch.setattr(cli, "MAX_VERTICES", 5)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -234,6 +246,9 @@ def test_smallest_allowed_arguments_run(tmp_path, capsys):
     out = tmp_path / "empty.txt"
     assert main(["generate", "--n", "0", "--k", "0", "-o", str(out)]) == 0
     assert out.read_text() == "p pitvd 0 0 0\n"
+    for rate in ("0", "1"):
+        assert main(["generate", "--n", "3", "--density", rate,
+                     "--double-rate", rate, "-o", str(out)]) == 0
 
 
 def test_verify_small_run_passes(capsys):
@@ -256,6 +271,24 @@ def test_verify_reports_are_seed_deterministic(capsys):
 
 def test_verify_unknown_mutant_rejected(capsys):
     assert main(["verify", "--count", "1", "--mutation-test", "99"]) == 2
+
+
+def test_checked_functions_leave_their_input_unchanged():
+    """``_check_one`` hands its graph to each of these uncopied."""
+    rng = random.Random(515)
+    pool = [(g, k) for _, g, k in killer_instances()]
+    for _ in range(40):
+        g = random_multigraph(rng, rng.randint(1, 11), rng.uniform(0.15, 0.6),
+                              0.15)
+        pool.append((g, rng.randint(0, 3)))
+    for g, k in pool:
+        before = g.copy()
+        decide(g, k)
+        res = kernelize(g, k)
+        audit_violations(g, k)
+        is_pitg(g, [v for v in g.vertices if rng.random() < 0.7])
+        assert g == before
+        assert res.graph is not g
 
 
 def test_verify_detects_a_broken_rule(capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pitvd.exact import SearchLimitExceeded, decide
+from pitvd.modulator import greedy_modulator
 from pitvd.multigraph import MultiGraph
 
 from conftest import minimum_deletion, pitg_ok, random_multigraph
@@ -20,9 +21,8 @@ def brute_decide(g: MultiGraph, k: int) -> bool:
     verts = g.vertices
     for size in range(min(k, len(verts)) + 1):
         for cand in itertools.combinations(verts, size):
-            h = g.copy()
-            h.delete_vertices(cand)
-            if not h.is_simple:
+            h = g.induced(set(verts) - set(cand))
+            if h.double_edges():
                 continue
             ids, _, adjm = h.compact()
             if pitg_ok(adjm, (1 << len(ids)) - 1):
@@ -109,3 +109,27 @@ def test_node_limit_enforced():
 def test_solutions_are_deterministic():
     g = mg([(0, 1), (1, 2), (2, 3), (3, 0), (1, 4, 2)])
     assert decide(g, 2) == decide(g, 2)
+
+
+def test_search_copies_no_graph(monkeypatch):
+    """The exact search and the greedy fallback keep only the deleted set:
+    neither copies the graph nor builds an induced subgraph."""
+    copies = []
+    for name in ("copy", "induced"):
+        orig = getattr(MultiGraph, name)
+
+        def counted(self, *args, name=name, orig=orig):
+            copies.append(name)
+            return orig(self, *args)
+
+        monkeypatch.setattr(MultiGraph, name, counted)
+    rng = random.Random(8)
+    branched = 0
+    for _ in range(40):
+        g = random_multigraph(rng, rng.randint(4, 9), 0.45, double_frac=0.15)
+        sol = decide(g, 3)
+        branched += bool(sol)
+        greedy_modulator(g)
+    # a claw plus a triangle: the search branches over a whole component
+    decide(mg([(0, 1), (1, 2), (2, 0), (0, 3), (0, 4)]), 1)
+    assert branched and copies == []

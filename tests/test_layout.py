@@ -36,6 +36,22 @@ def test_package_has_no_assert_statements():
     assert not found
 
 
+def test_only_multigraph_reads_the_adjacency():
+    """Every other module reaches the graph through ``MultiGraph``'s
+    methods, so its in-place subset queries stay the only path to
+    ``_adj``."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
+        if os.path.basename(path) == "multigraph.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "_adj"]
+    assert not found
+
+
 def test_traced_names_resolve(monkeypatch):
     """Every function ``kbench/tracer.py`` wraps is a callable of pitvd."""
     monkeypatch.syspath_prepend(KBENCH_DIR)

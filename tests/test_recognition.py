@@ -10,6 +10,7 @@ from pitvd.multigraph import MultiGraph
 
 from conftest import (
     all_graphs,
+    lbfs_by_lists,
     mask_of,
     pig_order_bruteforce,
     pitg_ok,
@@ -65,7 +66,58 @@ def test_pig_order_known_graphs():
     assert R.pig_order(adj2, mask_of(n)) is not None
 
 
+def test_lbfs_masks_match_the_list_oracle():
+    """The bitmask sweeps visit positions in the order the list-refining
+    sweeps do: the first sweep and both tie-breaking sweeps after it, on
+    whole graphs and on subsets of their positions."""
+    rng = random.Random(606)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        adj = random_adj(rng, n, rng.uniform(0.05, 0.9))
+        for mask in (mask_of(n), rng.getrandbits(n) or 1):
+            verts = list(bk.bits(mask))
+            order = R._lbfs(adj, mask)
+            assert order == lbfs_by_lists(adj, verts)
+            shuffled = rng.sample(verts, len(verts))
+            for prev in (order, shuffled):
+                prev_pos = {v: i for i, v in enumerate(prev)}
+                order2 = R._lbfs(adj, mask, prev_pos)
+                assert order2 == lbfs_by_lists(adj, verts, prev_pos)
+                assert sorted(order2) == verts
+
+
 # -- is_pitg and witnesses ---------------------------------------------------
+
+def test_subset_recognition_matches_induced_copy():
+    """``is_pitg(g, vs)`` and ``g.double_edges(vs)`` answer for the
+    subgraph induced on ``vs`` exactly as the same calls on a copy."""
+    rng = random.Random(707)
+    # a tent (triangle 0-1-2, vertices 3, 4, 5 on its sides), which random
+    # graphs this small rarely show ahead of a net, with pendants 6 and 7
+    tent = mg([(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 1), (4, 2),
+               (5, 2), (5, 0), (6, 3), (7, 6)])
+    kinds = set()
+    for trial in range(400):
+        g = random_multigraph(rng, rng.randint(1, 12),
+                              rng.choice((0.15, 0.3, 0.5, 0.7)), 0.1)
+        if trial % 20 == 0:
+            g = tent
+        vs = [v for v in g.vertices if rng.random() < 0.75]
+        sub = g.induced(vs)
+        want = R.is_pitg(sub)
+        for arg in (vs, set(vs), frozenset(vs)):
+            assert R.is_pitg(g, arg) == want
+            assert g.double_edges(arg) == sub.double_edges()
+        kinds.add(type(want[1]).__name__)
+    assert kinds == {"NoneType", "DoubleEdge", "Net", "Tent", "Hole",
+                     "ClawTrianglePair"}
+
+
+def test_subset_recognition_rejects_missing_vertices():
+    g = mg([(0, 1), (1, 2)])
+    for query in (lambda vs: R.is_pitg(g, vs), g.double_edges):
+        with pytest.raises(KeyError):
+            query([0, 7])
 
 def test_accepts_clean_graphs():
     assert R.is_pitg(mg([(0, 1), (1, 2), (2, 3)]))[0]
@@ -144,7 +196,7 @@ def test_is_pitg_matches_characterization_random():
         ok, obs = R.is_pitg(g)
         ids, _, adjm = g.compact()
         full = (1 << len(ids)) - 1
-        want = g.is_simple and pitg_ok(adjm, full)
+        want = not g.double_edges() and pitg_ok(adjm, full)
         assert ok == want
         if ok:
             assert obs is None
