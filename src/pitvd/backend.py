@@ -5,6 +5,11 @@ All functions work on a simple graph given as ``adj``: a list where
 stable ids -- callers translate).  ``mask`` selects the vertex subset under
 consideration.  Masks are Python ints, so graphs of any width are handled.
 
+One lexicographic BFS (``lbfs``) serves every vertex ordering: the
+umbrella sweeps of ``recognition.pig_order`` and the chordality check,
+which reads the reverse LBFS order as a perfect elimination order (Rose,
+Tarjan and Lueker 1976).
+
 These are the innermost loops of the whole package (the exact solver and the
 recognizer call them many thousands of times), hence the flat,
 allocation-shy style.
@@ -78,42 +83,57 @@ def find_claw(adj: list[int], mask: int):
     return None
 
 
+def lbfs(adj: list[int], mask: int, prev_pos=None) -> list[int]:
+    """One lexicographic BFS sweep over the positions in ``mask``, by
+    partition refinement of bitmask slices; ``[]`` for an empty mask.
+
+    Ties inside the first slice go to the lowest position on a first
+    sweep, and to the vertex latest in the previous sweep when its
+    positions ``prev_pos`` are given.  A disconnected mask is swept one
+    component after another.
+    """
+    slices = [mask] if mask else []
+    order: list[int] = []
+    while slices:
+        first = slices[0]
+        if prev_pos is None:
+            v = (first & -first).bit_length() - 1
+        else:
+            v = max(bits(first), key=prev_pos.__getitem__)
+        slices[0] = first & ~(1 << v)
+        order.append(v)
+        nb = adj[v]
+        refined = []
+        for s in slices:
+            ins = s & nb
+            if ins:
+                refined.append(ins)
+            if ins != s:
+                refined.append(s & ~nb)
+        slices = refined
+    return order
+
+
 def chordal_fail(adj: list[int], mask: int):
     """None if the induced subgraph is chordal, else a witness triple.
 
-    The triple ``(v, x, y)`` has x, y in N(v), xy not an edge, and both x
-    and y later than v in a maximum-cardinality-search elimination order;
-    such a triple always exists in a non-chordal graph and seeds hole
+    The reverse LBFS order is a perfect elimination order exactly when
+    the graph is chordal (Rose, Tarjan and Lueker 1976), so one sweep
+    decides.  The triple ``(v, x, y)`` has x, y in N(v), xy not an edge,
+    and both x and y later than v in the reverse LBFS order; such a
+    triple always exists in a non-chordal graph and seeds hole
     extraction.
     """
-    order = []
-    weight = {}
-    for v in bits(mask):
-        weight[v] = 0
-    rem = mask
-    while rem:
-        best = -1
-        bestw = -1
-        for v in bits(rem):
-            if weight[v] > bestw:
-                best, bestw = v, weight[v]
-        order.append(best)
-        rem &= ~(1 << best)
-        for u in bits(adj[best] & rem):
-            weight[u] += 1
-    # reverse MCS order is a perfect elimination order iff chordal
-    order.reverse()
+    order = lbfs(adj, mask)
     pos = {v: i for i, v in enumerate(order)}
-    later = 0
-    later_masks = [0] * len(order)
-    for i in range(len(order) - 1, -1, -1):
-        later_masks[i] = later
-        later |= 1 << order[i]
-    for i, v in enumerate(order):
-        l_nbrs = adj[v] & later_masks[i]
+    later = mask
+    for v in reversed(order):
+        later &= ~(1 << v)
+        l_nbrs = adj[v] & later
         if l_nbrs.bit_count() < 2:
             continue
-        p = min(bits(l_nbrs), key=pos.__getitem__)
+        # the first of them to be eliminated is the last one swept
+        p = max(bits(l_nbrs), key=pos.__getitem__)
         bad = l_nbrs & ~adj[p] & ~(1 << p)
         if bad:
             return (v, p, (bad & -bad).bit_length() - 1)

@@ -161,12 +161,19 @@ def random_instance(rng: random.Random, max_n: int,
     return g, k
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
+def _write(path: str | None, text: str) -> bool:
+    """Write ``text`` to ``path`` (stdout if None); False, after an error
+    message, when the path cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +203,8 @@ def cmd_kernelize(args) -> int:
         return 2
     n0, m0 = g.n, g.edge_count
     res = kernelize(g, k)
-    if args.trace:
-        _write(args.trace, trace_lines(res.trace))
+    if args.trace and not _write(args.trace, trace_lines(res.trace)):
+        return 2
     print(f"vertices {n0} -> {res.graph.n}", file=sys.stderr)
     print(f"edges    {m0} -> {res.graph.edge_count}", file=sys.stderr)
     print(f"budget   {k} -> {res.k}", file=sys.stderr)
@@ -205,8 +212,7 @@ def cmd_kernelize(args) -> int:
     if res.decided_no:
         print("decided no", file=sys.stderr)
         return 20
-    _write(args.output, serialize(res.graph, res.k))
-    return 0
+    return 0 if _write(args.output, serialize(res.graph, res.k)) else 2
 
 
 def cmd_generate(args) -> int:
@@ -220,8 +226,7 @@ def cmd_generate(args) -> int:
                 continue
             mult = 2 if rng.random() < args.double_rate else 1
             g.add_edge(u, v, mult)
-    _write(args.output, serialize(g, args.k))
-    return 0
+    return 0 if _write(args.output, serialize(g, args.k)) else 2
 
 
 def _check_one(g: MultiGraph, k: int, battery) -> list[str]:

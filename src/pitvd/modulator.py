@@ -78,7 +78,6 @@ def compute_base_set(g: MultiGraph, k: int,
     leave a clean graph, so S does too; :func:`classify_tree_side` is
     where that is checked.
     """
-    core = sunflower_reduce(small_obstruction_family(g), k)
     fallback = False
     try:
         boot = decide(g, k, node_limit)
@@ -86,10 +85,10 @@ def compute_base_set(g: MultiGraph, k: int,
         boot = sorted(greedy_modulator(g))
         fallback = True
     else:
-        if boot is None:
+        if boot is None:  # decided no: the obstructions need no enumeration
             return None, False
     s: set[int] = set(boot)
-    for petal in core:
+    for petal in sunflower_reduce(small_obstruction_family(g), k):
         s |= petal
     if not fallback:
         arity = SMALL_OBSTRUCTION_ARITY

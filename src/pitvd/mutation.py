@@ -19,7 +19,7 @@ from .cliques import attachment
 from .modulator import Modulator
 from .multigraph import MultiGraph
 from .rules import (RULES, RuleApplication, _deletion, _v1_paths,
-                    pendant_trees_at, tree_side_flower)
+                    branch_path, pendant_trees_at, tree_side_flower)
 
 
 def mutant1_drop_any_component(g: MultiGraph, k: int):
@@ -72,26 +72,7 @@ def mutant6_bare_path(g: MultiGraph, k: int):
         for piece in pendant_trees_at(g, x):
             if all(g.degree(v) < 3 for v in piece):
                 continue
-            parent = {x: None}
-            frontier = [x]
-            v = None
-            while v is None:
-                nxt = []
-                for u in frontier:
-                    for w in g.neighbors(u):
-                        if w in parent or w not in piece:
-                            continue
-                        parent[w] = u
-                        nxt.append(w)
-                found = [w for w in nxt if g.degree(w) >= 3]
-                if found:
-                    v = found[0]
-                frontier = nxt
-            keep = set()
-            cur = v
-            while cur is not None:
-                keep.add(cur)
-                cur = parent[cur]
+            keep = set(branch_path(g, x, piece))
             drop = [u for u in piece if u not in keep]
             if drop:
                 return _deletion("6", drop, affected=[x] + sorted(piece))

@@ -18,8 +18,12 @@ Proper interval components are recognized by three lexicographic BFS
 sweeps (the second and third tie-break toward the vertex placed latest in
 the previous sweep) followed by an umbrella-ordering verification of the
 final sweep; a component passes the verification exactly when it is a
-proper interval graph.  The obstruction search on failed components is
-independent of the sweeps, so the two halves cross-check each other.
+proper interval graph.  The witness search on a failed component shares
+``backend.lbfs`` with the sweeps: its chordality check reads one more
+sweep in reverse as an elimination order, and only a non-chordal
+component is searched for holes.  The net, tent, short-hole and claw
+scans stay independent of the sweeps; a rejected component without a
+witness raises.
 """
 
 from __future__ import annotations
@@ -86,37 +90,8 @@ Obstruction = DoubleEdge | Net | Tent | Hole | ClawTrianglePair
 
 
 # ---------------------------------------------------------------------------
-# lexicographic BFS
+# umbrella orders
 # ---------------------------------------------------------------------------
-
-def _lbfs(adjm: list[int], comp: int, prev_pos=None) -> list[int]:
-    """One LBFS sweep over the positions in ``comp``, by partition
-    refinement of bitmask slices.
-
-    Ties inside the first slice go to the lowest position on the first
-    sweep, and to the vertex latest in the previous sweep afterwards.
-    """
-    slices = [comp]
-    order: list[int] = []
-    while slices:
-        first = slices[0]
-        if prev_pos is None:
-            v = (first & -first).bit_length() - 1
-        else:
-            v = max(bits(first), key=prev_pos.__getitem__)
-        slices[0] = first & ~(1 << v)
-        order.append(v)
-        nb = adjm[v]
-        refined = []
-        for s in slices:
-            ins = s & nb
-            if ins:
-                refined.append(ins)
-            if ins != s:
-                refined.append(s & ~nb)
-        slices = refined
-    return order
-
 
 def pig_order(adjm: list[int], comp: int):
     """Umbrella ordering of one connected component, or None.
@@ -126,9 +101,9 @@ def pig_order(adjm: list[int], comp: int):
     """
     if comp.bit_count() <= 2:
         return tuple(bits(comp))
-    s1 = _lbfs(adjm, comp)
-    s2 = _lbfs(adjm, comp, {v: i for i, v in enumerate(s1)})
-    s3 = _lbfs(adjm, comp, {v: i for i, v in enumerate(s2)})
+    s1 = bk.lbfs(adjm, comp)
+    s2 = bk.lbfs(adjm, comp, {v: i for i, v in enumerate(s1)})
+    s3 = bk.lbfs(adjm, comp, {v: i for i, v in enumerate(s2)})
     return tuple(s3) if bk.umbrella_ok(adjm, s3) else None
 
 
@@ -198,11 +173,11 @@ def _component_witness(adjm, comp) -> Obstruction | None:
         for kind, t in wits:
             if kind == want:
                 return Net(t) if want == "net" else Tent(t)
-    short = bk.small_cycles(adjm, comp, False)
-    if short:
-        return Hole(short[0])
     fail = bk.chordal_fail(adjm, comp)
-    if fail is not None:
+    if fail is not None:  # only a non-chordal component has a hole
+        short = bk.small_cycles(adjm, comp, False)
+        if short:
+            return Hole(short[0])
         hole = find_hole(adjm, comp, seed=fail)
         if hole is None:  # pragma: no cover - contradicts chordality failure
             raise AssertionError("non-chordal component without a hole")

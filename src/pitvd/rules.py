@@ -135,6 +135,21 @@ def pendant_trees_at(g: MultiGraph, x: int) -> list[list[int]]:
     return out
 
 
+def branch_path(g: MultiGraph, x: int, piece) -> list[int]:
+    """x, its one neighbor in the pendant tree ``piece``, then degree-2
+    vertices up to the first vertex of degree >= 3: the tree's nearest
+    branch vertex, which ends the list."""
+    path = [x] + [u for u in g.neighbors(x) if u in piece]
+    if len(path) != 2:
+        raise AssertionError("a pendant tree hangs by one edge")
+    while g.degree(path[-1]) < 3:
+        ahead = [w for w in g.neighbors(path[-1]) if w != path[-2]]
+        if not ahead:
+            raise AssertionError("pendant tree ends before a branch vertex")
+        path.append(ahead[0])
+    return path
+
+
 def rule6_prune_pendant_tree(g: MultiGraph, k: int):
     """Replace a branching pendant tree by its nearest claw.
 
@@ -146,29 +161,10 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
         for piece in pendant_trees_at(g, x):
             if all(g.degree(v) < 3 for v in piece):
                 continue
-            parent = {x: None}
-            frontier = [x]
-            v = None
-            while v is None:
-                nxt = []
-                for u in frontier:
-                    for w in g.neighbors(u):
-                        if w in parent or w not in piece:
-                            continue
-                        parent[w] = u
-                        nxt.append(w)
-                found = [w for w in nxt if g.degree(w) >= 3]
-                if len(found) > 1:
-                    raise AssertionError("nearest branching vertex is unique")
-                if found:
-                    v = found[0]
-                frontier = nxt
-            keep = set()
-            cur = v
-            while cur is not None:
-                keep.add(cur)
-                cur = parent[cur]
-            extra = [w for w in g.neighbors(v) if w in piece and w not in keep]
+            path = branch_path(g, x, piece)
+            keep = set(path)
+            extra = [w for w in g.neighbors(path[-1])
+                     if w in piece and w not in keep]
             keep.update(extra[:2])
             drop = [u for u in piece if u not in keep]
             if drop:

@@ -149,7 +149,7 @@ def brute_induced_cycles(adj, mask, lengths=(4, 5, 6)):
 
 def lbfs_by_lists(adjm: list[int], verts: list[int], prev_pos=None):
     """One LBFS sweep refining Python lists of positions: the form the
-    bitmask ``recognition._lbfs`` replaced, kept as its oracle."""
+    bitmask ``backend.lbfs`` replaced, kept as its oracle."""
     slices = [list(verts)]
     order: list[int] = []
     while slices:
@@ -171,6 +171,30 @@ def lbfs_by_lists(adjm: list[int], verts: list[int], prev_pos=None):
                 refined.append(outs)
         slices = refined
     return order
+
+
+def witness_in_searched_order(adjm, comp):
+    """``recognition._component_witness`` as it searched before the
+    chordality check gated the hole searches: nets, tents, short holes,
+    a hole seeded by ``chordal_fail``, then a claw plus a triangle."""
+    from pitvd import recognition as R
+
+    wits = backend.net_tent_witnesses(adjm, comp, True)
+    for want, kind in (("net", R.Net), ("tent", R.Tent)):
+        for got, t in wits:
+            if got == want:
+                return kind(t)
+    short = backend.small_cycles(adjm, comp, False)
+    if short:
+        return R.Hole(short[0])
+    fail = backend.chordal_fail(adjm, comp)
+    if fail is not None:
+        return R.Hole(tuple(R.find_hole(adjm, comp, seed=fail)))
+    claw = backend.find_claw(adjm, comp)
+    tri = backend.find_triangle(adjm, comp)
+    if claw is None or tri is None:
+        return None
+    return R.ClawTrianglePair(claw, tri)
 
 
 def pig_order_bruteforce(adj, mask):
@@ -346,6 +370,48 @@ def brute_net_tent_sets(adj, mask):
         elif m == 9 and nx.is_isomorphic(h, _TENT):
             out.add(("tent", frozenset(sub)))
     return out
+
+
+def random_interval_adj(rng, n: int) -> list[int]:
+    """Intersection graph of n random intervals: chordal by construction."""
+    spans = []
+    for _ in range(n):
+        lo = rng.uniform(0, 10)
+        spans.append((lo, lo + rng.uniform(0.1, 3)))
+    return adj_from_edges(n, [(i, j) for i, j in itertools.combinations(range(n), 2)
+                              if spans[i][0] <= spans[j][1]
+                              and spans[j][0] <= spans[i][1]])
+
+
+def random_clique_tree_adj(rng, n: int) -> list[int]:
+    """Each new vertex joins a clique of earlier ones (a random vertex and
+    some of its earlier neighbors that are pairwise adjacent), so it is
+    simplicial when added: chordal by construction, a tree of cliques."""
+    adj = [0] * n
+    for v in range(1, n):
+        u = rng.randrange(v)
+        clique = 1 << u
+        for w in range(v):
+            joins = (adj[u] >> w) & 1 and adj[w] & clique == clique
+            if joins and rng.random() < 0.5:
+                clique |= 1 << w
+        adj[v] = clique
+        for w in range(v):
+            if (clique >> w) & 1:
+                adj[w] |= 1 << v
+    return adj
+
+
+def plant_cycle(adj: list[int], at: int, length: int) -> list[int]:
+    """Extend ``adj`` by a chordless cycle through ``at`` whose other
+    ``length - 1`` vertices are new; returns the cycle."""
+    cycle = [at] + list(range(len(adj), len(adj) + length - 1))
+    adj.extend([0] * (length - 1))
+    for i, u in enumerate(cycle):
+        w = cycle[(i + 1) % length]
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+    return cycle
 
 
 def unit_interval_graph(rng, n, spread):

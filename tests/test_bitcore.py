@@ -12,6 +12,7 @@ import random
 import networkx as nx
 
 from pitvd import backend as P
+from pitvd.recognition import find_hole
 
 from conftest import (
     adj_from_edges,
@@ -24,7 +25,10 @@ from conftest import (
     mask_of,
     nx_from_adj,
     pig_order_bruteforce,
+    plant_cycle,
     random_adj,
+    random_clique_tree_adj,
+    random_interval_adj,
 )
 
 N_SMALL = 5
@@ -188,6 +192,37 @@ def test_chordal_fail_none_on_trees_and_cliques():
         assert P.chordal_fail(clique, mask_of(n)) is None
     star = adj_from_edges(6, [(0, i) for i in range(1, 6)])
     assert P.chordal_fail(star, mask_of(6)) is None
+
+
+def test_chordal_fail_on_large_chordal_graphs_and_planted_holes():
+    """Chordal graphs on 20-60 vertices (by construction) pass; with one
+    chordless cycle of 7-12 vertices planted, through a vertex or as a
+    component of its own, they fail with a triple that seeds a hole."""
+    rng = random.Random(808)
+    assert P.chordal_fail(random_interval_adj(rng, 30), 0) is None
+    for trial in range(60):
+        n = rng.randint(20, 60)
+        build = random_interval_adj if trial % 2 else random_clique_tree_adj
+        adj = build(rng, n)
+        assert nx.is_chordal(nx_from_adj(adj))
+        assert P.chordal_fail(adj, mask_of(n)) is None
+        if trial % 3 == 0:  # the hole as a separate component
+            adj.append(0)
+        cycle = plant_cycle(adj, rng.randrange(len(adj)) if trial % 3 else
+                            len(adj) - 1, rng.randint(7, 12))
+        full = mask_of(len(adj))
+        fail = P.chordal_fail(adj, full)
+        assert fail is not None
+        v, x, y = fail
+        assert (adj[v] >> x) & 1 and (adj[v] >> y) & 1
+        assert not (adj[x] >> y) & 1 and x != y
+        # x and y come later than v in the reverse LBFS order
+        pos = {u: i for i, u in enumerate(P.lbfs(adj, full))}
+        assert pos[x] < pos[v] and pos[y] < pos[v]
+        hole = find_hole(adj, full, seed=fail)
+        assert set(hole) == set(cycle)  # the only hole there is
+        assert nx.is_isomorphic(nx_from_adj(adj).subgraph(hole),
+                                nx.cycle_graph(len(cycle)))
 
 
 def test_umbrella_equivalence_exhaustive():

@@ -196,6 +196,20 @@ def test_kernelize_rejects_missing_file(tmp_path):
     assert main(["kernelize", str(tmp_path / "nope.txt")]) == 2
 
 
+@pytest.mark.parametrize("flag", ["-o", "--trace"])
+def test_kernelize_reports_unwritable_output(tmp_path, capsys, flag):
+    src = write(tmp_path, "in.txt", "p pitvd 3 3 1\ne 1 2 1\ne 2 3 1\ne 3 1 1\n")
+    bad = str(tmp_path / "no-such-dir" / "out.txt")
+    assert main(["kernelize", src, flag, bad]) == 2
+    assert f"error: cannot write {bad}: " in capsys.readouterr().err
+
+
+def test_generate_reports_unwritable_output(tmp_path, capsys):
+    bad = str(tmp_path / "no-such-dir" / "out.txt")
+    assert main(["generate", "--n", "4", "-o", bad]) == 2
+    assert f"error: cannot write {bad}: " in capsys.readouterr().err
+
+
 def test_kernelize_trace_replays_to_identical_kernel(tmp_path):
     src = tmp_path / "in.txt"
     out = tmp_path / "out.txt"

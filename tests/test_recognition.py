@@ -7,6 +7,7 @@ import pytest
 from pitvd import backend as bk
 from pitvd import recognition as R
 from pitvd.multigraph import MultiGraph
+from pitvd.mutation import killer_instances
 
 from conftest import (
     all_graphs,
@@ -14,9 +15,11 @@ from conftest import (
     mask_of,
     pig_order_bruteforce,
     pitg_ok,
+    plant_cycle,
     random_adj,
     random_multigraph,
     validate_obstruction,
+    witness_in_searched_order,
 )
 
 
@@ -69,21 +72,30 @@ def test_pig_order_known_graphs():
 def test_lbfs_masks_match_the_list_oracle():
     """The bitmask sweeps visit positions in the order the list-refining
     sweeps do: the first sweep and both tie-breaking sweeps after it, on
-    whole graphs and on subsets of their positions."""
+    whole graphs, on subsets of their positions and on disconnected
+    masks; an empty mask gives an empty sweep."""
     rng = random.Random(606)
-    for _ in range(300):
+    disconnected = 0
+    for trial in range(300):
         n = rng.randint(1, 40)
         adj = random_adj(rng, n, rng.uniform(0.05, 0.9))
+        if trial % 3 == 0:  # two graphs side by side
+            m = rng.randint(1, 20)
+            adj = adj + [a << n for a in random_adj(rng, m, rng.uniform(0.1, 0.9))]
+            n += m
+        assert bk.lbfs(adj, 0) == [] and bk.lbfs(adj, 0, {}) == []
         for mask in (mask_of(n), rng.getrandbits(n) or 1):
+            disconnected += len(bk.comp_masks(adj, mask)) > 1
             verts = list(bk.bits(mask))
-            order = R._lbfs(adj, mask)
+            order = bk.lbfs(adj, mask)
             assert order == lbfs_by_lists(adj, verts)
             shuffled = rng.sample(verts, len(verts))
             for prev in (order, shuffled):
                 prev_pos = {v: i for i, v in enumerate(prev)}
-                order2 = R._lbfs(adj, mask, prev_pos)
+                order2 = bk.lbfs(adj, mask, prev_pos)
                 assert order2 == lbfs_by_lists(adj, verts, prev_pos)
                 assert sorted(order2) == verts
+    assert disconnected >= 100
 
 
 # -- is_pitg and witnesses ---------------------------------------------------
@@ -202,6 +214,59 @@ def test_is_pitg_matches_characterization_random():
             assert obs is None
         else:
             validate_obstruction(g, obs)
+
+
+def _witness_cases():
+    """(adjm, component) pairs of seeded random graphs, some with a
+    planted chordless cycle of 4-9 vertices, then of the killer
+    instances; every obstruction kind occurs among them."""
+    rng = random.Random(909)
+    tent = mg([(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 1), (4, 2),
+               (5, 2), (5, 0), (6, 3), (7, 6)])
+    graphs = [g.compact()[2] for g in
+              [tent] + [g for _, g, _ in killer_instances()]]
+    for trial in range(300):
+        n = rng.randint(3, 12)
+        adj = random_adj(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+        if trial % 3 == 0:
+            plant_cycle(adj, rng.randrange(n), rng.randint(4, 9))
+        graphs.append(adj)
+    for adj in graphs:
+        for comp in bk.comp_masks(adj, mask_of(len(adj))):
+            yield adj, comp
+
+
+def test_component_witness_matches_the_searched_order():
+    """Gating the hole searches on the chordality check changes no
+    witness: the search order without the gate is the oracle."""
+    kinds = set()
+    for adj, comp in _witness_cases():
+        got = R._component_witness(adj, comp)
+        assert got == witness_in_searched_order(adj, comp)
+        long = isinstance(got, R.Hole) and len(got.cycle) > 6
+        kinds.add(type(got).__name__ + (" long" if long else ""))
+    assert kinds == {"NoneType", "Net", "Tent", "Hole", "Hole long",
+                     "ClawTrianglePair"}
+
+
+def test_chordal_components_skip_the_hole_searches(monkeypatch):
+    """Neither hole search runs on a component the chordality check
+    passes: a chordal graph has no hole of any length."""
+    calls = {"small_cycles": [], "find_hole": []}
+
+    def spy(name, fn):
+        def wrapped(adjm, comp, *rest, **kw):
+            calls[name].append(bk.chordal_fail(adjm, comp) is None)
+            return fn(adjm, comp, *rest, **kw)
+        return wrapped
+
+    monkeypatch.setattr(bk, "small_cycles", spy("small_cycles", bk.small_cycles))
+    monkeypatch.setattr(R, "find_hole", spy("find_hole", R.find_hole))
+    witnesses = [R._component_witness(adj, comp)
+                 for adj, comp in _witness_cases()]
+    assert any(isinstance(w, R.ClawTrianglePair) for w in witnesses)
+    assert calls["small_cycles"] and calls["find_hole"]
+    assert not any(calls["small_cycles"] + calls["find_hole"])
 
 
 def test_find_hole_on_c7_with_chords_elsewhere():

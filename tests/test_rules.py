@@ -119,6 +119,18 @@ def test_rule6_walks_to_a_deeper_brancher():
     assert app.ops == (("del", 7),)
 
 
+def test_branch_path_walks_to_the_nearest_branch_vertex():
+    g = MultiGraph.from_edges([(0, 1), (1, 2), (0, 2),
+                               (2, 3), (3, 4), (4, 5), (4, 6), (5, 7)])
+    assert R.branch_path(g, 2, [3, 4, 5, 6, 7]) == [2, 3, 4]
+    # a plain pendant path has no branch vertex: the walk says so
+    g = MultiGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    with pytest.raises(AssertionError, match="before a branch vertex"):
+        R.branch_path(g, 2, [3, 4])
+    with pytest.raises(AssertionError, match="hangs by one edge"):
+        R.branch_path(g, 0, [3, 4])
+
+
 def test_rule6_ignores_plain_paths():
     g = MultiGraph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     assert R.rule6_prune_pendant_tree(g, 0) is None
