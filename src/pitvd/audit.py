@@ -19,7 +19,7 @@ from . import marking
 from .exact import DEFAULT_NODE_LIMIT
 from .modulator import classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
-from .rules import RULES, pendant_trees_at, _v1_paths
+from .rules import RULES, _v1_paths, pendant_trees
 
 
 def audit_violations(g: MultiGraph, k: int,
@@ -32,8 +32,8 @@ def audit_violations(g: MultiGraph, k: int,
         if not needs_mod and fn(g, k) is not None:
             bad.append(f"rule {rule_id} still applies")
 
-    for x in g.vertices:
-        for piece in pendant_trees_at(g, x):
+    for x, trees in pendant_trees(g).items():
+        for piece in trees:
             if any(g.degree(v) >= 3 for v in piece) and len(piece) > 5:
                 bad.append(f"branching pendant tree at {x} keeps "
                            f"{len(piece)} > 5 vertices")

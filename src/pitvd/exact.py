@@ -38,7 +38,9 @@ def decide(g: MultiGraph, k: int,
     memo: dict = {}
     nodes = 0
 
-    def rec_solve(kk: int, gone: frozenset[int]):
+    def visit(kk: int, gone: frozenset[int]):
+        """One search node: ``(solution, None)`` when it is settled on the
+        spot, ``(None, candidates)`` when it must branch."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
@@ -46,29 +48,45 @@ def decide(g: MultiGraph, k: int,
                 f"exact search exceeded {node_limit} nodes")
         key = (gone, kk)
         if key in memo:
-            return memo[key]
+            return memo[key], None
         alive = verts - gone
         ok, obs = rec.is_pitg(g, alive)
         if ok:
-            return []
+            return [], None
         if kk == 0:
             memo[key] = None
-            return None
+            return None, None
         if isinstance(obs, rec.ClawTrianglePair):
             # the whole component is bad; some vertex of it must go
-            cands = g.component_of(obs.claw[0], alive)
-        else:
-            cands = sorted(set(obs.vertices))
-        sol = None
-        for v in cands:
-            sub = rec_solve(kk - 1, gone | {v})
-            if sub is not None:
-                sol = sorted([v, *sub])
-                break
-        memo[key] = sol
-        return sol
+            return None, g.component_of(obs.claw[0], alive)
+        return None, sorted(set(obs.vertices))
 
-    out = rec_solve(k, frozenset())
+    # Depth-first over an explicit stack of open nodes, so the depth is
+    # not bounded by the recursion limit.  Each open node is
+    # [kk, gone, untried candidates, vertex on trial].  A solved node
+    # solves every open node through its vertex on trial; a node whose
+    # candidates all fail is memoized as None, and its parent moves on
+    # to its next candidate.
+    stack: list[list] = []
+    kk, gone = k, frozenset()
+    while True:
+        out, cands = visit(kk, gone)
+        if cands is not None:
+            stack.append([kk, gone, iter(cands), None])
+        elif out is not None:
+            while stack:
+                kk, gone, _, v = stack.pop()
+                out = sorted([v, *out])
+                memo[(gone, kk)] = out
+            break
+        while stack and (v := next(stack[-1][2], None)) is None:
+            kk, gone, _, _ = stack.pop()
+            memo[(gone, kk)] = None
+        if not stack:
+            break
+        stack[-1][3] = v
+        kk, gone = stack[-1][0] - 1, stack[-1][1] | {v}
+
     if out is not None:
         if len(out) > k:
             raise AssertionError("solver exceeded its deletion budget")

@@ -20,6 +20,10 @@ two distinct S-neighbors inside their tree), the branch points
 subtrees ("hangers").  Along each chain of connectors between two branch
 points or S-neighbors, only the outermost hooks are *good*; the hangers
 of the remaining *bad* hooks are deletable.
+
+The strata are read in place on G - S, without copying it: one
+leaf-stripping pass per tree (:meth:`MultiGraph.hanging_trees`, keeping
+the S-neighbors) leaves the connectors and hands over the hangers.
 """
 
 from __future__ import annotations
@@ -123,20 +127,21 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     """Compute all strata of ``g`` relative to the base set ``s``.
 
     Raises if removing ``s`` does not leave a clean graph (every component
-    simple and a proper interval graph or a tree).
+    simple and a proper interval graph or a tree).  G - S is never
+    copied: every query runs on ``g`` restricted to the vertices outside
+    ``s``.
     """
     s = frozenset(s)
-    rest = [v for v in g.vertices if v not in s]
-    h = g.induced(rest)
-    ok, witness = is_pitg(h)
+    rest = {v for v in g.vertices if v not in s}
+    ok, witness = is_pitg(g, rest)
     if not ok:
         raise ValueError(f"base set leaves an unclean graph, witness {witness}")
 
     v1: set[int] = set()
     v2: set[int] = set()
-    comps = h.components()
+    comps = g.components(rest)
     for comp in comps:
-        (v2 if h.is_tree(comp) else v1).update(comp)
+        (v2 if g.is_tree(comp) else v1).update(comp)
     for comp in comps:
         if comp[0] in v1:
             ids, _, adjm = g.compact(comp)
@@ -158,54 +163,37 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
         if len(f1t) < 2:
             continue
         # The connectors of this tree are exactly the interior of the
-        # minimal subtree spanning f1t: strip non-f1t leaves to a fixpoint.
-        alive = set(comp)
-        deg = {u: h.degree(u) for u in comp}
-        queue = [u for u in comp if deg[u] <= 1 and u not in f1t]
-        while queue:
-            u = queue.pop()
-            if u not in alive or deg[u] > 1:
-                continue
-            alive.remove(u)
-            for w in h.neighbors(u):
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] <= 1 and w not in f1t:
-                        queue.append(w)
+        # minimal subtree spanning f1t, which is what stripping the
+        # leaves outside f1t leaves behind.  Each stripped piece hangs by
+        # one plain edge wu; the pieces below a degree-2 connector w are
+        # its hangers, ordered by u.
+        hung = g.hanging_trees(comp, keep=f1t)
+        alive = set(comp).difference(u for _, u, _ in hung)
         f3t = alive - f1t
         f3 |= f3t
-        sdeg = {u: sum(1 for w in h.neighbors(u) if w in alive) for u in alive}
+        sdeg = {u: sum(1 for w in g.neighbors(u) if w in alive) for u in alive}
         crit = {u for u in f3t if sdeg[u] >= 3}
         f3c |= crit
 
         if any(sdeg[w] != 2 for w in f3t - crit):
             raise AssertionError("connector chains must have degree 2")
-        # The rest of the tree falls into pendant pieces, each hanging by
-        # one edge wu from a vertex w of the spanning subtree; the pieces
-        # below a degree-2 connector w are its hangers, ordered by u.
-        hung = []
-        for piece in h.components(set(comp) - alive):
-            feet = [(w, u) for u in piece for w in h.neighbors(u) if w in alive]
-            if len(feet) != 1:
-                raise AssertionError("a hanger hangs by exactly one edge")
-            (w, u), = feet
+        for w, u, tree in sorted(hung, key=lambda t: t[:2]):
             if w in f3t and w not in crit:
-                hung.append((w, u, frozenset(piece)))
-        for w, _, piece in sorted(hung):
-            hangers[w] = hangers.get(w, ()) + (piece,)
+                hangers[w] = hangers.get(w, ()) + (frozenset(tree),)
 
         # Chains between two anchors (f1t or branch points): only the
         # outermost hook of each chain keeps its hangers.
         anchor = f1t | crit
         for a in sorted(anchor):
-            for u in sorted(h.neighbors(a)):
+            for u in g.neighbors(a):
                 if u not in alive or u in anchor:
                     continue
                 interior = []
                 prev, cur = a, u
                 while cur not in anchor:
                     interior.append(cur)
-                    nxts = [w for w in h.neighbors(cur) if w in alive and w != prev]
+                    nxts = [w for w in g.neighbors(cur)
+                            if w in alive and w != prev]
                     if len(nxts) != 1:
                         raise AssertionError(
                             "a chain vertex has exactly one successor")

@@ -210,6 +210,39 @@ class MultiGraph:
         m = self._simple_edge_count(keep)
         return m is not None and m == len(keep) - len(self.components(keep))
 
+    def hanging_trees(self, vs: Iterable[int] | None = None, keep=()
+                      ) -> list[tuple[int, int, list[int]]]:
+        """Strip leaves from the subgraph induced on ``vs`` (default: the
+        whole graph) until none is left to strip.
+
+        A leaf is a vertex outside ``keep`` with one neighbour left, joined
+        to it by a single plain edge.  For each stripped u, in stripping
+        order, the result holds ``(w, u, tree)``: w is the vertex u hung
+        from, and ``tree`` lists u and everything stripped below it, a
+        simple tree whose only edge to the rest of ``vs`` is the plain
+        edge wu.  The vertices never stripped hold no leaf; a component
+        stripped down to one vertex was a simple tree.
+        """
+        alive = set(self._adj if vs is None else vs)
+        left = {v: sum(1 for u in self._adj[v] if u in alive) for v in alive}
+        queue = deque(v for v in sorted(alive) if left[v] == 1 and v not in keep)
+        below: dict[int, list[int]] = {}
+        out = []
+        while queue:
+            u = queue.popleft()
+            ws = [w for w in self._adj[u] if w in alive]
+            if len(ws) != 1 or self._adj[u][ws[0]] != 1:
+                continue
+            w = ws[0]
+            alive.remove(u)
+            tree = [u, *below.pop(u, ())]
+            below.setdefault(w, []).extend(tree)
+            out.append((w, u, tree))
+            left[w] -= 1
+            if left[w] == 1 and w not in keep:
+                queue.append(w)
+        return out
+
     def _subset(self, vs: Iterable[int] | None):
         """``vs`` as a container with fast membership (the graph if None).
 

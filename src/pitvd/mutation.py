@@ -19,7 +19,7 @@ from .cliques import attachment
 from .modulator import Modulator
 from .multigraph import MultiGraph
 from .rules import (RULES, RuleApplication, _deletion, _v1_paths,
-                    branch_path, pendant_trees_at, tree_side_flower)
+                    branch_path, pendant_trees, tree_side_flower)
 
 
 def mutant1_drop_any_component(g: MultiGraph, k: int):
@@ -68,8 +68,8 @@ def mutant5_forget_reconnect(g: MultiGraph, k: int):
 
 def mutant6_bare_path(g: MultiGraph, k: int):
     """Keeps only the path to the branch vertex, losing its two children."""
-    for x in g.vertices:
-        for piece in pendant_trees_at(g, x):
+    for x, trees in pendant_trees(g).items():
+        for piece in trees:
             if all(g.degree(v) < 3 for v in piece):
                 continue
             keep = set(branch_path(g, x, piece))
@@ -81,10 +81,8 @@ def mutant6_bare_path(g: MultiGraph, k: int):
 
 def mutant7_keep_one_tree(g: MultiGraph, k: int):
     """Trims to a single pendant tree and already fires at two."""
-    for x in g.vertices:
-        trees = pendant_trees_at(g, x)
+    for x, trees in pendant_trees(g).items():
         if len(trees) >= 2:
-            trees.sort(key=min)
             drop = [u for t in trees[1:] for u in t]
             return _deletion("7", drop, affected=[x] + drop)
     return None
@@ -191,15 +189,6 @@ def mutated_rules(rule_id: str) -> tuple:
                  for rid, needs_mod, fn in RULES)
 
 
-def _graph(edges) -> MultiGraph:
-    g = MultiGraph()
-    for u, v, *rest in edges:
-        g.ensure_vertex(u)
-        g.ensure_vertex(v)
-        g.add_edge(u, v, rest[0] if rest else 1)
-    return g
-
-
 def _cycle(vs):
     return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
@@ -213,43 +202,44 @@ def killer_instances() -> list[tuple[str, MultiGraph, int]]:
     finished.  They run through every mutant (and the real battery), not
     just their namesake.
     """
+    graph = MultiGraph.from_edges
     out = []
     out.append(("two-dirty-components",
-                _graph(_cycle([1, 2, 3, 4, 5]) + _cycle([6, 7, 8])), 0))
-    out.append(("triple-edge", _graph([(1, 2, 3)]), 0))
+                graph(_cycle([1, 2, 3, 4, 5]) + _cycle([6, 7, 8])), 0))
+    out.append(("triple-edge", graph([(1, 2, 3)]), 0))
     out.append(("double-plus-hole",
-                _graph([(1, 2, 2)] + _cycle([2, 3, 4, 5])), 1))
+                graph([(1, 2, 2)] + _cycle([2, 3, 4, 5])), 1))
     out.append(("net-with-long-leg",
-                _graph(_cycle([1, 2, 3]) +
-                       [(1, 4), (2, 5), (3, 6), (6, 7)]), 0))
-    out.append(("seven-cycle", _graph(_cycle([1, 2, 3, 4, 5, 6, 7])), 0))
+                graph(_cycle([1, 2, 3]) +
+                      [(1, 4), (2, 5), (3, 6), (6, 7)]), 0))
+    out.append(("seven-cycle", graph(_cycle([1, 2, 3, 4, 5, 6, 7])), 0))
     out.append(("branched-pendant-tree",
-                _graph(_cycle([1, 2, 3]) +
-                       [(1, 4), (4, 5), (5, 6), (5, 7), (5, 8)]), 0))
+                graph(_cycle([1, 2, 3]) +
+                      [(1, 4), (4, 5), (5, 6), (5, 7), (5, 8)]), 0))
     out.append(("two-pendant-paths",
-                _graph(_cycle([1, 2, 3]) + [(1, 4), (1, 5)]), 0))
+                graph(_cycle([1, 2, 3]) + [(1, 4), (1, 5)]), 0))
     out.append(("cycle-with-hanger",
-                _graph([(i, i + 1) for i in range(1, 9)] +
-                       [(0, 1), (0, 9), (5, 10)]), 1))
+                graph([(i, i + 1) for i in range(1, 9)] +
+                      [(0, 1), (0, 9), (5, 10)]), 1))
     out.append(("three-triangles-one-hub",
-                _graph(_cycle([0, 1, 2]) + _cycle([0, 3, 4]) +
-                       _cycle([0, 5, 6])), 1))
+                graph(_cycle([0, 1, 2]) + _cycle([0, 3, 4]) +
+                      _cycle([0, 5, 6])), 1))
     out.append(("shared-fan",
-                _graph([(0, i) for i in range(2, 21)] +
-                       [(1, i) for i in range(2, 21)]), 1))
+                graph([(0, i) for i in range(2, 21)] +
+                      [(1, i) for i in range(2, 21)]), 1))
     out.append(("four-triangles-one-hub",
-                _graph(_cycle([1, 2, 3]) + _cycle([4, 5, 6]) +
-                       _cycle([7, 8, 9]) + _cycle([10, 11, 12]) +
-                       [(0, 1), (0, 4), (0, 7), (0, 10)]), 1))
+                graph(_cycle([1, 2, 3]) + _cycle([4, 5, 6]) +
+                      _cycle([7, 8, 9]) + _cycle([10, 11, 12]) +
+                      [(0, 1), (0, 4), (0, 7), (0, 10)]), 1))
     out.append(("two-blocks-on-a-hub",
-                _graph(_cycle([0, 1, 2]) + _cycle([0, 3, 4]) +
-                       _cycle([0, 5, 6]) + _cycle([7, 8, 9]) +
-                       [(9, 10), (0, 7), (0, 9), (0, 10)]), 1))
+                graph(_cycle([0, 1, 2]) + _cycle([0, 3, 4]) +
+                      _cycle([0, 5, 6]) + _cycle([7, 8, 9]) +
+                      [(9, 10), (0, 7), (0, 9), (0, 10)]), 1))
     strip = [(i, i + 1) for i in range(1, 9)] + [(i, i + 2) for i in range(1, 8)]
     out.append(("clique-path-plus-cycle",
-                _graph(strip + _cycle([20, 21, 22, 23]) + [(20, 1)]), 1))
+                graph(strip + _cycle([20, 21, 22, 23]) + [(20, 1)]), 1))
     big = [(u, v) for u in range(1, 81) for v in range(u + 1, 81)]
     big += [(0, v) for v in range(1, 81, 2)]
     big += [(0, 81, 2)]
-    out.append(("marked-clique", _graph(big), 1))
+    out.append(("marked-clique", graph(big), 1))
     return out

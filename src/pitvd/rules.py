@@ -118,21 +118,31 @@ def rule5_shrink_degree2_path(g: MultiGraph, k: int):
     return None
 
 
-def pendant_trees_at(g: MultiGraph, x: int) -> list[list[int]]:
-    """Tree components of (component of x) - x linked back by one plain edge."""
-    comp = set(g.component_of(x))
-    comp.discard(x)
-    pieces = g.components(comp)
-    if len(pieces) < 2:  # x is not a cut vertex
-        return []
-    out = []
-    for piece in pieces:
-        if not g.is_tree(piece):
-            continue
-        links = [u for u in piece if g.has_edge(x, u)]
-        if len(links) == 1 and g.multiplicity(x, links[0]) == 1:
-            out.append(piece)
-    return out
+def pendant_trees(g: MultiGraph) -> dict[int, list[list[int]]]:
+    """Every pendant tree of g, by the vertex x it hangs from.
+
+    A pendant tree at x is a component of (component of x) - x that is a
+    simple tree joined to x by one plain edge, where x is a cut vertex.
+    Keys ascend, and each x maps to its trees as sorted lists ordered by
+    minimum id.  One leaf-stripping pass per component finds them all:
+    each stripped u hangs its tree from w.  In a component that strips
+    down to a single vertex, a simple tree, the branch holding u's
+    parent is a pendant tree at u as well.
+    """
+    at: dict[int, list[list[int]]] = {}
+    for comp in g.components():
+        hung = g.hanging_trees(comp)
+        is_tree = len(hung) == len(comp) - 1
+        for w, u, tree in hung:
+            at.setdefault(w, []).append(sorted(tree))
+            if is_tree and len(tree) > 1:
+                cut = set(tree)
+                at[u].append([v for v in comp if v not in cut])
+        if is_tree and hung:
+            root = hung[-1][0]  # the vertex left; one child makes no cut
+            if len(at[root]) == 1:
+                del at[root]
+    return {x: sorted(at[x]) for x in sorted(at)}
 
 
 def branch_path(g: MultiGraph, x: int, piece) -> list[int]:
@@ -157,8 +167,8 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
     degree >= 3 plus two of that vertex's other neighbors (smallest ids);
     the rest of the pendant tree goes.
     """
-    for x in g.vertices:
-        for piece in pendant_trees_at(g, x):
+    for x, trees in pendant_trees(g).items():
+        for piece in trees:
             if all(g.degree(v) < 3 for v in piece):
                 continue
             path = branch_path(g, x, piece)
@@ -174,10 +184,8 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
 
 def rule7_limit_pendant_trees(g: MultiGraph, k: int):
     """Keep at most three pendant trees per attachment vertex."""
-    for x in g.vertices:
-        trees = pendant_trees_at(g, x)
+    for x, trees in pendant_trees(g).items():
         if len(trees) >= 4:
-            trees.sort(key=min)
             drop = [u for t in trees[3:] for u in t]
             return _deletion("7", drop, affected=[x] + drop)
     return None

@@ -90,6 +90,35 @@ def random_near_tree(rng, n: int) -> MultiGraph:
     return g
 
 
+def random_forest(rng, n: int, double_frac: float = 0.15) -> MultiGraph:
+    """Random forest on 0..n-1 in which some edges are doubled: each vertex
+    joins an earlier one with probability 0.8."""
+    g = MultiGraph.from_edges([], vertices=range(n))
+    for v in range(1, n):
+        if rng.random() < 0.8:
+            g.add_edge(rng.randrange(v), v,
+                       2 if rng.random() < double_frac else 1)
+    return g
+
+
+def tree_and_cyclic(rng, n: int) -> MultiGraph:
+    """A random simple tree next to a random multigraph with a cycle, both
+    on about n vertices; half the time one plain edge joins the two."""
+    t = rng.randint(1, max(1, n - 3))
+    g = MultiGraph.from_edges([], vertices=range(n))
+    for v in range(1, t):
+        g.add_edge(rng.randrange(v), v)
+    ring = list(range(t, n))
+    if len(ring) >= 3:
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            g.add_edge(a, b)
+    for _ in range(rng.randint(0, 2) if len(ring) > 1 else 0):
+        g.add_edge(*rng.sample(ring, 2))
+    if ring and rng.random() < 0.5:
+        g.add_edge(rng.randrange(t), rng.choice(ring))
+    return g
+
+
 def attach_tail(g: MultiGraph, v: int, length: int) -> None:
     """Attach a fresh path of ``length`` vertices pendant at v."""
     for _ in range(length):
@@ -274,8 +303,9 @@ def compute_modulator(g: MultiGraph, k: int,
 
 
 def pendant_trees_by_copy(g: MultiGraph, x: int) -> list[list[int]]:
-    """``rules.pendant_trees_at`` read off an induced copy of the component
-    of x minus x: the copy-based form the in-place version replaced."""
+    """The pendant trees at x, read off an induced copy of the component
+    of x minus x: the per-vertex form that ``rules.pendant_trees``, one
+    leaf-stripping pass for every x at once, replaced."""
     comp = set(g.component_of(x))
     comp.discard(x)
     if not comp:

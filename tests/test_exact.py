@@ -133,3 +133,21 @@ def test_search_copies_no_graph(monkeypatch):
     # a claw plus a triangle: the search branches over a whole component
     decide(mg([(0, 1), (1, 2), (2, 0), (0, 3), (0, 4)]), 1)
     assert branched and copies == []
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """One deleted vertex per level: 150 disjoint 4-cycles need a search
+    150 levels deep, which must not cost 150 stack frames."""
+    import inspect
+    import sys
+
+    edges = [(b + i, b + (i + 1) % 4) for b in range(0, 600, 4)
+             for i in range(4)]
+    g = mg(edges)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        sol = decide(g, 150)
+    finally:
+        sys.setrecursionlimit(old)
+    assert sol is not None and len(sol) == 150

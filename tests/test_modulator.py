@@ -198,6 +198,27 @@ def test_strata_partition_random_multigraphs(seed):
             assert not h.is_forest(comp)
 
 
+def test_classify_reads_the_leftover_in_place(monkeypatch):
+    """The strata are computed on ``g`` itself: G - S is never copied."""
+    rng = random.Random(515)
+    graphs = [random_tree_with_hub(rng, rng.randint(8, 18))[0]
+              for _ in range(20)]
+    graphs.append(path_with_hangers([3, 5, 7])[0])
+    copies = []
+    for name in ("copy", "induced"):
+        orig = getattr(MultiGraph, name)
+
+        def counted(self, *args, name=name, orig=orig):
+            copies.append(name)
+            return orig(self, *args)
+
+        monkeypatch.setattr(MultiGraph, name, counted)
+    hooked = 0
+    for g in graphs:
+        hooked += bool(classify_tree_side(g, [0]).hooks)
+    assert hooked and copies == []
+
+
 # ---------------------------------------------------------------------------
 # base set
 # ---------------------------------------------------------------------------

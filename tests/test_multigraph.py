@@ -159,6 +159,48 @@ def test_subset_queries_copy_the_subset_at_most_once(monkeypatch):
         assert CountingSet.built <= 2
 
 
+def test_hanging_trees_contract():
+    """Each stripped tree is a simple tree joined to the rest of ``vs`` by
+    the plain edge wu alone, ``keep`` is never stripped, and no leaf is
+    left; with nothing kept, a component strips to one vertex exactly
+    when it is a simple tree."""
+    rng = random.Random(4242)
+    outcomes = set()
+    for trial in range(300):
+        if trial % 2:
+            g = random_multigraph(rng, rng.randint(1, 12),
+                                  rng.choice((0.15, 0.3)), 0.15)
+        else:
+            g = random_near_tree(rng, rng.randint(1, 14))
+        vs = None if trial % 3 == 0 else [v for v in g.vertices
+                                          if rng.random() < 0.8]
+        members = set(g.vertices if vs is None else vs)
+        keep = () if trial % 4 < 2 else {v for v in members
+                                         if rng.random() < 0.3}
+        hung = g.hanging_trees(vs, keep=keep)
+        stripped = [u for _, u, _ in hung]
+        assert len(set(stripped)) == len(stripped)
+        assert not set(stripped) & set(keep)
+        for i, (w, u, tree) in enumerate(hung):
+            assert u in tree and set(tree) <= set(stripped[:i + 1])
+            assert w in members and w not in stripped[:i + 1]
+            assert g.is_tree(tree)
+            out = [(a, b) for a in tree for b in g.neighbors(a)
+                   if b in members and b not in tree]
+            assert out == [(u, w)] and g.multiplicity(u, w) == 1
+        left = members - set(stripped)
+        for v in left - set(keep):
+            nbrs = [y for y in g.neighbors(v) if y in left]
+            assert len(nbrs) != 1 or g.multiplicity(v, nbrs[0]) > 1
+        if not keep:
+            for comp in g.components(members):
+                rest = left.intersection(comp)
+                assert (len(rest) == 1) == g.is_tree(comp)
+                outcomes.add(len(rest) == 1)
+        outcomes.add(bool(hung))
+    assert outcomes == {True, False}
+
+
 def test_is_simple_and_double_edges():
     g = build([(0, 1), (1, 2, 2), (3, 4, 3)])
     assert g.double_edges() == [(1, 2), (3, 4)]

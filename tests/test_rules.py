@@ -23,7 +23,8 @@ from pitvd.modulator import classify_tree_side
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
-from conftest import pendant_trees_by_copy, random_multigraph, random_near_tree
+from conftest import (pendant_trees_by_copy, random_forest, random_multigraph,
+                      random_near_tree, tree_and_cyclic)
 
 
 def strip(n):
@@ -146,23 +147,73 @@ def test_rule7_keeps_three_pendant_trees():
 
 def test_pendant_trees_exclude_heavy_links():
     g = MultiGraph.from_edges([(0, 1, 2), (0, 2), (0, 3), (0, 4)])
-    assert [min(t) for t in R.pendant_trees_at(g, 0)] == [2, 3, 4]
+    assert [min(t) for t in R.pendant_trees(g)[0]] == [2, 3, 4]
 
 
 def test_pendant_trees_match_the_copy_based_oracle():
     rng = random.Random(606)
     found = 0
-    for trial in range(120):
+    for trial in range(240):
         n = rng.randint(2, 14)
-        if trial % 2:
+        kind = trial % 4
+        if kind == 0:
             g = random_multigraph(rng, n, rng.choice((0.15, 0.3)), 0.15)
-        else:
+        elif kind == 1:
             g = random_near_tree(rng, n)
+        elif kind == 2:
+            g = random_forest(rng, n)
+        else:
+            g = tree_and_cyclic(rng, n)
+        trees = R.pendant_trees(g)
+        assert list(trees) == sorted(trees)
         for x in g.vertices:
-            got = R.pendant_trees_at(g, x)
+            got = trees.get(x, [])
             assert got == pendant_trees_by_copy(g, x)
             found += len(got)
     assert found > 0
+
+
+def test_pendant_tree_readers_walk_the_components_once(monkeypatch):
+    """Rules 6 and 7 read every pendant tree from one ``components()``
+    walk, and the audit's count of walks does not grow with the graph."""
+    from pitvd.audit import audit_violations
+
+    calls = []
+    orig = MultiGraph.components
+
+    def counted(self, *args):
+        calls.append(args)
+        return orig(self, *args)
+
+    monkeypatch.setattr(MultiGraph, "components", counted)
+
+    def gadgets(copies, paws=True):
+        # spiders with three legs of two vertices, and triangles with a
+        # pendant path of two
+        edges = []
+        for b in range(0, 20 * copies, 20):
+            edges += [(b, b + 1), (b + 1, b + 2), (b, b + 3), (b + 3, b + 4),
+                      (b, b + 5), (b + 5, b + 6)]
+            if paws:
+                edges += [(b + 10, b + 11), (b + 11, b + 12),
+                          (b + 10, b + 12), (b + 10, b + 13),
+                          (b + 13, b + 14)]
+        return MultiGraph.from_edges(edges)
+
+    audit_calls = []
+    for copies in (5, 40):
+        g = gadgets(copies)
+        assert len(R.pendant_trees(g)) == 6 * copies
+        for rule in (R.rule6_prune_pendant_tree, R.rule7_limit_pendant_trees):
+            calls.clear()
+            rule(g, 0)
+            assert len(calls) <= 1
+        # a forest keeps the audit's base set empty, so nothing but the
+        # pendant trees scales with the number of components
+        calls.clear()
+        audit_violations(gadgets(copies, paws=False), 0)
+        audit_calls.append(len(calls))
+    assert audit_calls[0] == audit_calls[1]
 
 
 # ---------------------------------------------------------------------------
