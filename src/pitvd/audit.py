@@ -1,10 +1,15 @@
 """Irreducibility audit of a fixpoint kernel.
 
 A kernel is irreducible when no reduction rule applies to it, so the
-rule battery itself is the check: each rule that still fires is
-reported as ``rule N still applies``.  The rules that need no base set
-run first, so a kernel the exact search rejects still gets them; the
-rest run against a base set and strata recomputed from scratch.
+rule battery itself is the check: a rule that still fires is reported
+as ``rule N still applies``.  The audit reads the battery as the driver
+does.  Every rule that needs no base set is tried, and each one that
+fires is reported, so a kernel the exact search rejects still gets
+them; if any fires, the audit stops there, since the base-set rules
+assume those are exhausted.  Otherwise the base-set rules run in order,
+against a base set and strata recomputed from scratch, and only the
+first one that fires is reported: each later rule assumes the earlier
+ones no longer apply.
 
 Next to the rules, the audit checks the size bounds that no rule states
 as a trigger: branching pendant trees of at most five vertices,
@@ -19,18 +24,17 @@ from . import marking
 from .exact import DEFAULT_NODE_LIMIT
 from .modulator import classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
-from .rules import RULES, _v1_paths, pendant_trees
+from .rules import RULES, pendant_trees
 
 
 def audit_violations(g: MultiGraph, k: int,
                      node_limit: int = DEFAULT_NODE_LIMIT) -> list[str]:
     """All irreducibility violations of (g, k); empty means the kernel is
     irreducible."""
-    bad: list[str] = []
-
-    for rule_id, needs_mod, fn in RULES:
-        if not needs_mod and fn(g, k) is not None:
-            bad.append(f"rule {rule_id} still applies")
+    bad = [f"rule {rule_id} still applies" for rule_id, needs_mod, fn in RULES
+           if not needs_mod and fn(g, k) is not None]
+    if bad:
+        return bad
 
     for x, trees in pendant_trees(g).items():
         for piece in trees:
@@ -49,7 +53,7 @@ def audit_violations(g: MultiGraph, k: int,
 
     cap = marking.eta(k, len(mod.s))
     ns = {u for x in mod.s for u in g.neighbors(x)}
-    for path in _v1_paths(g, mod):
+    for path in mod.paths:
         for kq in path.cliques:
             if len(kq) > cap:
                 bad.append(f"clique of size {len(kq)} exceeds eta = {cap}")
@@ -73,5 +77,5 @@ def audit_violations(g: MultiGraph, k: int,
     for rule_id, needs_mod, fn in RULES:
         if needs_mod and fn(g, k, mod) is not None:
             bad.append(f"rule {rule_id} still applies")
-
+            break
     return bad

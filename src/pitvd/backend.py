@@ -140,20 +140,14 @@ def chordal_fail(adj: list[int], mask: int):
     return None
 
 
-def _triangle_pendant_sets(adj, mask, a, b, c):
-    tmask = (1 << a) | (1 << b) | (1 << c)
-    pa = adj[a] & mask & ~(adj[b] | adj[c]) & ~tmask
-    pb = adj[b] & mask & ~(adj[a] | adj[c]) & ~tmask
-    pc = adj[c] & mask & ~(adj[a] | adj[b]) & ~tmask
-    return pa, pb, pc
-
-
-def _triangle_side_sets(adj, mask, a, b, c):
-    tmask = (1 << a) | (1 << b) | (1 << c)
-    qab = adj[a] & adj[b] & mask & ~adj[c] & ~tmask
-    qbc = adj[b] & adj[c] & mask & ~adj[a] & ~tmask
-    qca = adj[c] & adj[a] & mask & ~adj[b] & ~tmask
-    return qab, qbc, qca
+def _independent_triples(adj, pa, pb, pc):
+    """Pairwise non-adjacent (x, y, z) from pa x pb x pc, in scan order."""
+    if not (pa and pb and pc):
+        return
+    for x in bits(pa):
+        for y in bits(pb & ~adj[x]):
+            for z in bits(pc & ~adj[x] & ~adj[y]):
+                yield x, y, z
 
 
 def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
@@ -162,9 +156,12 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
     Returns ``(kind, (a, b, c, x, y, z))`` tuples where (a, b, c) is the
     central triangle and x, y, z the outer vertices (for a net, x hangs at a,
     y at b, z at c; for a tent, x sees ab, y sees bc, z sees ca).  With
-    ``find_all`` false, returns at most one entry.
+    ``find_all`` false, returns at most one entry: the first net, or the
+    first tent when there is no net.  One scan serves both; it stops
+    looking for tents once it has one.
     """
     out = []
+    tent = None
     for a in bits(mask):
         for b in bits(adj[a] & mask):
             if b <= a:
@@ -172,35 +169,25 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
             for c in bits(adj[a] & adj[b] & mask):
                 if c <= b:
                     continue
-                pa, pb, pc = _triangle_pendant_sets(adj, mask, a, b, c)
-                if pa and pb and pc:
-                    for x in bits(pa):
-                        pb2 = pb & ~adj[x]
-                        if not pb2:
-                            continue
-                        for y in bits(pb2):
-                            pc2 = pc & ~adj[x] & ~adj[y]
-                            if not pc2:
-                                continue
-                            for z in bits(pc2):
-                                out.append(("net", (a, b, c, x, y, z)))
-                                if not find_all:
-                                    return out
-                qab, qbc, qca = _triangle_side_sets(adj, mask, a, b, c)
-                if qab and qbc and qca:
-                    for x in bits(qab):
-                        qbc2 = qbc & ~adj[x]
-                        if not qbc2:
-                            continue
-                        for y in bits(qbc2):
-                            qca2 = qca & ~adj[x] & ~adj[y]
-                            if not qca2:
-                                continue
-                            for z in bits(qca2):
-                                out.append(("tent", (a, b, c, x, y, z)))
-                                if not find_all:
-                                    return out
-    return out
+                tri = (a, b, c)
+                outside = mask & ~((1 << a) | (1 << b) | (1 << c))
+                na, nb, nc = adj[a] & outside, adj[b] & outside, adj[c] & outside
+                for xyz in _independent_triples(adj, na & ~nb & ~nc,
+                                                nb & ~na & ~nc,
+                                                nc & ~na & ~nb):
+                    if not find_all:
+                        return [("net", tri + xyz)]
+                    out.append(("net", tri + xyz))
+                if tent is not None:
+                    continue
+                for xyz in _independent_triples(adj, na & nb & ~nc,
+                                                nb & nc & ~na,
+                                                nc & na & ~nb):
+                    if not find_all:
+                        tent = ("tent", tri + xyz)
+                        break
+                    out.append(("tent", tri + xyz))
+    return out if find_all else [tent] if tent else []
 
 
 def _cycle_dfs(adj, s, above, path, pmask, blocked, out, find_all) -> bool:

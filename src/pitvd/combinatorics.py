@@ -117,7 +117,7 @@ def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
     found bottom-up: walk each tree from the leaves, carry at most one
     open anchor claim upward, and close a petal whenever two claims meet;
     the meeting vertices form a cover of the same size, which proves both
-    sides optimal.
+    sides optimal.  The forest is walked in place, never copied.
     """
     region = sorted(set(region))
     if hub in region:
@@ -126,13 +126,13 @@ def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
         raise ValueError("region must induce a forest")
     doubles = [u for u in region if g.multiplicity(hub, u) >= 2]
     anchors = {u for u in region if g.multiplicity(hub, u) == 1}
-    sub = g.induced([u for u in region if u not in doubles])
+    keep = set(region).difference(doubles)
     petals: list[tuple[int, ...]] = [(u,) for u in doubles]
     cover: list[int] = list(doubles)
 
     seen: set[int] = set()
-    for root in sub.vertices:
-        if root in seen:
+    for root in region:
+        if root in seen or root not in keep:
             continue
         # iterative post-order; claims[u] = path from an anchor down in
         # u's subtree up to and including u, or None
@@ -143,15 +143,15 @@ def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
             if not done:
                 seen.add(u)
                 stack.append((u, parent, True))
-                for w in sub.neighbors(u):
-                    if w != parent:
+                for w in g.neighbors(u):
+                    if w != parent and w in keep:
                         stack.append((w, u, False))
                 continue
             open_claims = []
             if u in anchors:
                 open_claims.append([u])
-            for w in sub.neighbors(u):
-                if w != parent:
+            for w in g.neighbors(u):
+                if w != parent and w in keep:
                     c = claims.pop(w)
                     if c is not None:
                         c.append(u)

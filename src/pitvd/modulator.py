@@ -21,7 +21,10 @@ subtrees ("hangers").  Along each chain of connectors between two branch
 points or S-neighbors, only the outermost hooks are *good*; the hangers
 of the remaining *bad* hooks are deletable.
 
-The strata are read in place on G - S, without copying it: one
+G - S is analysed once, in place and without copying it, and the
+result holds everything the base-set rules read: the clique path of each
+cyclic component (``paths``), the flower of each base vertex into the
+tree side with its cover Z_v (``flowers``), and the strata.  One
 leaf-stripping pass per tree (:meth:`MultiGraph.hanging_trees`, keeping
 the S-neighbors) leaves the connectors and hands over the hangers.
 """
@@ -32,7 +35,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import backend
-from .combinatorics import sunflower_reduce
+from .cliques import CliquePath, clique_path
+from .combinatorics import Flower, flower_in_forest, sunflower_reduce
 from .exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from .multigraph import MultiGraph
 from .recognition import is_pitg, obstruction_sets
@@ -117,6 +121,10 @@ class Modulator:
     bad_hooks: frozenset[int]
     #: hook vertex -> its pendant subtrees, each disjoint from the connectors
     hangers: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
+    #: clique path of each cyclic component, ordered by minimum id
+    paths: tuple[CliquePath, ...] = ()
+    #: base vertex -> its flower into the tree side, cover Z_v included
+    flowers: dict[int, Flower] = field(default_factory=dict)
 
     @property
     def hooks(self) -> frozenset[int]:
@@ -126,27 +134,31 @@ class Modulator:
 def classify_tree_side(g: MultiGraph, s) -> Modulator:
     """Compute all strata of ``g`` relative to the base set ``s``.
 
-    Raises if removing ``s`` does not leave a clean graph (every component
-    simple and a proper interval graph or a tree).  G - S is never
-    copied: every query runs on ``g`` restricted to the vertices outside
-    ``s``.
+    Raises ``ValueError`` if removing ``s`` does not leave a clean graph:
+    a parallel edge, or a cyclic component that is not a proper interval
+    graph (its clique path cannot be built).  No witness is searched for,
+    and G - S is never copied: every query runs on ``g`` restricted to
+    the vertices outside ``s``.
     """
     s = frozenset(s)
     rest = {v for v in g.vertices if v not in s}
-    ok, witness = is_pitg(g, rest)
-    if not ok:
-        raise ValueError(f"base set leaves an unclean graph, witness {witness}")
+    doubles = g.double_edges(rest)
+    if doubles:
+        raise ValueError(f"base set leaves the parallel edge {doubles[0]}")
 
     v1: set[int] = set()
     v2: set[int] = set()
+    paths: list[CliquePath] = []
     comps = g.components(rest)
     for comp in comps:
-        (v2 if g.is_tree(comp) else v1).update(comp)
-    for comp in comps:
-        if comp[0] in v1:
-            ids, _, adjm = g.compact(comp)
-            if backend.find_triangle(adjm, (1 << len(ids)) - 1) is None:
-                raise AssertionError("cyclic clean component without a triangle")
+        if g.is_tree(comp):
+            v2.update(comp)
+            continue
+        paths.append(clique_path(g, comp))
+        v1.update(comp)
+        ids, _, adjm = g.compact(comp)
+        if backend.find_triangle(adjm, (1 << len(ids)) - 1) is None:
+            raise AssertionError("cyclic clean component without a triangle")
 
     f1 = {u for u in v2 if any(w in s for w in g.neighbors(u))}
     f2 = set(v2) - f1
@@ -217,5 +229,7 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
                      f1=frozenset(f1), f2=frozenset(f2), f3=frozenset(f3),
                      f3_critical=frozenset(f3c),
                      good_hooks=frozenset(good), bad_hooks=frozenset(bad),
-                     hangers=hangers)
+                     hangers=hangers, paths=tuple(paths),
+                     flowers={v: flower_in_forest(g, v, v2)
+                              for v in sorted(s)})
 

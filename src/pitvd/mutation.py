@@ -18,14 +18,14 @@ from __future__ import annotations
 from .cliques import attachment
 from .modulator import Modulator
 from .multigraph import MultiGraph
-from .rules import (RULES, RuleApplication, _deletion, _v1_paths,
-                    branch_path, pendant_trees, tree_side_flower)
+from .rules import (RULES, RuleApplication, branch_path, deletion,
+                    pendant_trees)
 
 
 def mutant1_drop_any_component(g: MultiGraph, k: int):
     """Deletes the first component without checking that it is clean."""
     for comp in g.components():
-        return _deletion("1", comp)
+        return deletion("1", comp)
     return None
 
 
@@ -43,7 +43,7 @@ def mutant3_low_threshold(g: MultiGraph, k: int):
     for v in g.vertices:
         doubled = [u for u in g.neighbors(v) if g.multiplicity(v, u) >= 2]
         if len(doubled) >= max(1, k):
-            return _deletion("3", [v], k_delta=-1)
+            return deletion("3", [v], k_delta=-1)
     return None
 
 
@@ -51,7 +51,7 @@ def mutant4_cut_tail_too_short(g: MultiGraph, k: int):
     """Slices the tail off entirely instead of keeping its first vertex."""
     for p in g.find_degree2_paths():
         if p.kind == "tail" and len(p.vertices) >= 3:
-            return _deletion("4", p.vertices[1:], affected=p.vertices)
+            return deletion("4", p.vertices[1:], affected=p.vertices)
     return None
 
 
@@ -75,7 +75,7 @@ def mutant6_bare_path(g: MultiGraph, k: int):
             keep = set(branch_path(g, x, piece))
             drop = [u for u in piece if u not in keep]
             if drop:
-                return _deletion("6", drop, affected=[x] + sorted(piece))
+                return deletion("6", drop, affected=[x] + sorted(piece))
     return None
 
 
@@ -84,7 +84,7 @@ def mutant7_keep_one_tree(g: MultiGraph, k: int):
     for x, trees in pendant_trees(g).items():
         if len(trees) >= 2:
             drop = [u for t in trees[1:] for u in t]
-            return _deletion("7", drop, affected=[x] + drop)
+            return deletion("7", drop, affected=[x] + drop)
     return None
 
 
@@ -94,16 +94,15 @@ def mutant8_strip_all_hooks(g: MultiGraph, k: int, mod: Modulator):
                    for c in mod.hangers.get(w, ()) for u in c})
     if not drop:
         return None
-    return _deletion("8", drop, affected=sorted(mod.hooks) + drop)
+    return deletion("8", drop, affected=sorted(mod.hooks) + drop)
 
 
 def mutant9_delete_cover_vertex(g: MultiGraph, k: int, mod: Modulator):
     """Deletes a vertex of the cycle cover instead of the hub, and does so
     for any nonempty flower."""
-    for v in sorted(mod.s):
-        order, cover = tree_side_flower(g, v, mod)
-        if order >= 1 and cover:
-            return _deletion("9", [min(cover)], k_delta=-1)
+    for fl in mod.flowers.values():
+        if fl.order >= 1 and fl.cover:
+            return deletion("9", [min(fl.cover)], k_delta=-1)
     return None
 
 
@@ -123,27 +122,26 @@ def mutant11_delete_wrong_side(g: MultiGraph, k: int, mod: Modulator):
     """Charges the budget for a vertex of the cyclic side rather than the
     expansion's base-set side."""
     if mod.v1 and mod.s:
-        return _deletion("11", [min(mod.v1)], k_delta=-1)
+        return deletion("11", [min(mod.v1)], k_delta=-1)
     return None
 
 
 def mutant12_delete_clique_vertex(g: MultiGraph, k: int, mod: Modulator):
     """Fires at two touched cliques and deletes from the clique instead of
     deleting the base vertex."""
-    paths = _v1_paths(g, mod)
     for v in sorted(mod.s):
         nbr = set(g.neighbors(v))
-        for path in paths:
+        for path in mod.paths:
             hit = sum(1 for kq in path.cliques if nbr.intersection(kq))
             if hit >= 2:
-                return _deletion("12", [min(path.cliques[0])], k_delta=-1)
+                return deletion("12", [min(path.cliques[0])], k_delta=-1)
     return None
 
 
 def mutant13_doubled_joins(g: MultiGraph, k: int, mod: Modulator):
     """Bypasses the middle clique of any three-clique run, without the
     separator check, and joins the flanks with doubled edges."""
-    for path in _v1_paths(g, mod):
+    for path in mod.paths:
         if len(path.cliques) < 3:
             continue
         ell = len(path.cliques) // 2

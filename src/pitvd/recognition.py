@@ -168,11 +168,8 @@ def _component_witness(adjm, comp) -> Obstruction | None:
 
     Preference: net, tent, short hole (<= 6), any hole, claw+triangle.
     """
-    wits = bk.net_tent_witnesses(adjm, comp, True)
-    for want in ("net", "tent"):
-        for kind, t in wits:
-            if kind == want:
-                return Net(t) if want == "net" else Tent(t)
+    for kind, t in bk.net_tent_witnesses(adjm, comp, False):
+        return Net(t) if kind == "net" else Tent(t)
     fail = bk.chordal_fail(adjm, comp)
     if fail is not None:  # only a non-chordal component has a hole
         short = bk.small_cycles(adjm, comp, False)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import marking
-from .cliques import CliquePath, attachment, clique_path
-from .combinatorics import flower_in_forest, q_expansion
+from .cliques import attachment
+from .combinatorics import q_expansion
 from .flows import min_vertex_separator
 from .modulator import Modulator
 from .multigraph import MultiGraph
@@ -55,7 +55,7 @@ def apply_ops(g: MultiGraph, ops) -> None:
             raise ValueError(f"unknown op {op!r}")
 
 
-def _deletion(rule: str, vs, k_delta: int = 0, affected=None) -> RuleApplication:
+def deletion(rule: str, vs, k_delta: int = 0, affected=None) -> RuleApplication:
     vs = sorted(vs)
     return RuleApplication(rule=rule, ops=tuple(("del", v) for v in vs),
                            k_delta=k_delta,
@@ -71,7 +71,7 @@ def rule1_drop_clean_component(g: MultiGraph, k: int):
     """Delete a whole component that is already simple and clean."""
     for comp in g.components():
         if component_clean(g, comp):
-            return _deletion("1", comp)
+            return deletion("1", comp)
     return None
 
 
@@ -89,7 +89,7 @@ def rule3_many_double_edges(g: MultiGraph, k: int):
     for v in g.vertices:
         doubled = [u for u in g.neighbors(v) if g.multiplicity(v, u) >= 2]
         if len(doubled) >= k + 1:
-            return _deletion("3", [v], k_delta=-1)
+            return deletion("3", [v], k_delta=-1)
     return None
 
 
@@ -97,7 +97,7 @@ def rule4_trim_tail(g: MultiGraph, k: int):
     """Cut a pendant degree-2 tail down to one edge."""
     for p in g.find_degree2_paths():
         if p.kind == "tail" and len(p.vertices) >= 3:
-            return _deletion("4", p.vertices[2:], affected=p.vertices)
+            return deletion("4", p.vertices[2:], affected=p.vertices)
     return None
 
 
@@ -178,7 +178,7 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
             keep.update(extra[:2])
             drop = [u for u in piece if u not in keep]
             if drop:
-                return _deletion("6", drop, affected=[x] + sorted(piece))
+                return deletion("6", drop, affected=[x] + sorted(piece))
     return None
 
 
@@ -187,7 +187,7 @@ def rule7_limit_pendant_trees(g: MultiGraph, k: int):
     for x, trees in pendant_trees(g).items():
         if len(trees) >= 4:
             drop = [u for t in trees[3:] for u in t]
-            return _deletion("7", drop, affected=[x] + drop)
+            return deletion("7", drop, affected=[x] + drop)
     return None
 
 
@@ -201,23 +201,15 @@ def rule8_remove_bad_hangers(g: MultiGraph, k: int, mod: Modulator):
                    for c in mod.hangers[w] for u in c})
     if not drop:
         return None
-    return _deletion("8", drop, affected=sorted(mod.bad_hooks) + drop)
-
-
-def tree_side_flower(g: MultiGraph, v: int, mod: Modulator):
-    """Largest packing of cycles through v into the tree side, plus a
-    same-size hub-avoiding cover of all such cycles."""
-    fl = flower_in_forest(g, v, sorted(mod.v2))
-    return fl.order, sorted(fl.cover)
+    return deletion("8", drop, affected=sorted(mod.bad_hooks) + drop)
 
 
 def rule9_flower(g: MultiGraph, k: int, mod: Modulator):
     """A base vertex with 4k+3 disjoint cycles into the tree side is in
-    every solution."""
-    for v in sorted(mod.s):
-        order, _ = tree_side_flower(g, v, mod)
-        if order >= 4 * k + 3:
-            return _deletion("9", [v], k_delta=-1)
+    every solution; the flowers come from the modulator."""
+    for v, fl in mod.flowers.items():
+        if fl.order >= 4 * k + 3:
+            return deletion("9", [v], k_delta=-1)
     return None
 
 
@@ -229,10 +221,11 @@ def rule10_rewire_expansion(g: MultiGraph, k: int, mod: Modulator):
     5-expansion pins a set A that every solution avoiding v must contain.
     The edit drops v's contacts into the matched components and doubles
     v's edges onto A, which preserves the answer and shrinks the graph.
+    The flower and its cover Z_v come from the modulator.
     """
-    for v in sorted(mod.s):
-        order, z_v = tree_side_flower(g, v, mod)
-        if order > 4 * k + 2:
+    for v, fl in mod.flowers.items():
+        z_v = fl.cover
+        if fl.order > 4 * k + 2:
             raise AssertionError("flower rule must fire before this one")
         if len(z_v) > 8 * k + 4:
             raise AssertionError("the cycle cover outgrew its flower")
@@ -284,7 +277,8 @@ def rule11_delete_expansion_side(g: MultiGraph, k: int, mod: Modulator):
     """Many cyclic components force part of the base set into the solution."""
     if not mod.v1:
         return None
-    comps = {c[0]: c for c in g.components(mod.v1)}
+    # label each component by its minimum id: q_expansion sorts the labels
+    comps = {min(p.order): p.order for p in mod.paths}
     if len(comps) < 3 * len(mod.s):
         return None
     nbrs = {}
@@ -298,22 +292,17 @@ def rule11_delete_expansion_side(g: MultiGraph, k: int, mod: Modulator):
     s_hat, _, _ = q_expansion(sorted(mod.s), sorted(comps), nbrs, 3)
     if not s_hat:
         raise AssertionError("expansion of a nonempty base set cannot vanish")
-    return _deletion("11", sorted(s_hat), k_delta=-len(s_hat))
-
-
-def _v1_paths(g: MultiGraph, mod: Modulator) -> list[CliquePath]:
-    return [clique_path(g, comp) for comp in g.components(mod.v1)]
+    return deletion("11", sorted(s_hat), k_delta=-len(s_hat))
 
 
 def rule12_many_cliques_neighbor(g: MultiGraph, k: int, mod: Modulator):
     """A base vertex adjacent to 6k+5 cliques of one component must go."""
-    paths = _v1_paths(g, mod)
     for v in sorted(mod.s):
         nbr = set(g.neighbors(v))
-        for path in paths:
+        for path in mod.paths:
             hit = sum(1 for kq in path.cliques if nbr.intersection(kq))
             if hit >= 6 * k + 5:
-                return _deletion("12", [v], k_delta=-1)
+                return deletion("12", [v], k_delta=-1)
     return None
 
 
@@ -329,7 +318,7 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
     """
     ns = {u for s in mod.s for u in g.neighbors(s)}
     span = 14 * k + 5
-    for path in _v1_paths(g, mod):
+    for path in mod.paths:
         last = len(path.cliques) - 1
         run = 0
         for j, kq in enumerate(path.cliques):
@@ -339,7 +328,7 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
                 continue
             x = path.cliques[i][0]
             y = path.cliques[i + 5][0]
-            comp = sorted(v for blk in path.cliques for v in blk)
+            comp = sorted(path.order)
             sep = set(min_vertex_separator(g.induced(comp), x, y))
             ell = next((e for e in (i + 1, i + 2, i + 3)
                         if not sep.intersection(path.cliques[e])), None)
@@ -362,11 +351,11 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
 def rule14_delete_unmarked(g: MultiGraph, k: int, mod: Modulator):
     """Delete every clique vertex the marking scan leaves unmarked."""
     drop: list[int] = []
-    for path in _v1_paths(g, mod):
+    for path in mod.paths:
         drop.extend(marking.unmarked_vertices(g, k, mod.s, path))
     if not drop:
         return None
-    return _deletion("14", sorted(drop))
+    return deletion("14", sorted(drop))
 
 
 #: scan order: (rule id, needs-modulator, trigger function)

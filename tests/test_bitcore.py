@@ -151,6 +151,23 @@ def test_net_tent_respects_mask():
     assert P.net_tent_witnesses(net, full & ~(1 << 3), True) == []
 
 
+def test_net_tent_first_witness_is_first_net_else_first_tent():
+    """``find_all=False`` answers from the same scan as the full list: the
+    first net when there is one, else the first tent."""
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(600):
+        n = rng.randint(6, 11)
+        adj = random_adj(rng, n, rng.choice([0.3, 0.45, 0.6]))
+        mask = mask_of(n) & (rng.getrandbits(n) if rng.random() < 0.3 else -1)
+        every = P.net_tent_witnesses(adj, mask, True)
+        want = ([w for w in every if w[0] == "net"][:1]
+                or [w for w in every if w[0] == "tent"][:1])
+        assert P.net_tent_witnesses(adj, mask, False) == want
+        seen.add(tuple(sorted({kind for kind, _ in every})))
+    assert {("net",), ("tent",), ("net", "tent"), ()} <= seen
+
+
 def test_umbrella_ok_basic():
     path = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert P.umbrella_ok(path, [0, 1, 2, 3])

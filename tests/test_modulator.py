@@ -1,16 +1,22 @@
 """Tests for the base set and the tree-side strata."""
 
 import random
+import sys
 
 import networkx as nx
 import pytest
 
+from pitvd import recognition
+from pitvd.cliques import clique_path
+from pitvd.combinatorics import flower_in_forest
 from pitvd.modulator import (classify_tree_side, compute_base_set,
                              small_obstruction_family)
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
+from pitvd.rules import RULES
 
-from conftest import compute_modulator, minimum_deletion, random_multigraph
+from conftest import (compute_modulator, minimum_deletion, random_multigraph,
+                      tree_and_cyclic)
 
 TENT = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]
 
@@ -266,3 +272,78 @@ def test_classify_rejects_unclean_leftover():
     g = MultiGraph.from_edges(TENT)
     with pytest.raises(ValueError):
         classify_tree_side(g, [])
+
+
+# ---------------------------------------------------------------------------
+# G - S analysed once: clique paths and flowers
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, fn) -> list:
+    """Record every call of ``fn`` made through any pitvd module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "pitvd":
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_base_set_rules_reuse_the_paths_and_flowers(monkeypatch):
+    """One classification plus one scan of each of rules 9-14 builds each
+    clique path and each flower exactly once."""
+    strip = [(u, v) for u in range(20, 25) for v in (u + 1, u + 2) if v < 25]
+    g = MultiGraph.from_edges(
+        [(0, 1), (10, 11), (11, 12), (10, 12), (0, 10)]         # triangle
+        + strip + [(0, 20), (1, 24)]                             # clique path
+        + [(30, 31), (31, 32), (30, 32), (1, 32)]                # triangle
+        + [(40, 41), (41, 42), (42, 43), (0, 40), (0, 43), (1, 41)])
+    s, cyclic = [0, 1], 3
+    paths = count_calls(monkeypatch, clique_path)
+    flowers = count_calls(monkeypatch, flower_in_forest)
+    mod = classify_tree_side(g, s)
+    for rule_id, needs_mod, fn in RULES:
+        if needs_mod and int(rule_id) >= 9:
+            fn(g, 1, mod)
+    assert len(paths) == cyclic
+    assert len(flowers) == len(s)
+
+
+@pytest.mark.parametrize("edges", [
+    TENT,
+    [(0, 1), (1, 2), (2, 3), (3, 0)],
+    [(0, 1, 2), (1, 2)],
+], ids=["tent", "c4", "doubled-edge"])
+def test_classify_rejects_without_a_witness_search(monkeypatch, edges):
+    searched = []
+    monkeypatch.setattr(recognition, "_component_witness",
+                        lambda *args: searched.append(args))
+    with pytest.raises(ValueError):
+        classify_tree_side(MultiGraph.from_edges(edges + [(7, 8)]), [])
+    assert searched == []
+
+
+def test_paths_and_flowers_match_a_direct_computation():
+    rng = random.Random(9090)
+    seen_paths = seen_flowers = 0
+    for _ in range(60):
+        g = tree_and_cyclic(rng, rng.randint(6, 14))
+        hub = g.add_vertex()
+        for u in rng.sample(g.vertices[:-1], rng.randint(1, 4)):
+            g.add_edge(hub, u)
+        m = compute_modulator(g, 3, node_limit=10**6)
+        if m is None:
+            continue
+        assert m.paths == tuple(clique_path(g, comp)
+                                for comp in g.components(m.v1))
+        assert m.flowers == {v: flower_in_forest(g, v, sorted(m.v2))
+                             for v in sorted(m.s)}
+        assert list(m.flowers) == sorted(m.s)
+        seen_paths += len(m.paths)
+        seen_flowers += sum(fl.order > 0 for fl in m.flowers.values())
+    assert seen_paths and seen_flowers
