@@ -106,6 +106,21 @@ class Flower:
     cover: tuple[int, ...]
 
 
+class Forest(frozenset):
+    """A vertex set of ``graph``, checked when made to induce a forest.
+
+    :func:`flower_in_forest` takes it as proof for as long as the graph is
+    unchanged, so flowers at many hubs over one region check it once.
+    """
+
+    def __new__(cls, graph: MultiGraph, region):
+        self = super().__new__(cls, region)
+        if not graph.is_forest(self):
+            raise ValueError("region must induce a forest")
+        self.graph = graph
+        return self
+
+
 def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
     """Maximum hub-flower when ``region`` induces a forest.
 
@@ -117,13 +132,14 @@ def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
     found bottom-up: walk each tree from the leaves, carry at most one
     open anchor claim upward, and close a petal whenever two claims meet;
     the meeting vertices form a cover of the same size, which proves both
-    sides optimal.  The forest is walked in place, never copied.
+    sides optimal.  The forest is walked in place, never copied.  A
+    ``region`` that is not a :class:`Forest` of ``g`` is checked here.
     """
-    region = sorted(set(region))
     if hub in region:
         raise ValueError("hub must lie outside the region")
-    if not g.is_forest(region):
-        raise ValueError("region must induce a forest")
+    if not (isinstance(region, Forest) and region.graph is g):
+        region = Forest(g, region)
+    region = sorted(region)
     doubles = [u for u in region if g.multiplicity(hub, u) >= 2]
     anchors = {u for u in region if g.multiplicity(hub, u) == 1}
     keep = set(region).difference(doubles)

@@ -9,6 +9,17 @@ hosting both a claw and a triangle must lose *some* vertex, so the branch
 ranges over that component.  Memoization collapses permutations of the
 same deletions.
 
+One lower bound prunes the search.  A component of G - gone that is bad
+(a parallel edge, or neither a tree nor a proper interval graph) stays a
+component, and stays bad, unless one of its own vertices is deleted; so a
+node with more bad components than deletions left holds no solution.
+Such a node is closed on the spot, before any witness is searched for:
+the recognizer counts bad components only up to the budget plus one.
+The bound cuts only subtrees without a solution, and the branching order
+is otherwise unchanged, so the search still returns the first solution
+that the unpruned depth-first search finds.  A no-instance with more bad
+components than k is decided at the root.
+
 The state of a search node is its deleted set alone: every recognition
 runs in place on the vertices still alive, so no node copies the graph.
 
@@ -50,10 +61,10 @@ def decide(g: MultiGraph, k: int,
         if key in memo:
             return memo[key], None
         alive = verts - gone
-        ok, obs = rec.is_pitg(g, alive)
+        ok, obs = rec.is_pitg(g, alive, kk)
         if ok:
             return [], None
-        if kk == 0:
+        if obs is None:  # more bad components than deletions left
             memo[key] = None
             return None, None
         if isinstance(obs, rec.ClawTrianglePair):

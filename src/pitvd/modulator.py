@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from . import backend
 from .cliques import CliquePath, clique_path
-from .combinatorics import Flower, flower_in_forest, sunflower_reduce
+from .combinatorics import Flower, Forest, flower_in_forest, sunflower_reduce
 from .exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from .multigraph import MultiGraph
 from .recognition import is_pitg, obstruction_sets
@@ -225,11 +225,12 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
         raise AssertionError("branch points cannot outnumber S-neighbors")
     if set(hangers) != good | bad:
         raise AssertionError("every hook is either good or bad")
+    forest = Forest(g, v2)  # checked once for the flowers at every hub
     return Modulator(s=s, v1=frozenset(v1), v2=frozenset(v2),
                      f1=frozenset(f1), f2=frozenset(f2), f3=frozenset(f3),
                      f3_critical=frozenset(f3c),
                      good_hooks=frozenset(good), bad_hooks=frozenset(bad),
                      hangers=hangers, paths=tuple(paths),
-                     flowers={v: flower_in_forest(g, v, v2)
+                     flowers={v: flower_in_forest(g, v, forest)
                               for v in sorted(s)})
 

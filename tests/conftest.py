@@ -13,7 +13,8 @@ import itertools
 import networkx as nx
 
 from pitvd import backend
-from pitvd.exact import DEFAULT_NODE_LIMIT, decide
+from pitvd import recognition as rec
+from pitvd.exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from pitvd.modulator import classify_tree_side, compute_base_set
 from pitvd.multigraph import MultiGraph
 
@@ -293,6 +294,59 @@ def minimum_deletion(g: MultiGraph, node_limit: int = DEFAULT_NODE_LIMIT):
         if sol is not None:
             return k, sol
     raise AssertionError("deleting every vertex always succeeds")
+
+
+def decide_unpruned(g: MultiGraph, k: int,
+                    node_limit: int = DEFAULT_NODE_LIMIT) -> list[int] | None:
+    """``exact.decide`` without its bad-component bound: the same
+    depth-first first-fit search, candidate order and memo keys, closing
+    a node only when it is clean or its budget is spent."""
+    if k < 0:
+        return None
+    verts = frozenset(g.vertices)
+    memo: dict = {}
+    nodes = 0
+
+    def visit(kk: int, gone: frozenset[int]):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise SearchLimitExceeded(
+                f"exact search exceeded {node_limit} nodes")
+        key = (gone, kk)
+        if key in memo:
+            return memo[key], None
+        alive = verts - gone
+        ok, obs = rec.is_pitg(g, alive)
+        if ok:
+            return [], None
+        if kk == 0:
+            memo[key] = None
+            return None, None
+        if isinstance(obs, rec.ClawTrianglePair):
+            return None, g.component_of(obs.claw[0], alive)
+        return None, sorted(set(obs.vertices))
+
+    stack: list[list] = []
+    kk, gone = k, frozenset()
+    while True:
+        out, cands = visit(kk, gone)
+        if cands is not None:
+            stack.append([kk, gone, iter(cands), None])
+        elif out is not None:
+            while stack:
+                kk, gone, _, v = stack.pop()
+                out = sorted([v, *out])
+                memo[(gone, kk)] = out
+            break
+        while stack and (v := next(stack[-1][2], None)) is None:
+            kk, gone, _, _ = stack.pop()
+            memo[(gone, kk)] = None
+        if not stack:
+            break
+        stack[-1][3] = v
+        kk, gone = stack[-1][0] - 1, stack[-1][1] | {v}
+    return out
 
 
 def compute_modulator(g: MultiGraph, k: int,

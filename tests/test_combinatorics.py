@@ -4,8 +4,11 @@ import itertools
 import random
 from math import factorial
 
+import pytest
+
 from pitvd.combinatorics import (
     Flower,
+    Forest,
     find_sunflower,
     flower_in_forest,
     q_expansion,
@@ -240,6 +243,17 @@ def test_flower_rejects_cyclic_region():
     except ValueError:
         return
     raise AssertionError("cyclic region accepted")
+
+
+def test_forest_is_checked_once_and_only_for_its_graph():
+    g = MultiGraph.from_edges([(1, 2), (2, 3), (0, 1), (0, 3)])
+    forest = Forest(g, [1, 2, 3])
+    assert flower_in_forest(g, 0, forest).order == 1
+    cyclic = MultiGraph.from_edges([(1, 2), (2, 3), (1, 3), (0, 1)])
+    with pytest.raises(ValueError):
+        Forest(cyclic, [1, 2, 3])
+    with pytest.raises(ValueError):  # a forest of another graph is no proof
+        flower_in_forest(cyclic, 0, forest)
 
 
 # ---------------------------------------------------------------------------

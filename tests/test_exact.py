@@ -5,11 +5,14 @@ import random
 
 import pytest
 
+from pitvd import recognition as rec
+from pitvd.driver import kernelize
 from pitvd.exact import SearchLimitExceeded, decide
-from pitvd.modulator import greedy_modulator
+from pitvd.modulator import compute_base_set, greedy_modulator
 from pitvd.multigraph import MultiGraph
 
-from conftest import minimum_deletion, pitg_ok, random_multigraph
+from conftest import (decide_unpruned, minimum_deletion, pitg_ok,
+                      random_multigraph)
 
 
 def mg(edges, vertices=()):
@@ -151,3 +154,103 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(old)
     assert sol is not None and len(sol) == 150
+
+
+def side_by_side(*graphs: MultiGraph) -> MultiGraph:
+    """Disjoint union, each graph's ids shifted past the previous ones."""
+    edges, verts, off = [], [], 0
+    for h in graphs:
+        edges += [(u + off, v + off, m) for u, v, m in h.edges()]
+        verts += [v + off for v in h.vertices]
+        off += max(h.vertices, default=-1) + 1
+    return mg(edges, verts)
+
+
+def claw_triangle(rng) -> MultiGraph:
+    """A triangle with 2-4 legs at one corner and up to two more pendant
+    vertices, labels shuffled: a claw and a triangle in one component."""
+    legs = rng.randint(2, 4)
+    edges = [(0, 1), (1, 2), (0, 2)] + [(0, 3 + i) for i in range(legs)]
+    n = 3 + legs
+    for _ in range(rng.randint(0, 2)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return mg([(perm[u], perm[v]) for u, v in edges], range(n))
+
+
+def mixed_instance(rng, i: int) -> MultiGraph:
+    """A random multigraph with doubled edges; two or three of them side
+    by side; or claw-plus-triangle components, maybe beside a random one."""
+    if i % 3 == 0:
+        return random_multigraph(rng, rng.randint(3, 12),
+                                 rng.uniform(0.15, 0.6), double_frac=0.15)
+    if i % 3 == 1:
+        return side_by_side(*(
+            random_multigraph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.7),
+                              double_frac=0.15)
+            for _ in range(rng.randint(2, 3))))
+    parts = [claw_triangle(rng) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        parts.append(random_multigraph(rng, rng.randint(2, 6), 0.4,
+                                       double_frac=0.15))
+    rng.shuffle(parts)
+    return side_by_side(*parts)
+
+
+def test_pruned_search_returns_the_unpruned_first_solution():
+    """The bad-component bound cuts only subtrees without a solution, so
+    the search returns exactly what the unpruned search returns."""
+    rng = random.Random(10)
+    compared = several_bad = 0
+    for i in range(1100):
+        g = mixed_instance(rng, i)
+        k = rng.randint(0, 5)
+        try:
+            want = decide_unpruned(g, k, node_limit=20_000)
+        except SearchLimitExceeded:
+            continue
+        assert decide(g, k) == want, (i, sorted(g.edges()), k)
+        compared += 1
+        bad = sum(not rec.component_clean(g, comp) for comp in g.components())
+        several_bad += bad >= 2
+    assert compared >= 1000
+    assert several_bad >= 200
+
+
+def test_more_bad_components_than_k_is_decided_at_once():
+    """12 disjoint 4-cycles need 12 deletions: with k = 11 the answer is no
+    at the root, not a blown node budget and a greedy base set."""
+    g = mg([(b + i, b + (i + 1) % 4) for b in range(0, 48, 4)
+            for i in range(4)])
+    assert decide(g, 11, node_limit=2000) is None
+    assert compute_base_set(g, 11, node_limit=2000) == (None, False)
+    assert kernelize(g, 11, node_limit=2000).decided_no
+
+
+def test_search_size_beside_a_second_bad_component(monkeypatch):
+    """B, a claw plus a triangle whose six leaves carry the smallest ids,
+    beside A, a 7-hole.  Deleting a leaf leaves B bad, so with k = 2 every
+    such child holds two bad components and one deletion: it is closed
+    without a witness, instead of re-solving B under it.  With k = 1 the
+    root is closed the same way."""
+    leaves = 6
+    hub, y, z = leaves, leaves + 1, leaves + 2
+    b_edges = [(hub, v) for v in range(leaves)] + [(hub, y), (y, z), (hub, z)]
+    hole = list(range(leaves + 3, leaves + 10))
+    a_edges = [(u, hole[(i + 1) % 7]) for i, u in enumerate(hole)]
+    g = mg(b_edges + a_edges)
+    size_a, size_b = len(hole), leaves + 3
+
+    witnesses = []
+    orig = rec._component_witness
+
+    def spy(adjm, comp):
+        witnesses.append(comp)
+        return orig(adjm, comp)
+
+    monkeypatch.setattr(rec, "_component_witness", spy)
+    assert decide(g, 1) is None
+    assert witnesses == []
+    assert decide(g, 2, node_limit=size_a + size_b + 3) == [hub, hole[0]]

@@ -314,6 +314,27 @@ def test_base_set_rules_reuse_the_paths_and_flowers(monkeypatch):
     assert len(flowers) == len(s)
 
 
+def test_classify_proves_the_tree_side_a_forest_once(monkeypatch):
+    """The flowers at every base vertex share one forest check of V2."""
+    checks = []
+    orig = MultiGraph.is_forest
+
+    def counted(self, vs=None):
+        checks.append(vs)
+        return orig(self, vs)
+
+    monkeypatch.setattr(MultiGraph, "is_forest", counted)
+    # four hubs, each closing cycles through one shared tree
+    tree = [(10, 11), (11, 12), (12, 13), (13, 14), (12, 15), (15, 16)]
+    hubs = [0, 1, 2, 3]
+    g = MultiGraph.from_edges(tree + [(h, u) for h in hubs
+                                      for u in (10 + h, 14, 16)])
+    mod = classify_tree_side(g, hubs)
+    assert set(mod.flowers) == set(hubs)
+    assert any(fl.order for fl in mod.flowers.values())
+    assert len(checks) == 1
+
+
 @pytest.mark.parametrize("edges", [
     TENT,
     [(0, 1), (1, 2), (2, 3), (3, 0)],
