@@ -6,22 +6,24 @@ tree, or proves none exists.  Branching is driven by the certifying
 recognizer: parallel edges, nets, tents and holes must each lose one of
 their own vertices, giving a bounded branch; a component rejected only for
 hosting both a claw and a triangle must lose *some* vertex, so the branch
-ranges over that component.  Memoization collapses permutations of the
-same deletions.
+ranges over that component.
 
-One lower bound prunes the search.  A component of G - gone that is bad
-(a parallel edge, or neither a tree nor a proper interval graph) stays a
-component, and stays bad, unless one of its own vertices is deleted; so a
-node with more bad components than deletions left holds no solution.
-Such a node is closed on the spot, before any witness is searched for:
-the recognizer counts bad components only up to the budget plus one.
-The bound cuts only subtrees without a solution, and the branching order
-is otherwise unchanged, so the search still returns the first solution
-that the unpruned depth-first search finds.  A no-instance with more bad
-components than k is decided at the root.
+Failed candidates are banned.  The branching is exhaustive, so once the
+subtree of a candidate v fails, no solution of its node contains v, and
+v is banned in the subtrees of its later siblings: no deleted set is
+searched twice.  One lower bound prunes the search too.  A component of
+G - gone that is bad (a parallel edge, or neither a tree nor a proper
+interval graph) stays a component, and stays bad, unless one of its own
+vertices is deleted; so a node with more bad components than deletions
+left holds no solution and is closed before any witness is searched
+for.  The ban and the bound cut only subtrees without a solution and
+leave the branching order as it is, so the search returns the first
+solution that the unpruned depth-first search finds; a no-instance with
+more bad components than k is decided at the root.
 
-The state of a search node is its deleted set alone: every recognition
-runs in place on the vertices still alive, so no node copies the graph.
+The graph is compacted once per search.  A node's state is ``(kk, alive
+mask, banned mask)`` over that one bitmask view, with the parallel pairs
+kept as position pairs, so no node copies or re-compacts the graph.
 
 This is exponential and guarded by an explicit node budget; it serves as
 the bootstrap for the modulator and as the correctness oracle for the
@@ -31,6 +33,7 @@ reduction pipeline, not as a general-purpose solver.
 from __future__ import annotations
 
 from . import recognition as rec
+from .backend import bits
 from .multigraph import MultiGraph
 
 DEFAULT_NODE_LIMIT = 400_000
@@ -45,63 +48,60 @@ def decide(g: MultiGraph, k: int,
     """A deletion set of size <= k (sorted ids), or None if none exists."""
     if k < 0:
         return None
-    verts = frozenset(g.vertices)
-    memo: dict = {}
+    ids, index, adjm = g.compact()
+    pairs = [1 << index[u] | 1 << index[v] for u, v in g.double_edges()]
     nodes = 0
 
-    def visit(kk: int, gone: frozenset[int]):
-        """One search node: ``(solution, None)`` when it is settled on the
-        spot, ``(None, candidates)`` when it must branch."""
+    def visit(kk: int, alive: int, banned: int) -> list[int] | None:
+        """One search node: None when the alive graph is clean, else the
+        unbanned candidates to branch on (none when the node is closed)."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise SearchLimitExceeded(
                 f"exact search exceeded {node_limit} nodes")
-        key = (gone, kk)
-        if key in memo:
-            return memo[key], None
-        alive = verts - gone
-        ok, obs = rec.is_pitg(g, alive, kk)
-        if ok:
-            return [], None
-        if obs is None:  # more bad components than deletions left
-            memo[key] = None
-            return None, None
-        if isinstance(obs, rec.ClawTrianglePair):
-            # the whole component is bad; some vertex of it must go
-            return None, g.component_of(obs.claw[0], alive)
-        return None, sorted(set(obs.vertices))
+        live = [m for m in pairs if m & alive == m]
+        dirty = 0
+        for m in live:
+            dirty |= m
+        bad = rec.bad_components(adjm, dirty, alive, kk + 1)
+        if not bad:
+            return None
+        if len(bad) > kk:  # more bad components than deletions left
+            return []
+        if live:
+            cands = bits(live[0])
+        else:
+            obs = rec.witness(adjm, bad[0])
+            # a claw plus a triangle: some vertex of the component must go
+            cands = (bits(bad[0]) if isinstance(obs, rec.ClawTrianglePair)
+                     else sorted(set(obs.vertices)))
+        return [v for v in cands if not (banned >> v) & 1]
 
-    # Depth-first over an explicit stack of open nodes, so the depth is
-    # not bounded by the recursion limit.  Each open node is
-    # [kk, gone, untried candidates, vertex on trial].  A solved node
-    # solves every open node through its vertex on trial; a node whose
-    # candidates all fail is memoized as None, and its parent moves on
-    # to its next candidate.
+    # Depth-first over an explicit stack, so the depth is not bounded by
+    # the recursion limit.  An open node is [kk, alive, banned, untried
+    # candidates, vertex on trial]; a clean node solves every open node
+    # through its vertex on trial.
     stack: list[list] = []
-    kk, gone = k, frozenset()
-    while True:
-        out, cands = visit(kk, gone)
-        if cands is not None:
-            stack.append([kk, gone, iter(cands), None])
-        elif out is not None:
-            while stack:
-                kk, gone, _, v = stack.pop()
-                out = sorted([v, *out])
-                memo[(gone, kk)] = out
-            break
-        while stack and (v := next(stack[-1][2], None)) is None:
-            kk, gone, _, _ = stack.pop()
-            memo[(gone, kk)] = None
+    kk, alive, banned = k, (1 << len(ids)) - 1, 0
+    while (cands := visit(kk, alive, banned)) is not None:
+        stack.append([kk, alive, banned, iter(cands), None])
+        while stack:
+            top = stack[-1]
+            if top[4] is not None:
+                top[2] |= 1 << top[4]  # its subtree failed: ban it
+            if (v := next(top[3], None)) is not None:
+                break
+            stack.pop()
         if not stack:
-            break
-        stack[-1][3] = v
-        kk, gone = stack[-1][0] - 1, stack[-1][1] | {v}
+            return None
+        top[4] = v
+        kk, alive, banned = top[0] - 1, top[1] & ~(1 << v), top[2]
 
-    if out is not None:
-        if len(out) > k:
-            raise AssertionError("solver exceeded its deletion budget")
-        ok, _ = rec.is_pitg(g, verts.difference(out))
-        if not ok:
-            raise AssertionError("solver returned an invalid deletion set")
+    out = sorted(ids[top[4]] for top in stack)
+    if len(out) > k:
+        raise AssertionError("solver exceeded its deletion budget")
+    ok, _ = rec.is_pitg(g, set(ids).difference(out))
+    if not ok:
+        raise AssertionError("solver returned an invalid deletion set")
     return out

@@ -207,8 +207,29 @@ def _tree_or_pig(adjm: list[int], comp: int) -> bool:
     return pig_order(adjm, comp) is not None
 
 
-def is_pitg(g: MultiGraph, vs: Collection[int] | None = None,
-            max_bad: int | None = None
+def bad_components(adjm: list[int], dirty: int, mask: int,
+                   stop: int) -> list[int]:
+    """The first ``stop`` bad components of ``mask`` by lowest position:
+    those that meet ``dirty`` (the ends of parallel edges) or are neither
+    a tree nor a proper interval graph."""
+    bad: list[int] = []
+    for comp in bk.comp_masks(adjm, mask):
+        if comp & dirty or not _tree_or_pig(adjm, comp):
+            bad.append(comp)
+            if len(bad) == stop:
+                break
+    return bad
+
+
+def witness(adjm: list[int], comp: int) -> Obstruction:
+    """``_component_witness`` of a component known to be bad."""
+    obs = _component_witness(adjm, comp)
+    if obs is None:  # pragma: no cover - sweeps and witnesses disagree
+        raise AssertionError("component rejected but no obstruction found")
+    return obs
+
+
+def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
             ) -> tuple[bool, Obstruction | None]:
     """Decide membership in the target class; certify failure.
 
@@ -217,37 +238,15 @@ def is_pitg(g: MultiGraph, vs: Collection[int] | None = None,
     obstruction)`` with the obstruction stated in stable vertex ids.
     Preference order: double edge, then per first bad component: net,
     tent, short hole, any hole, claw+triangle pair.
-
-    With ``max_bad`` set, the bad components (those with a parallel edge
-    or failing the tree and proper interval tests) are counted up to
-    ``max_bad + 1``; past ``max_bad`` the answer is ``(False, None)`` and
-    no witness is searched.  The obstruction, when there is one, is the
-    same as without the bound.
     """
     doubles = g.double_edges(vs)
-    if doubles and max_bad is None:
-        return False, DoubleEdge(*doubles[0])
-    ids, index, adjm = g.compact(vs)
-    dirty = 0
-    for u, v in doubles:
-        dirty |= 1 << index[u] | 1 << index[v]
-    stop = 1 if max_bad is None else max_bad + 1
-    bad: list[int] = []
-    for comp in bk.comp_masks(adjm, (1 << len(ids)) - 1):
-        if comp & dirty or not _tree_or_pig(adjm, comp):
-            bad.append(comp)
-            if len(bad) == stop:
-                break
-    if not bad:
-        return True, None
-    if max_bad is not None and len(bad) > max_bad:
-        return False, None
     if doubles:
         return False, DoubleEdge(*doubles[0])
-    obs = _component_witness(adjm, bad[0])
-    if obs is None:  # pragma: no cover - sweeps and witnesses disagree
-        raise AssertionError("component rejected but no obstruction found")
-    return False, _translate(obs, ids)
+    ids, _, adjm = g.compact(vs)
+    bad = bad_components(adjm, 0, (1 << len(ids)) - 1, 1)
+    if not bad:
+        return True, None
+    return False, _translate(witness(adjm, bad[0]), ids)
 
 
 def component_clean(g: MultiGraph, comp: list[int]) -> bool:

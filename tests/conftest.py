@@ -298,9 +298,10 @@ def minimum_deletion(g: MultiGraph, node_limit: int = DEFAULT_NODE_LIMIT):
 
 def decide_unpruned(g: MultiGraph, k: int,
                     node_limit: int = DEFAULT_NODE_LIMIT) -> list[int] | None:
-    """``exact.decide`` without its bad-component bound: the same
-    depth-first first-fit search, candidate order and memo keys, closing
-    a node only when it is clean or its budget is spent."""
+    """``exact.decide`` without its bad-component bound and without its
+    ban on failed candidates: the same depth-first first-fit search and
+    candidate order, kept on whole-graph recognition with a memo of its
+    own, closing a node only when it is clean or its budget is spent."""
     if k < 0:
         return None
     verts = frozenset(g.vertices)

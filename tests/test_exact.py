@@ -254,3 +254,81 @@ def test_search_size_beside_a_second_bad_component(monkeypatch):
     assert decide(g, 1) is None
     assert witnesses == []
     assert decide(g, 2, node_limit=size_a + size_b + 3) == [hub, hole[0]]
+
+
+def test_no_deleted_set_is_searched_twice(monkeypatch):
+    """A failed candidate is banned in its later siblings' subtrees, so
+    one search never reaches the same alive set twice: the memo it
+    replaced is not needed."""
+    searched = []
+    orig = rec.bad_components
+
+    def spy(adjm, dirty, mask, stop):
+        searched.append((id(adjm), mask))
+        return orig(adjm, dirty, mask, stop)
+
+    monkeypatch.setattr(rec, "bad_components", spy)
+    rng = random.Random(11)
+    instances = [(mixed_instance(rng, i), rng.randint(2, 8))
+                 for i in range(300)]
+    # denser graphs, where overlapping witnesses make permutations common
+    instances += [(random_multigraph(rng, rng.randint(8, 12),
+                                     rng.uniform(0.3, 0.6), double_frac=0.1),
+                   rng.randint(2, 6)) for _ in range(100)]
+    branched = 0
+    for g, k in instances:
+        searched.clear()
+        try:
+            decide(g, k, node_limit=20_000)
+        except SearchLimitExceeded:
+            continue
+        assert len(set(searched)) == len(searched), (sorted(g.edges()), k)
+        branched += len(searched) > 2
+    assert branched >= 300
+
+
+def test_search_compacts_the_graph_once(monkeypatch):
+    """A parallel edge beside two 4-cycles: every node holds a parallel
+    pair or two bad components, and none of them compacts the graph again.
+    One compaction serves the search, one the closing validation."""
+    g = mg([(0, 1, 2), (1, 2)]
+           + [(b + i, b + (i + 1) % 4) for b in (10, 20) for i in range(4)])
+    calls = []
+    orig = MultiGraph.compact
+
+    def counted(self, *args):
+        calls.append(args)
+        return orig(self, *args)
+
+    monkeypatch.setattr(MultiGraph, "compact", counted)
+    assert decide(g, 2) is None
+    assert len(calls) == 1
+    calls.clear()
+    sol = decide(g, 3)
+    assert sol is not None and len(sol) == 3
+    assert len(calls) <= 2
+
+
+def ring_of_holes(h: int) -> MultiGraph:
+    """h 6-holes in a ring, each joined to the next by a 3-vertex path
+    from its vertex 3 to the next hole's vertex 0.  The holes are
+    disjoint, so h deletions are needed; h suffice when one of them is a
+    hole's joint, which also breaks the long cycle around the ring."""
+    edges = [(6 * i + j, 6 * i + (j + 1) % 6)
+             for i in range(h) for j in range(6)]
+    for i in range(h):
+        p = 6 * h + 3 * i
+        edges += [(6 * i + 3, p), (p, p + 1), (p + 1, p + 2),
+                  (p + 2, 6 * ((i + 1) % h))]
+    return mg(edges)
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_ring_of_holes(h):
+    """No by construction with k = h - 1, proved by exhausting the search;
+    at h = 5 within the 1,555 nodes the memoized search needed."""
+    g = ring_of_holes(h)
+    assert decide(g, h - 1, node_limit=1555) is None
+    sol = decide(g, h)
+    assert sol is not None and len(sol) == h
+    assert all(set(sol) & set(range(6 * i, 6 * i + 6)) for i in range(h))
