@@ -193,7 +193,7 @@ def cmd_kernelize(args) -> int:
     try:
         with open(args.input) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"parse error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     try:

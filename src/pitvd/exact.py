@@ -74,8 +74,8 @@ def decide(g: MultiGraph, k: int,
         else:
             obs = rec.witness(adjm, bad[0])
             # a claw plus a triangle: some vertex of the component must go
-            cands = (bits(bad[0]) if isinstance(obs, rec.ClawTrianglePair)
-                     else sorted(set(obs.vertices)))
+            cands = (bits(bad[0]) if obs.kind == "claw+triangle"
+                     else sorted(obs.vertices))
         return [v for v in cands if not (banned >> v) & 1]
 
     # Depth-first over an explicit stack, so the depth is not bounded by

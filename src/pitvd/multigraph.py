@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, NamedTuple
 class Deg2Path(NamedTuple):
     """A maximal path whose internal vertices all have degree exactly 2.
 
-    ``kind`` is ``"tail"`` (first vertex has degree > 2, last has degree 1),
-    ``"overbridge"`` (both endpoint degrees > 2) or ``"other"``.
+    ``kind`` is ``"tail"`` (first vertex has degree > 2, last has degree 1)
+    or ``"other"``.
     """
 
     vertices: tuple[int, ...]
@@ -112,6 +112,8 @@ class MultiGraph:
             raise ValueError(f"self-loop at vertex {u} not allowed")
         if multiplicity < 0:
             raise ValueError("multiplicity must be non-negative")
+        if u not in self._adj or v not in self._adj:
+            raise KeyError("both endpoints must exist")
         if multiplicity == 0:
             self._adj[u].pop(v, None)
             self._adj[v].pop(u, None)
@@ -269,79 +271,51 @@ class MultiGraph:
     def find_degree2_paths(self) -> list[Deg2Path]:
         """All maximal degree-2 paths, canonically oriented and sorted.
 
-        Each chain of degree-2 vertices (having exactly two distinct
-        single-edge neighbors) is extended by its boundary vertices.  Kinds:
-        ``tail`` anchors at a degree->2 vertex and ends in a pendant vertex,
-        ``overbridge`` has both endpoint degrees > 2, anything else (path
-        components, cycles hanging at one anchor, pure cycles) is ``other``.
-        A vertex is internal to at most one returned path.
+        A chain vertex has exactly two distinct neighbours, each joined by
+        a single edge.  Each chain is walked once from its least vertex s,
+        first toward the lesser chain neighbour of s, then the other way,
+        and is extended by the vertices where the walks leave it.  A pure
+        cycle starts at s and a cycle hanging at one anchor starts at the
+        anchor; both then follow s by its lesser chain neighbour.  A
+        ``tail`` starts at a vertex of degree > 2 and ends in a pendant
+        vertex; any other path starts at its lesser end.  A vertex is
+        internal to at most one returned path.
         """
+        adj = self._adj
+        chain = {v for v, nbrs in adj.items()
+                 if len(nbrs) == 2 and all(m == 1 for m in nbrs.values())}
 
-        def chainlike(v: int) -> bool:
-            nbrs = self._adj[v]
-            return len(nbrs) == 2 and all(m == 1 for m in nbrs.values())
+        def walk(prev: int, cur: int) -> list[int]:
+            # from cur away from prev to the first vertex off the chain,
+            # or round a chordless cycle back to s
+            out = [cur]
+            while cur in chain and cur != s:
+                a, b = adj[cur]
+                prev, cur = cur, b if a == prev else a
+                out.append(cur)
+            return out
 
-        chain_verts = {v for v in self._adj if chainlike(v)}
+        def rank(v: int) -> tuple[bool, int]:
+            return self.degree(v) == 1, v
+
         paths: list[Deg2Path] = []
-        unprocessed = set(chain_verts)
-        for s in sorted(chain_verts):
-            if s not in unprocessed:
+        done: set[int] = set()
+        for s in sorted(chain):
+            if s in done:
                 continue
-            # Collect the chain component of s in path order; a walk that
-            # comes back to s means the component is a chordless cycle.
-            order = [s]
-            cycle = False
-            prev, cur = None, s
-            while True:
-                ext = [y for y in self._adj[cur] if y in chain_verts and y != prev]
-                if not ext:
-                    break
-                nxt = min(ext)
-                if nxt == s:
-                    cycle = True
-                    break
-                order.append(nxt)
-                prev, cur = cur, nxt
-            if not cycle:
-                prev, cur = (order[1] if len(order) > 1 else None), s
-                while True:
-                    ext = [y for y in self._adj[cur] if y in chain_verts and y != prev]
-                    if not ext:
-                        break
-                    nxt = min(ext)
-                    order.insert(0, nxt)
-                    prev, cur = cur, nxt
-            unprocessed -= set(order)
-            if cycle:
-                lo = order.index(min(order))
-                order = order[lo:] + order[:lo]
-                paths.append(Deg2Path(tuple(order), "other"))
-                continue
-            first, last = order[0], order[-1]
-            out_first = [y for y in sorted(self._adj[first]) if y not in chain_verts]
-            out_last = [y for y in sorted(self._adj[last]) if y not in chain_verts]
-            if len(order) == 1:
-                a, b = out_first
+            lo, hi = sorted(adj[s], key=lambda y: (y not in chain, y))
+            ahead = walk(s, lo)
+            if ahead[-1] == s:  # the chain is a chordless cycle
+                verts = [s, *ahead[:-1]]
             else:
-                a, b = out_first[0], out_last[0]
-            if a == b:
-                # cycle hanging at a single anchor
-                paths.append(Deg2Path(tuple([a] + order), "other"))
-                continue
-            verts = [a] + order + [b]
-            da, db = self.degree(a), self.degree(b)
-            if da > 2 and db == 1:
-                paths.append(Deg2Path(tuple(verts), "tail"))
-            elif db > 2 and da == 1:
-                paths.append(Deg2Path(tuple(reversed(verts)), "tail"))
-            elif da > 2 and db > 2:
-                if a > b:
+                verts = walk(s, hi)[::-1] + [s] + ahead
+                if verts[0] == verts[-1]:  # a cycle hanging at one anchor
+                    verts.pop()
+                elif rank(verts[0]) > rank(verts[-1]):
                     verts.reverse()
-                paths.append(Deg2Path(tuple(verts), "overbridge"))
-            else:
-                if verts[0] > verts[-1]:
-                    verts.reverse()
-                paths.append(Deg2Path(tuple(verts), "other"))
+            done.update(verts)
+            tail = self.degree(verts[0]) > 2 and self.degree(verts[-1]) == 1
+            paths.append(Deg2Path(tuple(verts), "tail" if tail else "other"))
         paths.sort(key=lambda p: p.vertices)
         return paths
 

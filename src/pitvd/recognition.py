@@ -2,14 +2,21 @@
 
 A multigraph is in the target class when it is simple and every connected
 component is a proper interval graph or a tree.  ``is_pitg`` decides this
-and, on failure, returns one obstruction:
+and, on failure, returns one ``Obstruction(kind, vertices)``:
 
-* ``DoubleEdge`` -- a pair joined by parallel edges;
-* ``Net`` -- triangle with a pendant at each corner (6 vertices);
-* ``Tent`` -- triangle with an extra vertex on each side (6 vertices);
-* ``Hole`` -- chordless cycle on >= 4 vertices;
-* ``ClawTrianglePair`` -- a claw and a triangle living in one component
-  that is otherwise chordal and {net, tent, hole}-free.
+=================  =====================================================
+kind               vertices
+=================  =====================================================
+``double``         (u, v), a pair joined by parallel edges
+``net``            (a, b, c, x, y, z): triangle abc, pendant x at a,
+                   y at b, z at c
+``tent``           (a, b, c, x, y, z): triangle abc, x on side ab, y on
+                   bc, z on ca
+``hole``           a chordless cycle on >= 4 vertices, in cyclic order
+``claw+triangle``  (center, leg, leg, leg, t, t, t): a claw, then a
+                   triangle, in one component that is otherwise chordal
+                   and {net, tent, hole}-free; the two may share vertices
+=================  =====================================================
 
 Every obstruction except the last must lose a vertex in any valid deletion
 set; the pair only certifies that the component as a whole is bad.
@@ -22,8 +29,7 @@ proper interval graph.  The witness search on a failed component shares
 ``backend.lbfs`` with the sweeps: its chordality check reads one more
 sweep in reverse as an elimination order, and only a non-chordal
 component is searched for holes.  The net, tent, short-hole and claw
-scans stay independent of the sweeps; a rejected component without a
-witness raises.
+scans stay independent of the sweeps.
 """
 
 from __future__ import annotations
@@ -37,56 +43,11 @@ from .multigraph import MultiGraph
 
 
 @dataclass(frozen=True)
-class DoubleEdge:
-    u: int
-    v: int
+class Obstruction:
+    """One forbidden structure, by ``kind`` (see the module docstring)."""
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return (self.u, self.v)
-
-
-@dataclass(frozen=True)
-class Net:
-    #: (a, b, c, x, y, z): triangle abc, pendant x at a, y at b, z at c
-    corners: tuple[int, ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.corners
-
-
-@dataclass(frozen=True)
-class Tent:
-    #: (a, b, c, x, y, z): triangle abc, x on side ab, y on bc, z on ca
-    corners: tuple[int, ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.corners
-
-
-@dataclass(frozen=True)
-class Hole:
-    #: vertices in cyclic order
-    cycle: tuple[int, ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self.cycle
-
-
-@dataclass(frozen=True)
-class ClawTrianglePair:
-    claw: tuple[int, ...]  # (center, leg, leg, leg)
-    triangle: tuple[int, ...]
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(dict.fromkeys(self.claw + self.triangle))
-
-
-Obstruction = DoubleEdge | Net | Tent | Hole | ClawTrianglePair
+    kind: str
+    vertices: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -163,40 +124,28 @@ def find_hole(adjm: list[int], comp: int, seed=None):
     return None
 
 
-def _component_witness(adjm, comp) -> Obstruction | None:
-    """Preferred obstruction of one bad component (positions, untranslated).
+def witness(adjm: list[int], comp: int) -> Obstruction | None:
+    """Preferred obstruction of one component in positions, or None when
+    the component is clean.
 
     Preference: net, tent, short hole (<= 6), any hole, claw+triangle.
     """
     for kind, t in bk.net_tent_witnesses(adjm, comp, False):
-        return Net(t) if kind == "net" else Tent(t)
+        return Obstruction(kind, t)
     fail = bk.chordal_fail(adjm, comp)
     if fail is not None:  # only a non-chordal component has a hole
         short = bk.small_cycles(adjm, comp, False)
         if short:
-            return Hole(short[0])
+            return Obstruction("hole", short[0])
         hole = find_hole(adjm, comp, seed=fail)
         if hole is None:  # pragma: no cover - contradicts chordality failure
             raise AssertionError("non-chordal component without a hole")
-        return Hole(tuple(hole))
+        return Obstruction("hole", hole)
     claw = bk.find_claw(adjm, comp)
     tri = bk.find_triangle(adjm, comp)
     if claw is None or tri is None:
         return None
-    return ClawTrianglePair(claw, tri)
-
-
-def _translate(obs: Obstruction, ids: list[int]) -> Obstruction:
-    if isinstance(obs, Net):
-        return Net(tuple(ids[p] for p in obs.corners))
-    if isinstance(obs, Tent):
-        return Tent(tuple(ids[p] for p in obs.corners))
-    if isinstance(obs, Hole):
-        return Hole(tuple(ids[p] for p in obs.cycle))
-    if isinstance(obs, ClawTrianglePair):
-        return ClawTrianglePair(tuple(ids[p] for p in obs.claw),
-                                tuple(ids[p] for p in obs.triangle))
-    raise TypeError(obs)
+    return Obstruction("claw+triangle", claw + tri)
 
 
 def _tree_or_pig(adjm: list[int], comp: int) -> bool:
@@ -221,14 +170,6 @@ def bad_components(adjm: list[int], dirty: int, mask: int,
     return bad
 
 
-def witness(adjm: list[int], comp: int) -> Obstruction:
-    """``_component_witness`` of a component known to be bad."""
-    obs = _component_witness(adjm, comp)
-    if obs is None:  # pragma: no cover - sweeps and witnesses disagree
-        raise AssertionError("component rejected but no obstruction found")
-    return obs
-
-
 def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
             ) -> tuple[bool, Obstruction | None]:
     """Decide membership in the target class; certify failure.
@@ -236,17 +177,18 @@ def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
     Answers for the subgraph induced on ``vs`` (default: the whole graph)
     without copying it.  Returns ``(True, None)`` or ``(False,
     obstruction)`` with the obstruction stated in stable vertex ids.
-    Preference order: double edge, then per first bad component: net,
-    tent, short hole, any hole, claw+triangle pair.
+    Preference order: double edge, then in the first bad component: net,
+    tent, short hole, any hole, claw+triangle.
     """
     doubles = g.double_edges(vs)
     if doubles:
-        return False, DoubleEdge(*doubles[0])
+        return False, Obstruction("double", doubles[0])
     ids, _, adjm = g.compact(vs)
     bad = bad_components(adjm, 0, (1 << len(ids)) - 1, 1)
     if not bad:
         return True, None
-    return False, _translate(witness(adjm, bad[0]), ids)
+    obs = witness(adjm, bad[0])
+    return False, Obstruction(obs.kind, tuple(ids[p] for p in obs.vertices))
 
 
 def component_clean(g: MultiGraph, comp: list[int]) -> bool:

@@ -16,7 +16,7 @@ from pitvd import backend
 from pitvd import recognition as rec
 from pitvd.exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from pitvd.modulator import classify_tree_side, compute_base_set
-from pitvd.multigraph import MultiGraph
+from pitvd.multigraph import Deg2Path, MultiGraph
 
 
 def adj_from_edges(n: int, edges) -> list[int]:
@@ -204,27 +204,93 @@ def lbfs_by_lists(adjm: list[int], verts: list[int], prev_pos=None):
 
 
 def witness_in_searched_order(adjm, comp):
-    """``recognition._component_witness`` as it searched before the
-    chordality check gated the hole searches: nets, tents, short holes,
-    a hole seeded by ``chordal_fail``, then a claw plus a triangle."""
-    from pitvd import recognition as R
-
+    """``recognition.witness`` as it searched before the chordality check
+    gated the hole searches: nets, tents, short holes, a hole seeded by
+    ``chordal_fail``, then a claw plus a triangle."""
     wits = backend.net_tent_witnesses(adjm, comp, True)
-    for want, kind in (("net", R.Net), ("tent", R.Tent)):
+    for want in ("net", "tent"):
         for got, t in wits:
             if got == want:
-                return kind(t)
+                return rec.Obstruction(want, t)
     short = backend.small_cycles(adjm, comp, False)
     if short:
-        return R.Hole(short[0])
+        return rec.Obstruction("hole", short[0])
     fail = backend.chordal_fail(adjm, comp)
     if fail is not None:
-        return R.Hole(tuple(R.find_hole(adjm, comp, seed=fail)))
+        return rec.Obstruction("hole", rec.find_hole(adjm, comp, seed=fail))
     claw = backend.find_claw(adjm, comp)
     tri = backend.find_triangle(adjm, comp)
     if claw is None or tri is None:
         return None
-    return R.ClawTrianglePair(claw, tri)
+    return rec.Obstruction("claw+triangle", claw + tri)
+
+
+def degree2_paths_reference(g: MultiGraph) -> list[Deg2Path]:
+    """``MultiGraph.find_degree2_paths`` as it walked each chain before:
+    forward from its least vertex, then backward by prepending, with the
+    endpoints read off each end's neighbours.  Paths whose endpoints both
+    have degree > 2, once labelled ``overbridge``, read as ``other``."""
+
+    def chainlike(v: int) -> bool:
+        return len(g.neighbors(v)) == 2 and g.degree(v) == 2
+
+    chain_verts = {v for v in g.vertices if chainlike(v)}
+    paths: list[Deg2Path] = []
+    unprocessed = set(chain_verts)
+    for s in sorted(chain_verts):
+        if s not in unprocessed:
+            continue
+        order = [s]
+        cycle = False
+        prev, cur = None, s
+        while True:
+            ext = [y for y in g.neighbors(cur) if y in chain_verts and y != prev]
+            if not ext:
+                break
+            nxt = min(ext)
+            if nxt == s:
+                cycle = True
+                break
+            order.append(nxt)
+            prev, cur = cur, nxt
+        if not cycle:
+            prev, cur = (order[1] if len(order) > 1 else None), s
+            while True:
+                ext = [y for y in g.neighbors(cur)
+                       if y in chain_verts and y != prev]
+                if not ext:
+                    break
+                nxt = min(ext)
+                order.insert(0, nxt)
+                prev, cur = cur, nxt
+        unprocessed -= set(order)
+        if cycle:
+            lo = order.index(min(order))
+            order = order[lo:] + order[:lo]
+            paths.append(Deg2Path(tuple(order), "other"))
+            continue
+        first, last = order[0], order[-1]
+        out_first = [y for y in g.neighbors(first) if y not in chain_verts]
+        out_last = [y for y in g.neighbors(last) if y not in chain_verts]
+        if len(order) == 1:
+            a, b = out_first
+        else:
+            a, b = out_first[0], out_last[0]
+        if a == b:
+            paths.append(Deg2Path(tuple([a] + order), "other"))
+            continue
+        verts = [a] + order + [b]
+        da, db = g.degree(a), g.degree(b)
+        if da > 2 and db == 1:
+            paths.append(Deg2Path(tuple(verts), "tail"))
+        elif db > 2 and da == 1:
+            paths.append(Deg2Path(tuple(reversed(verts)), "tail"))
+        else:
+            if verts[0] > verts[-1]:
+                verts.reverse()
+            paths.append(Deg2Path(tuple(verts), "other"))
+    paths.sort(key=lambda p: p.vertices)
+    return paths
 
 
 def pig_order_bruteforce(adj, mask):
@@ -324,8 +390,8 @@ def decide_unpruned(g: MultiGraph, k: int,
         if kk == 0:
             memo[key] = None
             return None, None
-        if isinstance(obs, rec.ClawTrianglePair):
-            return None, g.component_of(obs.claw[0], alive)
+        if obs.kind == "claw+triangle":
+            return None, g.component_of(obs.vertices[0], alive)
         return None, sorted(set(obs.vertices))
 
     stack: list[list] = []
@@ -381,7 +447,7 @@ def pendant_trees_by_copy(g: MultiGraph, x: int) -> list[list[int]]:
 
 def validate_obstruction(g, obs) -> None:
     """Assert that an obstruction really occurs in multigraph ``g``."""
-    from pitvd import recognition as R
+    vs = obs.vertices
 
     def edge(u, v):
         assert g.has_edge(u, v), (u, v, obs)
@@ -389,47 +455,47 @@ def validate_obstruction(g, obs) -> None:
     def nonedge(u, v):
         assert not g.has_edge(u, v), (u, v, obs)
 
-    if isinstance(obs, R.DoubleEdge):
-        assert g.multiplicity(obs.u, obs.v) >= 2
+    if obs.kind == "double":
+        u, v = vs
+        assert g.multiplicity(u, v) >= 2
         return
-    if isinstance(obs, R.Net):
-        a, b, c, x, y, z = obs.corners
-        assert len(set(obs.corners)) == 6
+    if obs.kind == "net":
+        a, b, c, x, y, z = vs
+        assert len(set(vs)) == 6
         for u, v in [(a, b), (a, c), (b, c), (a, x), (b, y), (c, z)]:
             edge(u, v)
         for u, v in [(x, y), (x, z), (y, z), (x, b), (x, c), (y, a), (y, c),
                      (z, a), (z, b)]:
             nonedge(u, v)
         return
-    if isinstance(obs, R.Tent):
-        a, b, c, x, y, z = obs.corners
-        assert len(set(obs.corners)) == 6
+    if obs.kind == "tent":
+        a, b, c, x, y, z = vs
+        assert len(set(vs)) == 6
         for u, v in [(a, b), (a, c), (b, c), (x, a), (x, b), (y, b), (y, c),
                      (z, c), (z, a)]:
             edge(u, v)
         for u, v in [(x, c), (y, a), (z, b), (x, y), (y, z), (x, z)]:
             nonedge(u, v)
         return
-    if isinstance(obs, R.Hole):
-        cyc = obs.cycle
-        k = len(cyc)
-        assert k >= 4 and len(set(cyc)) == k
+    if obs.kind == "hole":
+        k = len(vs)
+        assert k >= 4 and len(set(vs)) == k
         for i in range(k):
             for j in range(i + 1, k):
                 if j - i == 1 or (i == 0 and j == k - 1):
-                    edge(cyc[i], cyc[j])
+                    edge(vs[i], vs[j])
                 else:
-                    nonedge(cyc[i], cyc[j])
+                    nonedge(vs[i], vs[j])
         return
-    if isinstance(obs, R.ClawTrianglePair):
-        center, *legs = obs.claw
-        assert len(legs) == 3
+    if obs.kind == "claw+triangle":
+        assert len(vs) == 7
+        (center, *legs), t = vs[:4], vs[4:]
+        assert len(set(vs[:4])) == 4
         for leg in legs:
             edge(center, leg)
         for i in range(3):
             for j in range(i + 1, 3):
                 nonedge(legs[i], legs[j])
-        t = obs.triangle
         assert len(set(t)) == 3
         for i in range(3):
             edge(t[i], t[(i + 1) % 3])

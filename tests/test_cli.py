@@ -196,6 +196,15 @@ def test_kernelize_rejects_missing_file(tmp_path):
     assert main(["kernelize", str(tmp_path / "nope.txt")]) == 2
 
 
+def test_kernelize_rejects_undecodable_file(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"p pitvd 2 1 1 \xff\n")
+    assert main(["kernelize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["-o", "--trace"])
 def test_kernelize_reports_unwritable_output(tmp_path, capsys, flag):
     src = write(tmp_path, "in.txt", "p pitvd 3 3 1\ne 1 2 1\ne 2 3 1\ne 3 1 1\n")

@@ -244,13 +244,13 @@ def test_search_size_beside_a_second_bad_component(monkeypatch):
     size_a, size_b = len(hole), leaves + 3
 
     witnesses = []
-    orig = rec._component_witness
+    orig = rec.witness
 
     def spy(adjm, comp):
         witnesses.append(comp)
         return orig(adjm, comp)
 
-    monkeypatch.setattr(rec, "_component_witness", spy)
+    monkeypatch.setattr(rec, "witness", spy)
     assert decide(g, 1) is None
     assert witnesses == []
     assert decide(g, 2, node_limit=size_a + size_b + 3) == [hub, hole[0]]

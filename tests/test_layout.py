@@ -1,6 +1,6 @@
 """Repository-shape checks: the package holds source only, its checks
-survive ``python -O``, and the names the benchmark tracer wraps still
-exist."""
+survive ``python -O``, it defines no dead helper, and the names the
+benchmark tracer wraps still exist."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import ast
 import glob
 import importlib
 import os
+import re
 
 from pitvd import backend
 
@@ -50,6 +51,50 @@ def test_only_multigraph_reads_the_adjacency():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "_adj"]
     assert not found
+
+
+#: public entry points that only code outside ``src`` and ``kbench`` calls
+ENTRY_POINTS = {"MultiGraph.add_vertex", "load_trace"}
+
+
+def test_every_defined_name_is_used():
+    """Every function, method and class of the package is named somewhere
+    in ``src`` or ``kbench`` outside its own definition (a word search),
+    unless it is a dunder or a listed entry point."""
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"),
+                             recursive=True)
+                   + glob.glob(os.path.join(KBENCH_DIR, "**", "*.py"),
+                               recursive=True))
+    lines = {}
+    for path in paths:
+        with open(path) as fh:
+            lines[path] = fh.read().splitlines()
+
+    def used(name, path, first, last):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        return any(word.search(line)
+                   for p, text in lines.items()
+                   for i, line in enumerate(text, 1)
+                   if not (p == path and first <= i <= last))
+
+    dead = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
+        tree = ast.parse("\n".join(lines[path]), path)
+        owners = {child: node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            qual = f"{owners[node]}.{name}" if node in owners else name
+            if qual in ENTRY_POINTS:
+                continue
+            if not used(name, path, node.lineno, node.end_lineno):
+                dead.append(f"{os.path.basename(path)}:{node.lineno} {qual}")
+    assert not dead
 
 
 def test_traced_names_resolve(monkeypatch):

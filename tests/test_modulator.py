@@ -342,7 +342,7 @@ def test_classify_proves_the_tree_side_a_forest_once(monkeypatch):
 ], ids=["tent", "c4", "doubled-edge"])
 def test_classify_rejects_without_a_witness_search(monkeypatch, edges):
     searched = []
-    monkeypatch.setattr(recognition, "_component_witness",
+    monkeypatch.setattr(recognition, "witness",
                         lambda *args: searched.append(args))
     with pytest.raises(ValueError):
         classify_tree_side(MultiGraph.from_edges(edges + [(7, 8)]), [])

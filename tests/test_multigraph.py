@@ -3,7 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import random_multigraph, random_near_tree
+from conftest import (degree2_paths_reference, random_multigraph,
+                      random_near_tree)
 from hypothesis import given, strategies as st
 
 from pitvd.multigraph import MultiGraph
@@ -56,6 +57,20 @@ def test_set_multiplicity_zero_removes():
     g.set_multiplicity(0, 1, 0)
     assert not g.has_edge(0, 1)
     assert g.neighbors(0) == []
+
+
+@pytest.mark.parametrize("multiplicity", [0, 1])
+def test_set_multiplicity_missing_endpoint_leaves_graph_unchanged(
+        multiplicity):
+    g = build([(0, 1)])
+    for u, v in ((0, 99), (99, 0), (98, 99)):
+        with pytest.raises(KeyError):
+            g.set_multiplicity(u, v, multiplicity)
+        assert g == build([(0, 1)])
+        assert g.neighbors(0) == [1]
+        assert list(g.edges()) == [(0, 1, 1)]
+    g.delete_vertex(0)
+    assert g.vertices == [1]
 
 
 def test_fresh_ids_never_reused():
@@ -251,12 +266,12 @@ def test_deg2_overbridge():
     # two hubs joined by a subdivided edge
     edges = [(0, 1), (0, 2), (0, 3), (7, 8), (7, 9), (7, 10), (3, 5), (5, 6), (6, 7)]
     g = build(edges)
-    assert ("overbridge", (0, 3, 5, 6, 7)) in kinds(g)
+    assert ("other", (0, 3, 5, 6, 7)) in kinds(g)
 
 
 def test_deg2_overbridge_between_high_degree():
     g = build([(0, 1), (0, 2), (0, 9), (9, 3), (3, 8), (8, 4), (8, 5), (8, 6)])
-    assert ("overbridge", (0, 9, 3, 8)) in kinds(g)
+    assert ("other", (0, 9, 3, 8)) in kinds(g)
 
 
 def test_deg2_pure_cycle_rotated_to_min():
@@ -275,6 +290,37 @@ def test_deg2_anchored_cycle():
     assert hit[0].vertices[0] == 0
     assert hit[0].kind == "other"
     assert sorted(hit[0].vertices) == [0, 3, 4, 5]
+
+
+def _deg2_families(rng):
+    """Seeded multigraphs of three families: trees with a few extra or
+    doubled edges, sparse random graphs with some doubled edges, and
+    relabelled cycles with trees hung on them."""
+    for i in range(10_000):
+        n = rng.randint(1, 16)
+        if i % 3 == 0:
+            yield random_near_tree(rng, n)
+        elif i % 3 == 1:
+            yield random_multigraph(rng, n, rng.uniform(0.1, 0.3), 0.05)
+        else:
+            label = rng.sample(range(3 * n), n)
+            c = rng.randint(3, n) if n >= 3 else 0
+            edges = [(label[j], label[(j + 1) % c]) for j in range(c)]
+            edges += [(label[rng.randrange(v)], label[v])
+                      for v in range(max(c, 1), n)]
+            yield build(edges, vertices=label)
+
+
+def test_deg2_paths_match_the_two_sided_walk():
+    """One walk per chain finds the paths, kinds and orientations of the
+    forward-then-prepend walk it replaced."""
+    rng = random.Random(1212)
+    seen = set()
+    for g in _deg2_families(rng):
+        got = g.find_degree2_paths()
+        assert got == degree2_paths_reference(g), list(g.edges())
+        seen.update(p.kind for p in got)
+    assert seen == {"tail", "other"}
 
 
 def test_deg2_double_edge_blocks_chain():

@@ -106,6 +106,20 @@ def test_rule5_shrinks_anchored_cycle():
     assert h.has_edge(1, 4) and h.has_edge(5, 0) and h.has_edge(0, 1)
 
 
+def test_rule5_shrinks_anchored_cycle_from_interior_least_vertex():
+    """The least chain vertex 1 sits inside the cycle hanging at 9, so
+    the path reads 9, 7, 4, 1, 3, 5, 6: it starts at the anchor and
+    follows 1 by its lesser chain neighbour 3."""
+    g = MultiGraph.from_edges([(9, 10), (9, 11), (10, 11),
+                               (9, 7), (7, 4), (4, 1), (1, 3), (3, 5),
+                               (5, 6), (6, 9)])
+    app = R.rule5_shrink_degree2_path(g, 1)
+    assert app.affected == (9, 7, 4, 1, 3, 5, 6)
+    assert app.ops == (("del", 4), ("del", 1), ("del", 3), ("edge", 7, 5, 1))
+    h = apply(g, app)
+    assert h.has_edge(7, 5) and h.has_edge(9, 7) and h.has_edge(6, 9)
+
+
 def test_rule6_keeps_nearest_claw():
     g = MultiGraph.from_edges([(0, 1), (1, 2), (0, 2),
                                (2, 3), (3, 4), (3, 5), (4, 6), (4, 7), (5, 8)])
