@@ -168,7 +168,7 @@ def _write(path: str | None, text: str) -> bool:
         sys.stdout.write(text)
         return True
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
@@ -191,7 +191,7 @@ def _histogram(res: KernelInstance) -> str:
 
 def cmd_kernelize(args) -> int:
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"parse error: cannot read {args.input}: {exc}", file=sys.stderr)

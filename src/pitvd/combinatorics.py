@@ -98,27 +98,15 @@ def sunflower_reduce(sets, k: int, d: int | None = None) -> set[frozenset]:
 
 @dataclass(frozen=True)
 class Flower:
-    order: int
     #: petals as vertex tuples excluding the hub; a 1-tuple is a parallel
     #: edge cycle, longer tuples are paths closing through the hub
     petals: tuple[tuple[int, ...], ...]
     #: hub-avoiding vertex set meeting every cycle through the hub
     cover: tuple[int, ...]
 
-
-class Forest(frozenset):
-    """A vertex set of ``graph``, checked when made to induce a forest.
-
-    :func:`flower_in_forest` takes it as proof for as long as the graph is
-    unchanged, so flowers at many hubs over one region check it once.
-    """
-
-    def __new__(cls, graph: MultiGraph, region):
-        self = super().__new__(cls, region)
-        if not graph.is_forest(self):
-            raise ValueError("region must induce a forest")
-        self.graph = graph
-        return self
+    @property
+    def order(self) -> int:
+        return len(self.petals)
 
 
 def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
@@ -132,13 +120,15 @@ def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
     found bottom-up: walk each tree from the leaves, carry at most one
     open anchor claim upward, and close a petal whenever two claims meet;
     the meeting vertices form a cover of the same size, which proves both
-    sides optimal.  The forest is walked in place, never copied.  A
-    ``region`` that is not a :class:`Forest` of ``g`` is checked here.
+    sides optimal.  The forest is walked in place, never copied, and
+    checked as it is walked: a vertex reached twice, or a parallel edge
+    between walked vertices, raises ``ValueError``.  So the region minus
+    the doubled neighbors must be a forest; a cycle through a doubled
+    neighbor cannot change the result, as that neighbor is a petal and in
+    the cover already.
     """
     if hub in region:
         raise ValueError("hub must lie outside the region")
-    if not (isinstance(region, Forest) and region.graph is g):
-        region = Forest(g, region)
     region = sorted(region)
     doubles = [u for u in region if g.multiplicity(hub, u) >= 2]
     anchors = {u for u in region if g.multiplicity(hub, u) == 1}
@@ -153,25 +143,23 @@ def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
         # iterative post-order; claims[u] = path from an anchor down in
         # u's subtree up to and including u, or None
         claims: dict[int, list[int] | None] = {}
-        stack = [(root, -1, False)]
+        stack: list = [(root, -1, None)]
         while stack:
-            u, parent, done = stack.pop()
-            if not done:
+            u, parent, kids = stack.pop()
+            if kids is None:  # first visit: check, then walk the children
+                kids = [w for w in g.neighbors(u) if w != parent and w in keep]
+                if u in seen or any(g.multiplicity(u, w) > 1 for w in kids):
+                    raise ValueError("region must induce a forest")
                 seen.add(u)
-                stack.append((u, parent, True))
-                for w in g.neighbors(u):
-                    if w != parent and w in keep:
-                        stack.append((w, u, False))
+                stack.append((u, parent, kids))
+                stack.extend((w, u, None) for w in kids)
                 continue
-            open_claims = []
-            if u in anchors:
-                open_claims.append([u])
-            for w in g.neighbors(u):
-                if w != parent and w in keep:
-                    c = claims.pop(w)
-                    if c is not None:
-                        c.append(u)
-                        open_claims.append(c)
+            open_claims = [[u]] if u in anchors else []
+            for w in kids:
+                c = claims.pop(w)
+                if c is not None:
+                    c.append(u)
+                    open_claims.append(c)
             if len(open_claims) >= 2:
                 left, right = open_claims[0], open_claims[1]
                 petals.append(tuple(left[:-1]) + tuple(reversed(right)))
@@ -179,8 +167,7 @@ def flower_in_forest(g: MultiGraph, hub: int, region) -> Flower:
                 claims[u] = None
             else:
                 claims[u] = open_claims[0] if open_claims else None
-    return Flower(order=len(petals), petals=tuple(petals),
-                  cover=tuple(sorted(cover)))
+    return Flower(petals=tuple(petals), cover=tuple(sorted(cover)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ subtrees ("hangers").  Along each chain of connectors between two branch
 points or S-neighbors, only the outermost hooks are *good*; the hangers
 of the remaining *bad* hooks are deletable.
 
-G - S is analysed once, in place and without copying it, and the
-result holds everything the base-set rules read: the clique path of each
-cyclic component (``paths``), the flower of each base vertex into the
-tree side with its cover Z_v (``flowers``), and the strata.  One
-leaf-stripping pass per tree (:meth:`MultiGraph.hanging_trees`, keeping
-the S-neighbors) leaves the connectors and hands over the hangers.
+G - S is analysed once, without copying it, and the result holds
+everything the base-set rules read: the clique path of each cyclic
+component (``paths``), the flower of each base vertex into the tree side
+with its cover Z_v (``flowers``), and the strata.  One bitmask view of
+G - S, its positions ascending with vertex id, lists the components in
+min-id order, tells the trees (n - 1 edges) from the cyclic components
+and finds a triangle in each cyclic one.  One leaf-stripping pass per
+tree (:meth:`MultiGraph.hanging_trees`, keeping the S-neighbors) leaves
+the connectors and hands over the hangers.  The flowers check that the
+tree side is a forest as they walk it.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import backend
 from .cliques import CliquePath, clique_path
-from .combinatorics import Flower, Forest, flower_in_forest, sunflower_reduce
+from .combinatorics import Flower, flower_in_forest, sunflower_reduce
 from .exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from .multigraph import MultiGraph
 from .recognition import is_pitg, obstruction_sets
@@ -137,11 +141,10 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     Raises ``ValueError`` if removing ``s`` does not leave a clean graph:
     a parallel edge, or a cyclic component that is not a proper interval
     graph (its clique path cannot be built).  No witness is searched for,
-    and G - S is never copied: every query runs on ``g`` restricted to
-    the vertices outside ``s``.
+    and G - S is never copied (see the module docstring).
     """
     s = frozenset(s)
-    rest = {v for v in g.vertices if v not in s}
+    rest = [v for v in g.vertices if v not in s]
     doubles = g.double_edges(rest)
     if doubles:
         raise ValueError(f"base set leaves the parallel edge {doubles[0]}")
@@ -149,15 +152,17 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     v1: set[int] = set()
     v2: set[int] = set()
     paths: list[CliquePath] = []
-    comps = g.components(rest)
-    for comp in comps:
-        if g.is_tree(comp):
+    trees: list[list[int]] = []
+    ids, _, adjm = g.compact(rest)
+    for mask in backend.comp_masks(adjm, (1 << len(ids)) - 1):
+        comp = [ids[p] for p in backend.bits(mask)]
+        if backend.count_edges(adjm, mask) == len(comp) - 1:
             v2.update(comp)
+            trees.append(comp)
             continue
         paths.append(clique_path(g, comp))
         v1.update(comp)
-        ids, _, adjm = g.compact(comp)
-        if backend.find_triangle(adjm, (1 << len(ids)) - 1) is None:
+        if backend.find_triangle(adjm, mask) is None:
             raise AssertionError("cyclic clean component without a triangle")
 
     f1 = {u for u in v2 if any(w in s for w in g.neighbors(u))}
@@ -168,9 +173,7 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     bad: set[int] = set()
     hangers: dict[int, tuple[frozenset[int], ...]] = {}
 
-    for comp in comps:
-        if comp[0] in v1:
-            continue
+    for comp in trees:
         f1t = f1.intersection(comp)
         if len(f1t) < 2:
             continue
@@ -225,12 +228,11 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
         raise AssertionError("branch points cannot outnumber S-neighbors")
     if set(hangers) != good | bad:
         raise AssertionError("every hook is either good or bad")
-    forest = Forest(g, v2)  # checked once for the flowers at every hub
     return Modulator(s=s, v1=frozenset(v1), v2=frozenset(v2),
                      f1=frozenset(f1), f2=frozenset(f2), f3=frozenset(f3),
                      f3_critical=frozenset(f3c),
                      good_hooks=frozenset(good), bad_hooks=frozenset(bad),
                      hangers=hangers, paths=tuple(paths),
-                     flowers={v: flower_in_forest(g, v, forest)
+                     flowers={v: flower_in_forest(g, v, v2)
                               for v in sorted(s)})
 

@@ -145,7 +145,7 @@ class MultiGraph:
     @property
     def edge_count(self) -> int:
         """Number of edges counting multiplicities."""
-        return sum(m for _, _, m in self.edges())
+        return sum(sum(nbrs.values()) for nbrs in self._adj.values()) // 2
 
     def double_edges(self, vs: Iterable[int] | None = None
                      ) -> list[tuple[int, int]]:
@@ -199,19 +199,6 @@ class MultiGraph:
         g._next_id = self._next_id
         return g
 
-    def is_tree(self, vs: Iterable[int] | None = None) -> bool:
-        """True iff the (sub)graph induced on ``vs`` is a simple connected tree."""
-        keep = self._subset(vs)
-        if not keep or self._simple_edge_count(keep) != len(keep) - 1:
-            return False
-        return len(self.component_of(next(iter(keep)), keep)) == len(keep)
-
-    def is_forest(self, vs: Iterable[int] | None = None) -> bool:
-        """True iff the (sub)graph induced on ``vs`` is simple and acyclic."""
-        keep = self._subset(vs)
-        m = self._simple_edge_count(keep)
-        return m is not None and m == len(keep) - len(self.components(keep))
-
     def hanging_trees(self, vs: Iterable[int] | None = None, keep=()
                       ) -> list[tuple[int, int, list[int]]]:
         """Strip leaves from the subgraph induced on ``vs`` (default: the
@@ -254,17 +241,6 @@ class MultiGraph:
         if vs is None:
             return self._adj
         return vs if isinstance(vs, (set, frozenset, dict)) else set(vs)
-
-    def _simple_edge_count(self, keep) -> int | None:
-        """Edges induced on ``keep``, or None if two of them are parallel."""
-        m = 0
-        for v in keep:
-            for u, mult in self._adj[v].items():
-                if u in keep:
-                    if mult > 1:
-                        return None
-                    m += 1
-        return m // 2
 
     # -- degree-2 structure --------------------------------------------
 

@@ -137,6 +137,17 @@ def to_networkx(g: MultiGraph) -> nx.Graph:
     return out
 
 
+def nx_multigraph(g: MultiGraph, vs=None) -> nx.MultiGraph:
+    """The sub-multigraph induced on ``vs`` (default: all of ``g``), each
+    edge repeated by its multiplicity, so networkx's tree and forest tests
+    reject parallel edges."""
+    out = nx.MultiGraph()
+    out.add_nodes_from(g.vertices)
+    for u, v, m in g.edges():
+        out.add_edges_from([(u, v)] * m)
+    return out if vs is None else out.subgraph(vs)
+
+
 # ---------------------------------------------------------------------------
 # brute-force structure oracles (itertools-based, independent of pitvd)
 # ---------------------------------------------------------------------------
@@ -437,7 +448,7 @@ def pendant_trees_by_copy(g: MultiGraph, x: int) -> list[list[int]]:
         return []
     out = []
     for piece in pieces:
-        if not sub.is_tree(piece):
+        if not nx.is_tree(nx_multigraph(sub, piece)):
             continue
         links = [u for u in piece if g.has_edge(x, u)]
         if len(links) == 1 and g.multiplicity(x, links[0]) == 1:

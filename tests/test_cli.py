@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from conftest import random_multigraph
@@ -203,6 +206,23 @@ def test_kernelize_rejects_undecodable_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"parse error: cannot read {path}: ")
     assert "Traceback" not in err
+
+
+def test_kernelize_reads_utf8_under_the_c_locale(tmp_path):
+    """Instance files are UTF-8 whatever the locale says."""
+    path = tmp_path / "cafe.txt"
+    path.write_bytes("c café\np pitvd 2 1 1\ne 1 2 1\n".encode("utf-8"))
+    out = tmp_path / "out.txt"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "PYTHON"))}
+    env.update(PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    done = subprocess.run([sys.executable, "-m", "pitvd.cli", "kernelize",
+                           str(path), "-o", str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.read_text(encoding="utf-8").startswith("p pitvd")
 
 
 @pytest.mark.parametrize("flag", ["-o", "--trace"])

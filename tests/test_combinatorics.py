@@ -4,11 +4,12 @@ import itertools
 import random
 from math import factorial
 
+import networkx as nx
 import pytest
+from conftest import nx_multigraph
 
 from pitvd.combinatorics import (
     Flower,
-    Forest,
     find_sunflower,
     flower_in_forest,
     q_expansion,
@@ -245,15 +246,59 @@ def test_flower_rejects_cyclic_region():
     raise AssertionError("cyclic region accepted")
 
 
-def test_forest_is_checked_once_and_only_for_its_graph():
-    g = MultiGraph.from_edges([(1, 2), (2, 3), (0, 1), (0, 3)])
-    forest = Forest(g, [1, 2, 3])
-    assert flower_in_forest(g, 0, forest).order == 1
-    cyclic = MultiGraph.from_edges([(1, 2), (2, 3), (1, 3), (0, 1)])
+def test_flower_rejects_parallel_edge_in_region():
+    g = MultiGraph.from_edges([(1, 2, 2), (2, 3), (0, 1), (0, 3)])
     with pytest.raises(ValueError):
-        Forest(cyclic, [1, 2, 3])
-    with pytest.raises(ValueError):  # a forest of another graph is no proof
-        flower_in_forest(cyclic, 0, forest)
+        flower_in_forest(g, 0, [1, 2, 3])
+
+
+def random_region_with_hub(rng, n):
+    """A forest on ids 1..n and hub 0, as in ``random_forest_with_hub``,
+    plus up to three extra region edges, each doubled one time in four:
+    the region may hold cycles and parallel edges, some of them only
+    through a doubled neighbor of the hub."""
+    g, hub, ids = random_forest_with_hub(rng, n, double_frac=0.3)
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(ids, 2)
+        g.add_edge(u, v, 2 if rng.random() < 0.25 else 1)
+    return g, hub, ids
+
+
+def test_flower_matches_a_networkx_oracle_on_random_regions():
+    """``flower_in_forest`` raises exactly when the region minus the hub's
+    doubled neighbors is not a simple forest; on every region it accepts,
+    the petals are disjoint, the cover is as large as the packing, holds
+    the doubled neighbors and meets every anchor-to-anchor path."""
+    rng = random.Random(1313)
+    outcomes = set()
+    for _ in range(600):
+        g, hub, ids = random_region_with_hub(rng, rng.randint(2, 10))
+        doubles = {u for u in ids if g.multiplicity(hub, u) >= 2}
+        rest = nx_multigraph(g, [u for u in ids if u not in doubles])
+        forest = len(rest) == 0 or nx.is_forest(rest)
+        region = nx_multigraph(g, ids)
+        cyclic = not nx.is_forest(region)
+        outcomes.add((forest, cyclic))
+        if not forest:
+            with pytest.raises(ValueError):
+                flower_in_forest(g, hub, ids)
+            continue
+        fl = flower_in_forest(g, hub, ids)
+        seen: set[int] = set()
+        for petal in fl.petals:
+            assert seen.isdisjoint(petal)
+            seen.update(petal)
+        cov = set(fl.cover)
+        assert len(fl.cover) == len(cov) == fl.order
+        assert doubles <= cov
+        anchors = [u for u in ids if g.multiplicity(hub, u) == 1]
+        simple = nx.Graph(region)
+        for a, b in itertools.combinations(anchors, 2):
+            for path in nx.all_simple_paths(simple, a, b):
+                assert cov.intersection(path), (a, b, path, cov)
+    # rejected, accepted acyclic, and accepted with a cycle only through
+    # a doubled neighbor all occurred
+    assert outcomes == {(False, True), (True, False), (True, True)}
 
 
 # ---------------------------------------------------------------------------

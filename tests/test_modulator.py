@@ -15,8 +15,8 @@ from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 from pitvd.rules import RULES
 
-from conftest import (compute_modulator, minimum_deletion, random_multigraph,
-                      tree_and_cyclic)
+from conftest import (compute_modulator, minimum_deletion, nx_multigraph,
+                      random_multigraph, tree_and_cyclic)
 
 TENT = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]
 
@@ -59,7 +59,7 @@ def test_middle_of_three_hangers_is_bad():
     assert m.good_hooks == frozenset({3, 7})
     assert m.bad_hooks == frozenset({5})
     (c,) = m.hangers[5]
-    assert g.is_tree(c)
+    assert nx.is_tree(nx_multigraph(g, c))
 
 
 def test_two_hangers_both_good():
@@ -199,9 +199,9 @@ def test_strata_partition_random_multigraphs(seed):
     assert ok
     for comp in h.components():
         if comp[0] in m.v2:
-            assert h.is_tree(comp)
+            assert nx.is_tree(nx_multigraph(h, comp))
         else:
-            assert not h.is_forest(comp)
+            assert not nx.is_forest(nx_multigraph(h, comp))
 
 
 def test_classify_reads_the_leftover_in_place(monkeypatch):
@@ -314,25 +314,31 @@ def test_base_set_rules_reuse_the_paths_and_flowers(monkeypatch):
     assert len(flowers) == len(s)
 
 
-def test_classify_proves_the_tree_side_a_forest_once(monkeypatch):
-    """The flowers at every base vertex share one forest check of V2."""
-    checks = []
-    orig = MultiGraph.is_forest
+def test_classify_reads_g_minus_s_from_one_bitmask_view(monkeypatch):
+    """G - S is compacted once: its components, tree tests and triangle
+    checks all read that view.  Only the clique path of each cyclic
+    component compacts that component again, and no component search runs
+    on the multigraph."""
+    calls = []
+    for name in ("components", "compact"):
+        orig = getattr(MultiGraph, name)
 
-    def counted(self, vs=None):
-        checks.append(vs)
-        return orig(self, vs)
+        def counted(self, *args, name=name, orig=orig):
+            calls.append(name)
+            return orig(self, *args)
 
-    monkeypatch.setattr(MultiGraph, "is_forest", counted)
-    # four hubs, each closing cycles through one shared tree
+        monkeypatch.setattr(MultiGraph, name, counted)
+    # two hubs over one shared tree, plus a triangle and a 4-vertex strip
     tree = [(10, 11), (11, 12), (12, 13), (13, 14), (12, 15), (15, 16)]
-    hubs = [0, 1, 2, 3]
-    g = MultiGraph.from_edges(tree + [(h, u) for h in hubs
-                                      for u in (10 + h, 14, 16)])
+    hubs = [0, 1]
+    g = MultiGraph.from_edges(
+        tree + [(h, u) for h in hubs for u in (10 + h, 14, 16)]
+        + [(20, 21), (21, 22), (20, 22), (0, 20)]
+        + [(30, 31), (31, 32), (30, 32), (31, 33), (32, 33), (1, 33)])
     mod = classify_tree_side(g, hubs)
-    assert set(mod.flowers) == set(hubs)
-    assert any(fl.order for fl in mod.flowers.values())
-    assert len(checks) == 1
+    assert len(mod.paths) == 2 and any(fl.order for fl in mod.flowers.values())
+    assert calls.count("components") == 0
+    assert calls.count("compact") == 1 + len(mod.paths)
 
 
 @pytest.mark.parametrize("edges", [

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
-from conftest import (degree2_paths_reference, random_multigraph,
-                      random_near_tree)
+from conftest import (degree2_paths_reference, nx_multigraph,
+                      random_multigraph, random_near_tree)
 from hypothesis import given, strategies as st
 
 from pitvd.multigraph import MultiGraph
@@ -25,6 +26,16 @@ def test_add_and_query_edges():
     assert len(g.neighbors(1)) == 2
     assert g.edge_count == 4
     assert len(list(g.edges())) == 2
+
+
+def test_edge_count_matches_the_edge_list():
+    rng = random.Random(77)
+    for trial in range(100):
+        g = random_multigraph(rng, rng.randint(0, 12),
+                              rng.choice((0.2, 0.5)), 0.3)
+        if trial % 2 and g.n > 1:
+            g.add_edge(0, 1, 3)
+        assert g.edge_count == sum(m for *_, m in g.edges())
 
 
 def test_from_edges_accumulates_duplicates():
@@ -101,20 +112,6 @@ def test_components_and_induced():
     assert sub.add_vertex() == 6
 
 
-def test_is_tree_and_forest():
-    path = build([(0, 1), (1, 2)])
-    assert path.is_tree()
-    assert path.is_forest()
-    cyc = build([(0, 1), (1, 2), (0, 2)])
-    assert not cyc.is_tree()
-    double = build([(0, 1, 2)])
-    assert not double.is_tree()  # parallel edges mean not simple
-    two_comp = build([(0, 1), (2, 3)])
-    assert not two_comp.is_tree()
-    assert two_comp.is_forest()
-    assert two_comp.is_tree([0, 1])
-
-
 def test_subset_queries_match_induced_copy():
     rng = random.Random(2024)
     outcomes = set()
@@ -128,19 +125,17 @@ def test_subset_queries_match_induced_copy():
         sub = g.induced(vs)
         for arg in (vs, set(vs), frozenset(vs)):
             assert g.components(arg) == sub.components()
-            assert g.is_tree(arg) == sub.is_tree()
-            assert g.is_forest(arg) == sub.is_forest()
         for v in vs:
             assert g.component_of(v, vs) == sub.component_of(v)
         assert g.components(g.vertices) == g.components()
-        outcomes.add((sub.is_tree(), sub.is_forest()))
-    # both answers of both predicates occurred
-    assert outcomes == {(True, True), (False, True), (False, False)}
+        outcomes.add(len(sub.components()))
+    # empty, connected and disconnected subsets all occurred
+    assert {0, 1, 2} <= outcomes
 
 
 def test_subset_queries_reject_missing_vertices():
     g = build([(0, 1)])
-    for query in (g.components, g.is_tree, g.is_forest):
+    for query in (g.components, g.double_edges, g.compact):
         with pytest.raises(KeyError):
             query([0, 7])
 
@@ -167,8 +162,7 @@ def test_subset_queries_copy_the_subset_at_most_once(monkeypatch):
     g = build(triangles, vertices=range(300, 700))
     for query, expected in ((lambda: len(g.components()), 500),
                             (lambda: len(g.components(g.vertices)), 500),
-                            (lambda: g.is_forest(), False),
-                            (lambda: g.is_forest(range(300, 700)), True)):
+                            (lambda: len(g.components(range(300, 700))), 400)):
         CountingSet.built = 0
         assert query() == expected
         assert CountingSet.built <= 2
@@ -199,7 +193,7 @@ def test_hanging_trees_contract():
         for i, (w, u, tree) in enumerate(hung):
             assert u in tree and set(tree) <= set(stripped[:i + 1])
             assert w in members and w not in stripped[:i + 1]
-            assert g.is_tree(tree)
+            assert nx.is_tree(nx_multigraph(g, tree))
             out = [(a, b) for a in tree for b in g.neighbors(a)
                    if b in members and b not in tree]
             assert out == [(u, w)] and g.multiplicity(u, w) == 1
@@ -210,7 +204,7 @@ def test_hanging_trees_contract():
         if not keep:
             for comp in g.components(members):
                 rest = left.intersection(comp)
-                assert (len(rest) == 1) == g.is_tree(comp)
+                assert (len(rest) == 1) == nx.is_tree(nx_multigraph(g, comp))
                 outcomes.add(len(rest) == 1)
         outcomes.add(bool(hung))
     assert outcomes == {True, False}
