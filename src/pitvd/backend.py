@@ -159,12 +159,22 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
     ``find_all`` false, returns at most one entry: the first net, or the
     first tent when there is no net.  One scan serves both; it stops
     looking for tents once it has one.
+
+    Each edge ab of the central triangle of a net or a tent has a private
+    neighbour on each side, one in N(a) - N[b] and one in N(b) - N[a]
+    (x and y of a net, z and y of a tent).  A pair (a, b) without them is
+    skipped before its triangles are walked; it would emit nothing, so
+    the output and its order are those of the unpruned scan.
     """
     out = []
     tent = None
     for a in bits(mask):
         for b in bits(adj[a] & mask):
             if b <= a:
+                continue
+            ab = (1 << a) | (1 << b)
+            if not (adj[a] & ~adj[b] & mask & ~ab
+                    and adj[b] & ~adj[a] & mask & ~ab):
                 continue
             for c in bits(adj[a] & adj[b] & mask):
                 if c <= b:
@@ -190,11 +200,11 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
     return out if find_all else [tent] if tent else []
 
 
-def _cycle_dfs(adj, s, above, path, pmask, blocked, out, find_all) -> bool:
+def _cycle_dfs(adj, s, rest, path, pmask, blocked, out, find_all) -> bool:
     t = len(path) - 1
     last = path[-1]
     if t >= 2:
-        closers = adj[last] & adj[s] & above & ~pmask
+        closers = adj[last] & adj[s] & rest & ~pmask
         for i in range(1, t):
             closers &= ~adj[path[i]]
         for w in bits(closers):
@@ -204,28 +214,34 @@ def _cycle_dfs(adj, s, above, path, pmask, blocked, out, find_all) -> bool:
                     return True
     if t >= 4:
         return False
-    ext = adj[last] & above & ~blocked if t else adj[last] & above
+    ext = adj[last] & rest & ~blocked if t else adj[last] & rest
     for w in bits(ext):
-        if _cycle_dfs(adj, s, above, path + (w,), pmask | (1 << w),
+        if _cycle_dfs(adj, s, rest, path + (w,), pmask | (1 << w),
                       blocked | adj[last] | (1 << w), out, find_all):
             return True
     return False
 
 
-def small_cycles(adj: list[int], mask: int, find_all: bool) -> list:
-    """Induced cycles on 4..6 vertices, as vertex tuples in cycle order.
+def small_cycles(adj: list[int], mask: int, anchors: int,
+                 find_all: bool) -> list:
+    """Induced cycles on 4..6 vertices that meet ``anchors``, as vertex
+    tuples in cycle order.
 
-    Canonical form: the cycle starts at its minimum vertex and runs toward
-    the smaller of its two neighbors on the cycle; each cycle appears once.
-    DFS over induced paths s, p1, ..., pt with every pi > s, closing back
-    to s; interior path vertices are kept out of N[s] so only true induced
-    cycles survive.
+    Canonical form: the cycle starts at its first anchor (the lowest one
+    on it) and runs toward the smaller of its two neighbors on the cycle;
+    each cycle appears once.  The anchors in ``mask`` are tried in
+    ascending order; from anchor s, a DFS over induced paths s, p1, ..., pt
+    in ``mask`` minus s and the earlier anchors closes back to s, and
+    interior path vertices are kept out of N[s] so only true induced
+    cycles survive.  With ``anchors == mask`` every short hole is listed,
+    each from its minimum vertex.
     """
     out = []
-    for s in bits(mask):
-        above = mask & ~((1 << (s + 1)) - 1)
-        if _cycle_dfs(adj, s, above, (s,), 1 << s, adj[s] | (1 << s), out,
-                      find_all):
+    done = 0
+    for s in bits(anchors & mask):
+        done |= 1 << s
+        if _cycle_dfs(adj, s, mask & ~done, (s,), 1 << s, adj[s] | (1 << s),
+                      out, find_all):
             return out
     return out
 

@@ -4,9 +4,11 @@ The kernel pipeline works relative to a *base set* S: a vertex set whose
 removal leaves a simple graph where every component is a proper interval
 graph or a tree.  S is assembled from two halves: the union of a
 sunflower-reduced family of small obstructions (parallel pairs, short
-holes, nets, tents) and a bootstrap solution found by the exact search.
-When the exact search certifies that no solution within the budget
-exists, the whole instance is already decided.
+holes, nets, tents) and a bootstrap solution B found by the exact search,
+or by the greedy fallback when the search outgrows its budget.  G - B is
+clean, so every small obstruction meets B, and the short holes are
+searched only through B.  When the exact search certifies that no
+solution within the budget exists, the whole instance is already decided.
 
 Relative to S, the leftover graph splits into
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Collection
 
 from . import backend
 from .cliques import CliquePath, clique_path
@@ -49,16 +52,19 @@ from .recognition import is_pitg, obstruction_sets
 SMALL_OBSTRUCTION_ARITY = 6
 
 
-def small_obstruction_family(g: MultiGraph) -> list[frozenset[int]]:
-    """Vertex sets of all obstructions on at most six vertices.
+def small_obstruction_family(g: MultiGraph,
+                             anchors: Collection[int]) -> list[frozenset[int]]:
+    """Vertex sets of all obstructions on at most six vertices, given a
+    deletion set ``anchors`` that meets every one of them.
 
     Parallel edges contribute their endpoint pairs; the rest (holes of
     length 4-6, nets, tents) come from the witness scan of the underlying
-    simple graph.  Larger holes and claw-plus-triangle components are
-    deliberately absent: the structural rules handle those.
+    simple graph, whose hole search starts only at the anchors.  Larger
+    holes and claw-plus-triangle components are deliberately absent: the
+    structural rules handle those.
     """
     fam = [frozenset(e) for e in g.double_edges()]
-    fam.extend(vs for _, vs in obstruction_sets(g))
+    fam.extend(vs for _, vs in obstruction_sets(g, anchors))
     return fam
 
 
@@ -100,7 +106,7 @@ def compute_base_set(g: MultiGraph, k: int,
         if boot is None:  # decided no: the obstructions need no enumeration
             return None, False
     s: set[int] = set(boot)
-    for petal in sunflower_reduce(small_obstruction_family(g), k):
+    for petal in sunflower_reduce(small_obstruction_family(g, boot), k):
         s |= petal
     if not fallback:
         arity = SMALL_OBSTRUCTION_ARITY

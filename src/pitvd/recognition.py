@@ -30,6 +30,13 @@ proper interval graph.  The witness search on a failed component shares
 sweep in reverse as an elimination order, and only a non-chordal
 component is searched for holes.  The net, tent, short-hole and claw
 scans stay independent of the sweeps.
+
+``obstruction_sets`` lists the small obstructions for the base set.  It
+searches short holes only through a given vertex set that meets every
+obstruction (a deletion set), since a hole that misses it would survive
+its deletion.  The net and tent scan reads the whole graph, but walks
+the triangles only of the edges ab where a and b each have a neighbour
+the other lacks.
 """
 
 from __future__ import annotations
@@ -134,7 +141,7 @@ def witness(adjm: list[int], comp: int) -> Obstruction | None:
         return Obstruction(kind, t)
     fail = bk.chordal_fail(adjm, comp)
     if fail is not None:  # only a non-chordal component has a hole
-        short = bk.small_cycles(adjm, comp, False)
+        short = bk.small_cycles(adjm, comp, comp, False)
         if short:
             return Obstruction("hole", short[0])
         hole = find_hole(adjm, comp, seed=fail)
@@ -199,17 +206,26 @@ def component_clean(g: MultiGraph, comp: list[int]) -> bool:
     return _tree_or_pig(adjm, (1 << len(ids)) - 1)
 
 
-def obstruction_sets(g: MultiGraph) -> list[tuple[str, frozenset[int]]]:
-    """All nets, tents and short holes (4-6) of the underlying simple graph.
+def obstruction_sets(g: MultiGraph, anchors: Collection[int]
+                     ) -> list[tuple[str, frozenset[int]]]:
+    """All nets, tents and short holes (4-6) of the underlying simple graph,
+    given vertex ids ``anchors`` that meet every one of them.
 
     Returned as (kind, vertex-id set) pairs in deterministic order; the
-    modulator construction feeds these to the set-family reductions.
+    modulator construction feeds these to the set-family reductions.  The
+    net and tent scan reads the whole graph, while the short holes are
+    searched only from the anchors (``backend.small_cycles``), so a hole
+    that misses them is not listed.  Any deletion set leaves no
+    obstruction behind, so it is a valid ``anchors``.
     """
-    ids, _, adjm = g.compact()
+    ids, index, adjm = g.compact()
     full = (1 << len(ids)) - 1
+    roots = 0
+    for v in anchors:
+        roots |= 1 << index[v]
     out: list[tuple[str, frozenset[int]]] = []
     for kind, t in bk.net_tent_witnesses(adjm, full, True):
         out.append((kind, frozenset(ids[p] for p in t)))
-    for cyc in bk.small_cycles(adjm, full, True):
+    for cyc in bk.small_cycles(adjm, full, roots, True):
         out.append(("hole", frozenset(ids[p] for p in cyc)))
     return out

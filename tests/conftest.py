@@ -15,7 +15,9 @@ import networkx as nx
 from pitvd import backend
 from pitvd import recognition as rec
 from pitvd.exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
-from pitvd.modulator import classify_tree_side, compute_base_set
+from pitvd.combinatorics import sunflower_reduce
+from pitvd.modulator import (classify_tree_side, compute_base_set,
+                             greedy_modulator, small_obstruction_family)
 from pitvd.multigraph import Deg2Path, MultiGraph
 
 
@@ -223,7 +225,7 @@ def witness_in_searched_order(adjm, comp):
         for got, t in wits:
             if got == want:
                 return rec.Obstruction(want, t)
-    short = backend.small_cycles(adjm, comp, False)
+    short = backend.small_cycles(adjm, comp, comp, False)
     if short:
         return rec.Obstruction("hole", short[0])
     fail = backend.chordal_fail(adjm, comp)
@@ -234,6 +236,34 @@ def witness_in_searched_order(adjm, comp):
     if claw is None or tri is None:
         return None
     return rec.Obstruction("claw+triangle", claw + tri)
+
+
+def net_tent_witnesses_unpruned(adj, mask, find_all):
+    """``backend.net_tent_witnesses`` as it scanned before it skipped the
+    triangle edges without a private neighbour on each side: every
+    triangle a < b < c is walked."""
+    out = []
+    tent = None
+    for a, b, c in brute_triangles(adj, mask):
+        tri = (a, b, c)
+        outside = mask & ~((1 << a) | (1 << b) | (1 << c))
+        na, nb, nc = adj[a] & outside, adj[b] & outside, adj[c] & outside
+        for xyz in backend._independent_triples(adj, na & ~nb & ~nc,
+                                                nb & ~na & ~nc,
+                                                nc & ~na & ~nb):
+            if not find_all:
+                return [("net", tri + xyz)]
+            out.append(("net", tri + xyz))
+        if tent is not None:
+            continue
+        for xyz in backend._independent_triples(adj, na & nb & ~nc,
+                                                nb & nc & ~na,
+                                                nc & na & ~nb):
+            if not find_all:
+                tent = ("tent", tri + xyz)
+                break
+            out.append(("tent", tri + xyz))
+    return out if find_all else [tent] if tent else []
 
 
 def degree2_paths_reference(g: MultiGraph) -> list[Deg2Path]:
@@ -434,6 +464,26 @@ def compute_modulator(g: MultiGraph, k: int,
     return None if s is None else classify_tree_side(g, s)
 
 
+def base_set_from_whole_family(g: MultiGraph, k: int,
+                               node_limit: int = DEFAULT_NODE_LIMIT):
+    """``compute_base_set`` as it was before the short holes were searched
+    only through the bootstrap solution: the same bootstrap, joined with
+    the sunflower-reduced family of every small obstruction of the whole
+    graph.  Returns ``(S, used_fallback)`` or ``(None, False)``."""
+    try:
+        boot = decide(g, k, node_limit)
+    except SearchLimitExceeded:
+        boot, fallback = sorted(greedy_modulator(g)), True
+    else:
+        if boot is None:
+            return None, False
+        fallback = False
+    s = set(boot)
+    for petal in sunflower_reduce(small_obstruction_family(g, g.vertices), k):
+        s |= petal
+    return s, fallback
+
+
 def pendant_trees_by_copy(g: MultiGraph, x: int) -> list[list[int]]:
     """The pendant trees at x, read off an induced copy of the component
     of x minus x: the per-vertex form that ``rules.pendant_trees``, one
@@ -586,3 +636,77 @@ def unit_interval_graph(rng, n, spread):
             if centers[j] - centers[i] <= 1.0:
                 g.add_edge(ids[i], ids[j])
     return g
+
+
+# ---------------------------------------------------------------------------
+# the shapes of the benchmark corpora (see kbench/corpus.py)
+# ---------------------------------------------------------------------------
+
+def _add_unit_interval(g: MultiGraph, centres) -> list[int]:
+    """Add a unit interval graph on the sorted ``centres`` to ``g``."""
+    vs = [g.add_vertex() for _ in centres]
+    for i, j in itertools.combinations(range(len(vs)), 2):
+        if centres[j] - centres[i] <= 1.0:
+            g.add_edge(vs[i], vs[j])
+    return vs
+
+
+def _add_tree(rng, g: MultiGraph, size: int) -> list[int]:
+    """Add a random recursive tree on ``size`` vertices to ``g``."""
+    vs = [g.add_vertex() for _ in range(size)]
+    for i in range(1, size):
+        g.add_edge(vs[rng.randrange(i)], vs[i])
+    return vs
+
+
+def planted_interval_graph(rng) -> tuple[MultiGraph, int]:
+    """A ``planted-interval`` instance: a vertex joined to the 8th and 22nd
+    vertices of a 28-vertex unit-interval body (cliques of about eight),
+    beside a random tree and a small unit-interval component.  Deleting
+    the planted vertex solves it, with k = 1."""
+    g = MultiGraph()
+    x = g.add_vertex()
+    body = _add_unit_interval(g, sorted(0.12 * i + rng.uniform(-0.05, 0.05)
+                                        for i in range(28)))
+    g.add_edge(x, body[7])
+    g.add_edge(x, body[21])
+    _add_tree(rng, g, rng.randint(10, 20))
+    _add_unit_interval(g, sorted(rng.uniform(0.0, 3.0) for _ in range(10)))
+    return g, 1
+
+
+def planted_tree_graph(rng) -> tuple[MultiGraph, int]:
+    """A ``planted-tree`` instance: two random trees grown from 5-edge
+    spines, each closed into a hole by a planted vertex that also joins a
+    unit-interval component of 3-4 vertices.  Deleting the two planted
+    vertices solves it, with k = 2."""
+    g = MultiGraph()
+    for _ in range(2):
+        spine = [g.add_vertex() for _ in range(6)]
+        for u, w in zip(spine, spine[1:]):
+            g.add_edge(u, w)
+        grown = list(spine)
+        for _ in range(22 - len(spine)):
+            v = g.add_vertex()
+            g.add_edge(rng.choice(grown), v)
+            grown.append(v)
+        centres, c = [], 0.0
+        for _ in range(rng.randint(3, 4)):
+            centres.append(c)
+            c += rng.uniform(0.3, 0.45)
+        small = _add_unit_interval(g, centres)
+        x = g.add_vertex()
+        g.add_edge(x, spine[0])
+        g.add_edge(x, spine[-1])
+        g.add_edge(x, rng.choice(small))
+    return g, 2
+
+
+def rule14_adj(clique: int) -> list[int]:
+    """Bitmask form of the rule-14 shape: a hub (position 0) over every
+    other vertex of a clique on positions 1..clique, with a pendant vertex
+    at the hub."""
+    edges = list(itertools.combinations(range(1, clique + 1), 2))
+    edges += [(0, v) for v in range(1, clique + 1, 2)]
+    edges.append((0, clique + 1))
+    return adj_from_edges(clique + 2, edges)

@@ -23,12 +23,14 @@ from conftest import (
     brute_triangles,
     component_ok,
     mask_of,
+    net_tent_witnesses_unpruned,
     nx_from_adj,
     pig_order_bruteforce,
     plant_cycle,
     random_adj,
     random_clique_tree_adj,
     random_interval_adj,
+    rule14_adj,
 )
 
 N_SMALL = 5
@@ -69,21 +71,29 @@ def check_chordal(adj, mask):
         assert not (adj[x] >> y) & 1
 
 
-def check_small_cycles(adj, mask):
-    got = P.small_cycles(adj, mask, True)
-    # every reported tuple is an induced cycle in the stated order
-    for cyc in got:
-        k = len(cyc)
-        assert 4 <= k <= 6
-        assert cyc[0] == min(cyc)
-        assert cyc[1] < cyc[-1]
-        for i, u in enumerate(cyc):
-            for j in range(i + 1, k):
-                adjacent = bool((adj[u] >> cyc[j]) & 1)
-                consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-                assert adjacent == consecutive
-    assert len({frozenset(c) for c in got}) == len(got)
-    assert {frozenset(c) for c in got} == brute_induced_cycles(adj, mask)
+def check_small_cycles(adj, mask, anchors):
+    """``small_cycles`` rooted at every vertex of ``mask`` and rooted at
+    ``anchors``: exactly the induced 4-6 cycles that meet the roots, each
+    once, starting at its first root and listed in the pre-order of the
+    DFS (by the path without its closing vertex, then by that vertex)."""
+    want = brute_induced_cycles(adj, mask)
+    for roots in (mask, anchors):
+        got = P.small_cycles(adj, mask, roots, True)
+        # every reported tuple is an induced cycle in the stated order
+        for cyc in got:
+            k = len(cyc)
+            assert 4 <= k <= 6
+            assert cyc[0] == min(v for v in cyc if (roots >> v) & 1)
+            assert cyc[1] < cyc[-1]
+            for i, u in enumerate(cyc):
+                for j in range(i + 1, k):
+                    adjacent = bool((adj[u] >> cyc[j]) & 1)
+                    consecutive = (j - i == 1) or (i == 0 and j == k - 1)
+                    assert adjacent == consecutive
+        assert got == sorted(got, key=lambda c: (c[:-1], c[-1]))
+        assert len({frozenset(c) for c in got}) == len(got)
+        assert {frozenset(c) for c in got} == {
+            c for c in want if any((roots >> v) & 1 for v in c)}
 
 
 def check_component_ok(adj, mask):
@@ -100,13 +110,14 @@ def test_exhaustive_small_graphs():
     Includes the characterization check: a connected component is accepted
     exactly when it is a tree or admits an umbrella ordering.
     """
+    rng = random.Random(5)
     for n in range(N_SMALL + 1):
         full = mask_of(n)
         for adj in all_graphs(n):
             check_triangle(adj, full)
             check_claw(adj, full)
             check_chordal(adj, full)
-            check_small_cycles(adj, full)
+            check_small_cycles(adj, full, rng.getrandbits(n) if n else 0)
             check_component_ok(adj, full)
 
 
@@ -119,7 +130,7 @@ def test_random_medium_graphs_against_oracles():
         check_triangle(adj, full)
         check_claw(adj, full)
         check_chordal(adj, full)
-        check_small_cycles(adj, full)
+        check_small_cycles(adj, full, rng.getrandbits(n))
         check_component_ok(adj, full)
         got = {(kind, frozenset(t)) for kind, t in
                P.net_tent_witnesses(adj, full, True)}
@@ -166,6 +177,57 @@ def test_net_tent_first_witness_is_first_net_else_first_tent():
         assert P.net_tent_witnesses(adj, mask, False) == want
         seen.add(tuple(sorted({kind for kind, _ in every})))
     assert {("net",), ("tent",), ("net", "tent"), ()} <= seen
+
+
+def test_net_tent_pruning_keeps_the_unpruned_output():
+    """Skipping the triangle edges without a private neighbour on each
+    side changes neither the list nor its order, with or without
+    ``find_all``: on random graphs, on unit-interval bodies with pendant
+    vertices, and on the rule-14 shape of a hub over half a big clique."""
+    rng = random.Random(1414)
+    cases = []
+    for _ in range(400):
+        n = rng.randint(6, 12)
+        adj = random_adj(rng, n, rng.choice([0.3, 0.45, 0.6, 0.8]))
+        mask = mask_of(n) & (rng.getrandbits(n) if rng.random() < 0.3 else -1)
+        cases.append((adj, mask))
+    for _ in range(20):
+        centres = sorted(0.12 * i + rng.uniform(-0.05, 0.05)
+                         for i in range(rng.randint(10, 28)))
+        body = len(centres)
+        edges = [(i, j) for i, j in itertools.combinations(range(body), 2)
+                 if centres[j] - centres[i] <= 1.0]
+        hang = rng.randint(0, 6)
+        edges += [(body + i, rng.randrange(body)) for i in range(hang)]
+        cases.append((adj_from_edges(body + hang, edges), mask_of(body + hang)))
+    cases += [(rule14_adj(size), mask_of(size + 2)) for size in (55, 60)]
+    kinds = set()
+    for adj, mask in cases:
+        every = P.net_tent_witnesses(adj, mask, True)
+        assert every == net_tent_witnesses_unpruned(adj, mask, True)
+        assert (P.net_tent_witnesses(adj, mask, False)
+                == net_tent_witnesses_unpruned(adj, mask, False))
+        kinds.update(kind for kind, _ in every)
+    assert kinds == {"net", "tent"}
+
+
+def test_net_tent_scan_skips_the_clique_edges_of_the_rule14_shape(
+        monkeypatch):
+    """On a hub over every other vertex of a 56-clique, only the edges at
+    the hub have a private neighbour on each side, so the full scan asks
+    for independent triples at most n^2 times, not once per triangle."""
+    adj = rule14_adj(56)
+    n = len(adj)
+    triples = P._independent_triples
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return triples(*args)
+
+    monkeypatch.setattr(P, "_independent_triples", counted)
+    assert P.net_tent_witnesses(adj, mask_of(n), True) == []
+    assert 0 < len(calls) <= n * n
 
 
 def test_umbrella_ok_basic():

@@ -6,17 +6,20 @@ import sys
 import networkx as nx
 import pytest
 
-from pitvd import recognition
+from pitvd import backend, recognition
+from pitvd.cli import random_instance
 from pitvd.cliques import clique_path
 from pitvd.combinatorics import flower_in_forest
+from pitvd.exact import DEFAULT_NODE_LIMIT, decide
 from pitvd.modulator import (classify_tree_side, compute_base_set,
                              small_obstruction_family)
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 from pitvd.rules import RULES
 
-from conftest import (compute_modulator, minimum_deletion, nx_multigraph,
-                      random_multigraph, tree_and_cyclic)
+from conftest import (base_set_from_whole_family, compute_modulator,
+                      minimum_deletion, nx_multigraph, planted_interval_graph,
+                      planted_tree_graph, random_multigraph, tree_and_cyclic)
 
 TENT = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]
 
@@ -263,9 +266,50 @@ def test_base_set_fallback_on_tiny_node_limit():
 
 def test_small_obstruction_family_contents():
     g = MultiGraph.from_edges([(0, 1, 2), (1, 2), (2, 3), (3, 4), (4, 1)])
-    fam = small_obstruction_family(g)
+    fam = small_obstruction_family(g, [1])
     assert frozenset({0, 1}) in fam      # parallel pair
     assert frozenset({1, 2, 3, 4}) in fam  # 4-hole
+
+
+def test_short_holes_are_searched_from_the_bootstrap_only(monkeypatch):
+    """On a planted-interval instance the hole DFS starts once per vertex
+    of the bootstrap solution, not once per vertex of the graph."""
+    g, k = planted_interval_graph(random.Random(52))
+    boot = decide(g, k)
+    dfs = backend._cycle_dfs
+    starts = []
+
+    def counted(adj, s, rest, path, *args):
+        if len(path) == 1:
+            starts.append(s)
+        return dfs(adj, s, rest, path, *args)
+
+    monkeypatch.setattr(backend, "_cycle_dfs", counted)
+    fam = small_obstruction_family(g, boot)
+    assert len(starts) == len(boot) == 1 and g.n > 50
+    assert any(len(vs) == 4 for vs in fam)  # the planted vertex's holes
+
+
+@pytest.mark.parametrize("shape", ["planted-interval", "planted-tree",
+                                   "random"])
+def test_base_set_matches_the_whole_graph_family(shape):
+    """Searching the short holes only through the bootstrap solution gives
+    the base set of the whole-graph family, after the exact search and
+    after the greedy fallback alike."""
+    rng = random.Random(f"base-set/{shape}")
+    sources = set()
+    for _ in range(6 if shape.startswith("planted") else 60):
+        if shape == "planted-interval":
+            g, k = planted_interval_graph(rng)
+        elif shape == "planted-tree":
+            g, k = planted_tree_graph(rng)
+        else:
+            g, k = random_instance(rng, 12, 4)
+        for limit in (DEFAULT_NODE_LIMIT, 1):
+            got = compute_base_set(g, k, limit)
+            assert got == base_set_from_whole_family(g, k, limit)
+            sources.add(got[1])
+    assert sources == {False, True}
 
 
 def test_classify_rejects_unclean_leftover():

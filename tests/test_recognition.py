@@ -6,6 +6,7 @@ import pytest
 
 from pitvd import backend as bk
 from pitvd import recognition as R
+from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
 from pitvd.mutation import killer_instances
 
@@ -299,6 +300,9 @@ def test_component_clean():
 
 
 def test_obstruction_sets_against_brute():
+    """Every net and tent of the graph, and exactly the short holes that
+    meet the anchors: all of them when the anchors are every vertex or a
+    deletion set, and a random subset's share otherwise."""
     from conftest import brute_induced_cycles, brute_net_tent_sets
 
     rng = random.Random(17)
@@ -307,14 +311,21 @@ def test_obstruction_sets_against_brute():
                               double_frac=0.1)
         ids, index, adjm = g.compact()
         full = (1 << len(ids)) - 1
-        got = R.obstruction_sets(g)
-        got_nt = {(k, s) for k, s in got if k in ("net", "tent")}
-        got_holes = {s for k, s in got if k == "hole"}
         to_pos = lambda s: frozenset(index[v] for v in s)
-        assert {(k, to_pos(s)) for k, s in got_nt} == \
-            brute_net_tent_sets(adjm, full)
-        assert {to_pos(s) for s in got_holes} == \
-            brute_induced_cycles(adjm, full)
+        nets_tents = brute_net_tent_sets(adjm, full)
+        holes = brute_induced_cycles(adjm, full)
+        solution = decide(g, g.n)
+        for anchors in (g.vertices, solution,
+                        [v for v in g.vertices if rng.random() < 0.4]):
+            got = R.obstruction_sets(g, anchors)
+            got_nt = {(k, to_pos(s)) for k, s in got if k in ("net", "tent")}
+            got_holes = [to_pos(s) for k, s in got if k == "hole"]
+            assert got_nt == nets_tents
+            assert len(set(got_holes)) == len(got_holes)
+            assert set(got_holes) == {h for h in holes
+                                      if h & to_pos(anchors)}
+        assert set(R.obstruction_sets(g, solution)) == \
+            set(R.obstruction_sets(g, g.vertices))
 
 
 def test_pig_order_positions_and_multiplicity_blind():
