@@ -21,11 +21,17 @@ kind               vertices
 Every obstruction except the last must lose a vertex in any valid deletion
 set; the pair only certifies that the component as a whole is bad.
 
-Proper interval components are recognized by three lexicographic BFS
-sweeps (the second and third tie-break toward the vertex placed latest in
-the previous sweep) followed by an umbrella-ordering verification of the
-final sweep; a component passes the verification exactly when it is a
-proper interval graph.  The witness search on a failed component shares
+A component that is not a tree first gets one linear scan that tries,
+at each vertex of degree >= 3, one greedy independent triple of its
+neighbours; such a triple is an induced claw, which no proper interval
+graph has (Roberts 1969), so most bad components are rejected there.
+The rest are recognized by three lexicographic BFS sweeps (the second
+and third tie-break toward the vertex placed latest in the previous
+sweep) followed by an umbrella-ordering verification of the final sweep;
+a component passes the verification exactly when it is a proper
+interval graph (Corneil 2004).  The claw scan only ever answers "no"
+with an induced claw in hand, so every verdict is the sweeps' verdict.
+The witness search on a failed component shares
 ``backend.lbfs`` with the sweeps: its chordality check reads one more
 sweep in reverse as an elimination order, and only a non-chordal
 component is searched for holes.  The net, tent, short-hole and claw
@@ -157,10 +163,32 @@ def witness(adjm: list[int], comp: int) -> Obstruction | None:
 
 def _tree_or_pig(adjm: list[int], comp: int) -> bool:
     """Is the connected simple component ``comp`` a tree or a proper
-    interval graph?"""
-    if bk.count_edges(adjm, comp) == comp.bit_count() - 1:
+    interval graph?
+
+    One pass over the neighbourhoods sums the degrees for the tree test
+    and, at each vertex c of degree >= 3, tries one independent triple
+    greedily: the lowest neighbour a, the lowest neighbour b not adjacent
+    to a, then any neighbour adjacent to neither.  Such a triple is an
+    induced claw, and a proper interval graph is claw-free (Roberts 1969),
+    so a non-tree with one is rejected without a sweep.  Every other
+    non-tree, a claw the greedy try missed included, goes to
+    ``pig_order``, so the answer is exactly the sweeps' answer.
+    """
+    degrees = 0
+    claw = False
+    for c in bits(comp):
+        nb = adjm[c] & comp
+        d = nb.bit_count()
+        degrees += d
+        if d >= 3 and not claw:
+            a = nb & -nb
+            rest = nb & ~adjm[a.bit_length() - 1] & ~a
+            if rest:
+                b = rest & -rest
+                claw = bool(rest & ~adjm[b.bit_length() - 1] & ~b)
+    if degrees == 2 * (comp.bit_count() - 1):
         return True  # connected with n-1 edges: a tree
-    return pig_order(adjm, comp) is not None
+    return not claw and pig_order(adjm, comp) is not None
 
 
 def bad_components(adjm: list[int], dirty: int, mask: int,

@@ -68,10 +68,19 @@ def deletion(rule: str, vs, k_delta: int = 0, affected=None) -> RuleApplication:
 # ---------------------------------------------------------------------------
 
 def rule1_drop_clean_component(g: MultiGraph, k: int):
-    """Delete a whole component that is already simple and clean."""
-    for comp in g.components():
+    """Delete a whole component that is already simple and clean.
+
+    Components are walked by ascending minimum id, each built only when
+    it is reached, so the scan stops at the first clean one.
+    """
+    seen: set[int] = set()
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp = g.component_of(v)
         if component_clean(g, comp):
             return deletion("1", comp)
+        seen.update(comp)
     return None
 
 

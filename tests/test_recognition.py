@@ -2,23 +2,31 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from pitvd import backend as bk
 from pitvd import recognition as R
+from pitvd.audit import audit_violations
+from pitvd.driver import kernelize
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
 from pitvd.mutation import killer_instances
 
 from conftest import (
+    adj_from_edges,
     all_graphs,
+    component_ok,
     lbfs_by_lists,
     mask_of,
     pig_order_bruteforce,
     pitg_ok,
     plant_cycle,
+    planted_tree_graph,
     random_adj,
+    random_interval_adj,
     random_multigraph,
+    unit_interval_graph,
     validate_obstruction,
     witness_in_searched_order,
 )
@@ -97,6 +105,151 @@ def test_lbfs_masks_match_the_list_oracle():
                 assert order2 == lbfs_by_lists(adj, verts, prev_pos)
                 assert sorted(order2) == verts
     assert disconnected >= 100
+
+
+# -- the claw scan ahead of the sweeps ---------------------------------------
+
+def _sweep_spy(monkeypatch) -> list[bool]:
+    """Replace ``pig_order`` by a spy; the list gets one entry per call,
+    True when the call returned an order."""
+    calls: list[bool] = []
+    orig = R.pig_order
+
+    def spy(adjm, comp):
+        order = orig(adjm, comp)
+        calls.append(order is not None)
+        return order
+
+    monkeypatch.setattr(R, "pig_order", spy)
+    return calls
+
+
+def _check_scan(adj, calls, seen):
+    """``_tree_or_pig`` and ``bad_components`` agree with ``component_ok``
+    on every component of ``adj``, and a component rejected without a
+    sweep holds an induced claw.  ``seen`` counts the components rejected
+    by the scan, rejected by the sweeps, and those among the latter that
+    hold a claw the greedy scan missed."""
+    full = mask_of(len(adj))
+    comps = bk.comp_masks(adj, full)
+    for comp in comps:
+        before = len(calls)
+        ok = R._tree_or_pig(adj, comp)
+        if ok != component_ok(adj, comp):
+            raise AssertionError(f"verdict {ok} on {adj}, component {comp}")
+        if ok:
+            continue
+        claw = bk.find_claw(adj, comp)
+        if len(calls) == before:
+            if claw is None:
+                raise AssertionError(f"rejected without a claw: {adj}")
+            seen["scan"] += 1
+        else:
+            seen["sweeps"] += 1
+            seen["missed"] += claw is not None
+    want = [c for c in comps if not component_ok(adj, c)]
+    if R.bad_components(adj, 0, full, len(comps) + 1) != want:
+        raise AssertionError(f"bad components differ on {adj}")
+
+
+def test_claw_scan_agrees_with_the_oracle_on_every_small_graph(monkeypatch):
+    """Every graph on at most 7 vertices (the networkx atlas, in its own
+    labelling and relabelled at random, since the greedy scan depends on
+    the labels): the scan rejects only components with a claw, leaves
+    the rest to the sweeps, and the verdict is the oracle's."""
+    calls = _sweep_spy(monkeypatch)
+    rng = random.Random(1515)
+    seen = {"scan": 0, "sweeps": 0, "missed": 0}
+    for h in nx.graph_atlas_g()[1:]:
+        n = h.number_of_nodes()
+        perm = rng.sample(range(n), n)
+        for label in (range(n), perm):
+            adj = adj_from_edges(n, [(label[u], label[v]) for u, v in h.edges])
+            _check_scan(adj, calls, seen)
+    assert seen["scan"] and seen["sweeps"] and seen["missed"], seen
+    assert any(calls) and not all(calls)
+
+
+def _plant(adj: list[int], at: int, size: int, edges) -> None:
+    """Glue a graph on local vertices 0..size-1 to ``adj``: local 0 is
+    ``at`` and the others are new vertices."""
+    ids = [at] + list(range(len(adj), len(adj) + size - 1))
+    adj.extend([0] * (size - 1))
+    for u, v in edges:
+        adj[ids[u]] |= 1 << ids[v]
+        adj[ids[v]] |= 1 << ids[u]
+
+
+_PLANTS = {
+    "claw": (4, [(0, 1), (0, 2), (0, 3)]),
+    "net": (6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]),
+    "triangle": (3, [(0, 1), (1, 2), (2, 0)]),
+}
+
+
+def _planted_adj(rng) -> list[int]:
+    """A seeded graph of 8-40 vertices: a sparse random graph, a random
+    tree, an interval graph or a unit-interval body, with one or two
+    claws, holes, nets or triangles glued on at random vertices."""
+    n = rng.randint(6, 28)
+    base = rng.choice(("random", "tree", "interval", "unit"))
+    if base == "random":
+        adj = random_adj(rng, n, rng.uniform(0.05, 0.3))
+    elif base == "tree":
+        adj = adj_from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+    elif base == "interval":
+        adj = random_interval_adj(rng, n)
+    else:
+        adj = unit_interval_graph(rng, n, n / 4).compact()[2]
+    for _ in range(rng.randint(1, 2)):
+        at = rng.randrange(len(adj))
+        kind = rng.choice(("claw", "hole", "net", "triangle"))
+        if kind == "hole":
+            plant_cycle(adj, at, rng.randint(4, 7))
+        else:
+            _plant(adj, at, *_PLANTS[kind])
+    return adj
+
+
+def test_claw_scan_agrees_with_the_oracle_on_planted_graphs(monkeypatch):
+    """Seeded graphs of 8-40 vertices with planted claws, holes, nets and
+    triangles: the same contract as on the small graphs."""
+    calls = _sweep_spy(monkeypatch)
+    rng = random.Random(1516)
+    seen = {"scan": 0, "sweeps": 0, "missed": 0}
+    for _ in range(400):
+        adj = _planted_adj(rng)
+        assert 8 <= len(adj) <= 40
+        _check_scan(adj, calls, seen)
+    assert seen["scan"] and seen["sweeps"], seen
+    assert any(calls)
+
+
+def test_sweeps_run_only_on_components_they_accept(monkeypatch):
+    """On a ``planted-tree``-shaped instance, every ``pig_order`` call of
+    ``kernelize`` and then of ``audit_violations`` returns an order: each
+    component it would reject holds a claw the scan finds first.  The
+    star-plus-triangle component alone never reaches ``pig_order``.
+
+    The instance is ``conftest.planted_tree_graph`` (trees grown from
+    6-vertex spines, each closed into a 7-hole by a planted vertex that
+    also joins a small unit-interval component) beside a star with five
+    leaves, two of them joined into a triangle, and one more deletion."""
+    g, k = planted_tree_graph(random.Random(1517))
+    star = [g.add_vertex() for _ in range(6)]
+    for leaf in star[1:]:
+        g.add_edge(star[0], leaf)
+    g.add_edge(star[1], star[2])
+    calls = _sweep_spy(monkeypatch)
+    ker = kernelize(g, k + 1)
+    assert not ker.decided_no
+    assert audit_violations(ker.graph, ker.k) == []
+    assert calls and all(calls)
+    calls.clear()
+    assert not R.component_clean(g, star)
+    ok, obs = R.is_pitg(g, star)
+    assert not ok and obs.kind == "claw+triangle"
+    assert calls == []
 
 
 # -- is_pitg and witnesses ---------------------------------------------------

@@ -56,6 +56,47 @@ def test_rule1_leaves_dirty_components():
     assert R.rule1_drop_clean_component(hole, 2) is None
 
 
+def test_rule1_builds_only_the_components_it_reaches(monkeypatch):
+    """Rule 1 stops at its first clean component: on many isolated
+    vertices one call builds one component, and after a hole it builds
+    two."""
+    built = []
+    orig = MultiGraph.component_of
+
+    def spy(self, v, vs=None):
+        built.append(v)
+        return orig(self, v, vs)
+
+    monkeypatch.setattr(MultiGraph, "component_of", spy)
+    lone = MultiGraph.from_edges([], vertices=range(500))
+    assert R.rule1_drop_clean_component(lone, 0).ops == (("del", 0),)
+    assert built == [0]
+    built.clear()
+    g = MultiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)],
+                              vertices=range(8))
+    assert R.rule1_drop_clean_component(g, 1).ops == (("del", 4), ("del", 5))
+    assert built == [0, 4]
+
+
+def test_rule1_picks_the_first_clean_component_by_minimum_id():
+    """The component rule 1 deletes is the first clean one of
+    ``g.components()``, so the walk changes no trace."""
+    rng = random.Random(1518)
+    fired = 0
+    for _ in range(300):
+        g = random_multigraph(rng, rng.randint(1, 14), rng.uniform(0.05, 0.4),
+                              double_frac=0.1)
+        want = next((c for c in g.components()
+                     if R.component_clean(g, c)), None)
+        app = R.rule1_drop_clean_component(g, 0)
+        if want is None:
+            assert app is None
+        else:
+            assert app.ops == tuple(("del", v) for v in want)
+            fired += 1
+    assert 50 <= fired < 300
+
+
 def test_rule2_caps_first_heavy_edge():
     g = MultiGraph.from_edges([(0, 1, 3), (0, 2, 4)])
     app = R.rule2_cap_multiplicity(g, 1)
