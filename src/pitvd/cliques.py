@@ -21,7 +21,6 @@ from .multigraph import MultiGraph
 class CliquePath:
     order: tuple[int, ...]                 # umbrella order, stable ids
     cliques: tuple[tuple[int, ...], ...]   # consecutive blocks of the order
-    clique_of: dict[int, int]              # vertex id -> block index
 
 
 def clique_path(g: MultiGraph, comp: list[int]) -> CliquePath:
@@ -48,9 +47,8 @@ def clique_path(g: MultiGraph, comp: list[int]) -> CliquePath:
                 raise AssertionError("umbrella order produced a non-clique block")
         blocks.append(tuple(ids[order_pos[i]] for i in range(s, r + 1)))
         s = r + 1
-    clique_of = {v: bi for bi, blk in enumerate(blocks) for v in blk}
     return CliquePath(order=tuple(ids[p] for p in order_pos),
-                      cliques=tuple(blocks), clique_of=clique_of)
+                      cliques=tuple(blocks))
 
 
 def attachment(g: MultiGraph, flank, mid) -> list[int]:

@@ -29,7 +29,9 @@ class Dinic:
         self.cap.append(0)
         return idx
 
-    def _levels(self, s: int, t: int):
+    def _levels(self, s: int) -> list[int]:
+        """BFS depth of every node from s over arcs with spare capacity;
+        -1 marks a node the residual network does not reach."""
         level = [-1] * self.n
         level[s] = 0
         dq = deque([s])
@@ -40,7 +42,7 @@ class Dinic:
                 if self.cap[idx] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     dq.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def _push(self, s, t, level, it):
         """Push one augmenting path along the level graph; return its flow.
@@ -74,32 +76,21 @@ class Dinic:
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return total
+        while (level := self._levels(s))[t] >= 0:
             it = [0] * self.n
             while True:
                 f = self._push(s, t, level, it)
                 if not f:
                     break
                 total += f
+        return total
 
     def flow_on(self, idx: int) -> int:
         """Flow carried by the arc added as ``idx`` (its reverse capacity)."""
         return self.cap[idx ^ 1]
 
     def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for idx in self.heads[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and v not in seen:
-                    seen.add(v)
-                    dq.append(v)
-        return seen
+        return {v for v, d in enumerate(self._levels(s)) if d >= 0}
 
 
 def min_vertex_separator(g: MultiGraph, x: int, y: int) -> list[int]:

@@ -29,10 +29,13 @@ component (``paths``), the flower of each base vertex into the tree side
 with its cover Z_v (``flowers``), and the strata.  One bitmask view of
 G - S, its positions ascending with vertex id, lists the components in
 min-id order, tells the trees (n - 1 edges) from the cyclic components
-and finds a triangle in each cyclic one.  One leaf-stripping pass per
-tree (:meth:`MultiGraph.hanging_trees`, keeping the S-neighbors) leaves
-the connectors and hands over the hangers.  The flowers check that the
-tree side is a forest as they walk it.
+and finds a triangle in each cyclic one.  Two leaf-stripping passes
+(:meth:`MultiGraph.hanging_trees`) over the whole tree side, whatever
+the number of trees, give the rest: the first keeps the S-neighbors,
+leaves the connectors and hands over the hangers; the second strips the
+chains of non-critical connectors down to their hooks and so tells the
+good hooks from the bad.  The flowers check that the tree side is a
+forest as they walk it.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ class Modulator:
     v1: frozenset[int]
     v2: frozenset[int]
     f1: frozenset[int]
-    f2: frozenset[int]
     f3: frozenset[int]
     f3_critical: frozenset[int]
     good_hooks: frozenset[int]
@@ -147,7 +149,8 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     Raises ``ValueError`` if removing ``s`` does not leave a clean graph:
     a parallel edge, or a cyclic component that is not a proper interval
     graph (its clique path cannot be built).  No witness is searched for,
-    and G - S is never copied (see the module docstring).
+    G - S is never copied, and the tree side takes two leaf-stripping
+    passes however many trees it has (see the module docstring).
     """
     s = frozenset(s)
     rest = [v for v in g.vertices if v not in s]
@@ -158,84 +161,50 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     v1: set[int] = set()
     v2: set[int] = set()
     paths: list[CliquePath] = []
-    trees: list[list[int]] = []
     ids, _, adjm = g.compact(rest)
     for mask in backend.comp_masks(adjm, (1 << len(ids)) - 1):
         comp = [ids[p] for p in backend.bits(mask)]
         if backend.count_edges(adjm, mask) == len(comp) - 1:
             v2.update(comp)
-            trees.append(comp)
             continue
         paths.append(clique_path(g, comp))
         v1.update(comp)
         if backend.find_triangle(adjm, mask) is None:
             raise AssertionError("cyclic clean component without a triangle")
 
+    # Stripping the leaves outside f1 is local to each tree: a tree with
+    # two or more S-neighbors keeps the minimal subtree spanning them, one
+    # with a single S-neighbor keeps it, and one with none keeps a lone
+    # vertex.  The connectors are the survivors outside f1 that kept a
+    # neighbor.  Each stripped piece hangs by one plain edge wu; the
+    # pieces below a degree-2 connector w are its hangers, ordered by u.
     f1 = {u for u in v2 if any(w in s for w in g.neighbors(u))}
-    f2 = set(v2) - f1
-    f3: set[int] = set()
-    f3c: set[int] = set()
-    good: set[int] = set()
-    bad: set[int] = set()
-    hangers: dict[int, tuple[frozenset[int], ...]] = {}
-
-    for comp in trees:
-        f1t = f1.intersection(comp)
-        if len(f1t) < 2:
-            continue
-        # The connectors of this tree are exactly the interior of the
-        # minimal subtree spanning f1t, which is what stripping the
-        # leaves outside f1t leaves behind.  Each stripped piece hangs by
-        # one plain edge wu; the pieces below a degree-2 connector w are
-        # its hangers, ordered by u.
-        hung = g.hanging_trees(comp, keep=f1t)
-        alive = set(comp).difference(u for _, u, _ in hung)
-        f3t = alive - f1t
-        f3 |= f3t
-        sdeg = {u: sum(1 for w in g.neighbors(u) if w in alive) for u in alive}
-        crit = {u for u in f3t if sdeg[u] >= 3}
-        f3c |= crit
-
-        if any(sdeg[w] != 2 for w in f3t - crit):
-            raise AssertionError("connector chains must have degree 2")
-        for w, u, tree in sorted(hung, key=lambda t: t[:2]):
-            if w in f3t and w not in crit:
-                hangers[w] = hangers.get(w, ()) + (frozenset(tree),)
-
-        # Chains between two anchors (f1t or branch points): only the
-        # outermost hook of each chain keeps its hangers.
-        anchor = f1t | crit
-        for a in sorted(anchor):
-            for u in g.neighbors(a):
-                if u not in alive or u in anchor:
-                    continue
-                interior = []
-                prev, cur = a, u
-                while cur not in anchor:
-                    interior.append(cur)
-                    nxts = [w for w in g.neighbors(cur)
-                            if w in alive and w != prev]
-                    if len(nxts) != 1:
-                        raise AssertionError(
-                            "a chain vertex has exactly one successor")
-                    prev, cur = cur, nxts[0]
-                if cur == a:
-                    raise AssertionError("chain looped back in a tree")
-                if cur < a:  # this chain is walked from its smaller anchor
-                    continue
-                chain_hooks = [w for w in interior if w in hangers]
-                for i, w in enumerate(chain_hooks):
-                    if i == 0 or i == len(chain_hooks) - 1:
-                        good.add(w)
-                    else:
-                        bad.add(w)
-
+    hung = g.hanging_trees(v2, keep=f1)
+    alive = v2.difference(u for _, u, _ in hung)
+    sdeg = {u: sum(1 for w in g.neighbors(u) if w in alive) for u in alive}
+    f3 = {u for u in alive - f1 if sdeg[u] > 0}
+    f3c = {u for u in f3 if sdeg[u] >= 3}
+    chains = f3 - f3c
+    if any(sdeg[w] != 2 for w in chains):
+        raise AssertionError("connector chains must have degree 2")
     if len(f3c) > len(f1):
         raise AssertionError("branch points cannot outnumber S-neighbors")
-    if set(hangers) != good | bad:
-        raise AssertionError("every hook is either good or bad")
+    hangers: dict[int, tuple[frozenset[int], ...]] = {}
+    for w, u, tree in sorted(hung, key=lambda t: t[:2]):
+        if w in chains:
+            hangers[w] = hangers.get(w, ()) + (frozenset(tree),)
+
+    # The non-critical connectors form disjoint paths, the chains between
+    # two anchors (S-neighbors or branch points).  Stripping a chain down
+    # to its hooks leaves the stretch from its first hook to its last;
+    # only the two ends of that stretch keep their hangers.
+    stripped = g.hanging_trees(chains, keep=hangers)
+    stretch = chains.difference(u for _, u, _ in stripped)
+    bad = {w for w in hangers
+           if sum(1 for u in g.neighbors(w) if u in stretch) == 2}
+    good = set(hangers) - bad
     return Modulator(s=s, v1=frozenset(v1), v2=frozenset(v2),
-                     f1=frozenset(f1), f2=frozenset(f2), f3=frozenset(f3),
+                     f1=frozenset(f1), f3=frozenset(f3),
                      f3_critical=frozenset(f3c),
                      good_hooks=frozenset(good), bad_hooks=frozenset(bad),
                      hangers=hangers, paths=tuple(paths),

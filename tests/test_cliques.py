@@ -27,11 +27,11 @@ def check_invariants(g, comp):
             for v in blk[i + 1:]:
                 assert g.has_edge(u, v)
     # block neighborhoods stay within the flanking blocks
-    t = len(cp.cliques)
+    clique_of = {v: bi for bi, blk in enumerate(cp.cliques) for v in blk}
     for bi, blk in enumerate(cp.cliques):
         for u in blk:
             for w in g.neighbors(u):
-                assert abs(cp.clique_of[w] - bi) <= 1
+                assert abs(clique_of[w] - bi) <= 1
     # first vertex of each block is its order representative
     starts = []
     idx = 0

@@ -95,7 +95,7 @@ def test_hanger_vertices_are_plain_tree_side():
     g, hooks = path_with_hangers([3, 5, 7])
     m = classify_tree_side(g, [0])
     for w, pend in hooks.items():
-        assert pend in m.f2 and pend not in m.f3
+        assert pend in m.v2 - m.f1 and pend not in m.f3
         assert frozenset({pend}) in m.hangers[w]
 
 
@@ -163,13 +163,36 @@ def brute_strata(g, s):
     return f1, f3, f3c, hooks, good, bad
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_strata_match_brute_force(seed):
-    rng = random.Random(7000 + seed)
-    g, _ = random_tree_with_hub(rng, rng.randint(4, 18))
-    # occasionally split the tree by removing a random edge
-    m = classify_tree_side(g, [0])
-    f1, f3, f3c, hooks, good, bad = brute_strata(g, {0})
+def random_forest_with_hubs(rng):
+    """2-4 random trees under 1-3 hubs.  Pendant paths hang from random
+    tree vertices, and each tree gets 0-4 hub edges, so some trees have
+    no S-neighbor or only one."""
+    hubs = list(range(rng.randint(1, 3)))
+    g = MultiGraph.from_edges([], vertices=hubs)
+    nxt = len(hubs)
+    for _ in range(rng.randint(2, 4)):
+        n = rng.randint(2, 10)
+        t = nx.random_labeled_tree(n, seed=rng.randrange(1 << 30))
+        verts = list(range(nxt, nxt + n))
+        for v in verts:
+            g.ensure_vertex(v)
+        for u, v in t.edges:
+            g.add_edge(nxt + u, nxt + v)
+        nxt += n
+        for _ in range(rng.randint(0, 3)):
+            at = rng.choice(verts)
+            for _ in range(rng.randint(1, 3)):
+                g.ensure_vertex(nxt)
+                g.add_edge(at, nxt)
+                at, nxt = nxt, nxt + 1
+        for u in rng.sample(verts, min(n, rng.choice([0, 1, 2, 2, 3, 4]))):
+            g.add_edge(rng.choice(hubs), u)
+    return g, set(hubs)
+
+
+def check_strata(g, s):
+    m = classify_tree_side(g, s)
+    f1, f3, f3c, hooks, good, bad = brute_strata(g, s)
     assert m.f1 == frozenset(f1)
     assert m.f3 == frozenset(f3)
     assert m.f3_critical == frozenset(f3c)
@@ -178,6 +201,31 @@ def test_strata_match_brute_force(seed):
         assert sorted(m.hangers[w]) == sorted(hooks[w])
     assert m.good_hooks == frozenset(good)
     assert m.bad_hooks == frozenset(bad)
+    return m
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_strata_match_brute_force(seed):
+    rng = random.Random(7000 + seed)
+    g, _ = random_tree_with_hub(rng, rng.randint(4, 18))
+    check_strata(g, {0})
+
+
+def test_strata_match_brute_force_on_forests():
+    """Forests under several hubs reach what one tree under one hub does
+    not: bad hooks, trees with no S-neighbor or one, and several trees
+    that each have two or more."""
+    seen = dict.fromkeys(["bad hook", "no S-neighbor", "one S-neighbor",
+                          "two multi-anchor trees"], 0)
+    for seed in range(300):
+        g, hubs = random_forest_with_hubs(random.Random(7100 + seed))
+        m = check_strata(g, hubs)
+        anchors = [len(m.f1.intersection(t)) for t in g.components(m.v2)]
+        seen["bad hook"] += bool(m.bad_hooks)
+        seen["no S-neighbor"] += 0 in anchors
+        seen["one S-neighbor"] += 1 in anchors
+        seen["two multi-anchor trees"] += sum(a >= 2 for a in anchors) >= 2
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -192,8 +240,8 @@ def test_strata_partition_random_multigraphs(seed):
     everything = set(m.s) | set(m.v1) | set(m.v2)
     assert everything == set(g.vertices)
     assert m.s.isdisjoint(m.v1) and m.s.isdisjoint(m.v2) and m.v1.isdisjoint(m.v2)
-    assert m.f1 | m.f2 == m.v2
-    assert m.f3 <= m.f2
+    assert m.f1 <= m.v2
+    assert m.f3 <= m.v2 - m.f1
     assert m.f3_critical <= m.f3
     assert m.hooks <= m.f3 - m.f3_critical
     assert len(m.f3_critical) <= len(m.f1)
@@ -361,28 +409,34 @@ def test_base_set_rules_reuse_the_paths_and_flowers(monkeypatch):
 def test_classify_reads_g_minus_s_from_one_bitmask_view(monkeypatch):
     """G - S is compacted once: its components, tree tests and triangle
     checks all read that view.  Only the clique path of each cyclic
-    component compacts that component again, and no component search runs
-    on the multigraph."""
+    component compacts that component again, no component search runs
+    on the multigraph, and the tree side takes at most two leaf-stripping
+    passes however many trees have two or more S-neighbors."""
     calls = []
-    for name in ("components", "compact"):
+    for name in ("components", "compact", "hanging_trees"):
         orig = getattr(MultiGraph, name)
 
-        def counted(self, *args, name=name, orig=orig):
+        def counted(self, *args, name=name, orig=orig, **kwargs):
             calls.append(name)
-            return orig(self, *args)
+            return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(MultiGraph, name, counted)
-    # two hubs over one shared tree, plus a triangle and a 4-vertex strip
+    # two hubs over three trees that each touch both, plus a triangle and
+    # a 4-vertex strip
     tree = [(10, 11), (11, 12), (12, 13), (13, 14), (12, 15), (15, 16)]
     hubs = [0, 1]
     g = MultiGraph.from_edges(
         tree + [(h, u) for h in hubs for u in (10 + h, 14, 16)]
+        + [(40, 41), (41, 42), (42, 43), (41, 44), (0, 40), (1, 43)]
+        + [(50, 51), (51, 52), (0, 50), (1, 52)]
         + [(20, 21), (21, 22), (20, 22), (0, 20)]
         + [(30, 31), (31, 32), (30, 32), (31, 33), (32, 33), (1, 33)])
     mod = classify_tree_side(g, hubs)
     assert len(mod.paths) == 2 and any(fl.order for fl in mod.flowers.values())
+    assert {41, 42, 51} <= mod.f3 and mod.hangers[41] == (frozenset({44}),)
     assert calls.count("components") == 0
     assert calls.count("compact") == 1 + len(mod.paths)
+    assert calls.count("hanging_trees") <= 2
 
 
 @pytest.mark.parametrize("edges", [
