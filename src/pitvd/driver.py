@@ -11,7 +11,14 @@ which on a reused S means "recompute" and on a fresh one propagates.
 
 Every application strictly shrinks the triple (budget, vertex count,
 edge count) in lexicographic order, which is checked and is what
-guarantees termination.
+guarantees termination.  The graph keeps its edge count as a field, so
+the check costs O(1).
+
+The restart is cheap for the first three rules: the graph keeps its
+heavy edges, its doubled-neighbour counts and rule 1's "not clean"
+verdicts current under every edit, so rules 1-3 read what changed
+instead of rescanning the whole graph.  The kernel is returned without
+those caches.
 
 The full run is recorded as a trace of rule applications; replaying a
 trace against the original graph reproduces the kernel bit for bit.
@@ -70,6 +77,10 @@ def kernelize(g: MultiGraph, k: int,
     trace: list[RuleApplication] = []
     s: set[int] | None = None
 
+    def done(decided_no: bool) -> KernelInstance:
+        g.drop_caches()
+        return KernelInstance(g, k, tuple(trace), decided_no)
+
     while True:
         mod = None
         fired = False
@@ -84,7 +95,7 @@ def kernelize(g: MultiGraph, k: int,
                 if mod is None:
                     s, _ = compute_base_set(g, k, node_limit)
                     if s is None:
-                        return KernelInstance(g, k, tuple(trace), True)
+                        return done(True)
                     trace.append(RuleApplication(
                         rule="base-set", ops=(), affected=tuple(sorted(s))))
                     mod = classify_tree_side(g, s)
@@ -101,8 +112,8 @@ def kernelize(g: MultiGraph, k: int,
                 raise AssertionError(
                     "every application must shrink the instance")
             if k < 0:
-                return KernelInstance(g, k, tuple(trace), True)
+                return done(True)
             fired = True
             break
         if not fired:
-            return KernelInstance(g, k, tuple(trace), False)
+            return done(False)

@@ -25,6 +25,12 @@ The graph is compacted once per search.  A node's state is ``(kk, alive
 mask, banned mask)`` over that one bitmask view, with the parallel pairs
 kept as position pairs, so no node copies or re-compacts the graph.
 
+A branching node knows all its bad components, and its candidate v lies
+in one of them, C.  Deleting v leaves every other component as it was,
+so a child recognizes only the pieces of C - v and carries the parent's
+other bad components over; an untouched component, clean or bad, is
+recognized once per search rather than once per node.
+
 This is exponential and guarded by an explicit node budget; it serves as
 the bootstrap for the modulator and as the correctness oracle for the
 reduction pipeline, not as a general-purpose solver.
@@ -52,9 +58,12 @@ def decide(g: MultiGraph, k: int,
     pairs = [1 << index[u] | 1 << index[v] for u, v in g.double_edges()]
     nodes = 0
 
-    def visit(kk: int, alive: int, banned: int) -> list[int] | None:
-        """One search node: None when the alive graph is clean, else the
-        unbanned candidates to branch on (none when the node is closed)."""
+    def visit(kk: int, alive: int, banned: int, carried: list[int],
+              piece: int) -> tuple[list[int], list[int]] | None:
+        """One search node: None when the alive graph is clean, else its
+        bad components and the unbanned candidates to branch on (none when
+        the node is closed).  ``carried`` are the node's bad components
+        outside ``piece``, the part of ``alive`` still to recognize."""
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
@@ -64,11 +73,13 @@ def decide(g: MultiGraph, k: int,
         dirty = 0
         for m in live:
             dirty |= m
-        bad = rec.bad_components(adjm, dirty, alive, kk + 1)
+        bad = carried + rec.bad_components(adjm, dirty, piece,
+                                           kk + 1 - len(carried))
         if not bad:
             return None
         if len(bad) > kk:  # more bad components than deletions left
-            return []
+            return bad, []
+        bad.sort(key=lambda c: c & -c)
         if live:
             cands = bits(live[0])
         else:
@@ -76,16 +87,18 @@ def decide(g: MultiGraph, k: int,
             # a claw plus a triangle: some vertex of the component must go
             cands = (bits(bad[0]) if obs.kind == "claw+triangle"
                      else sorted(obs.vertices))
-        return [v for v in cands if not (banned >> v) & 1]
+        return bad, [v for v in cands if not (banned >> v) & 1]
 
     # Depth-first over an explicit stack, so the depth is not bounded by
     # the recursion limit.  An open node is [kk, alive, banned, untried
-    # candidates, vertex on trial]; a clean node solves every open node
-    # through its vertex on trial.
+    # candidates, vertex on trial, bad components]; a clean node solves
+    # every open node through its vertex on trial.
     stack: list[list] = []
-    kk, alive, banned = k, (1 << len(ids)) - 1, 0
-    while (cands := visit(kk, alive, banned)) is not None:
-        stack.append([kk, alive, banned, iter(cands), None])
+    full = (1 << len(ids)) - 1
+    kk, alive, banned, carried, piece = k, full, 0, [], full
+    while (node := visit(kk, alive, banned, carried, piece)) is not None:
+        bad, cands = node
+        stack.append([kk, alive, banned, iter(cands), None, bad])
         while stack:
             top = stack[-1]
             if top[4] is not None:
@@ -97,6 +110,8 @@ def decide(g: MultiGraph, k: int,
             return None
         top[4] = v
         kk, alive, banned = top[0] - 1, top[1] & ~(1 << v), top[2]
+        carried = [c for c in top[5] if not (c >> v) & 1]
+        piece = next(c for c in top[5] if (c >> v) & 1) & ~(1 << v)
 
     out = sorted(ids[top[4]] for top in stack)
     if len(out) > k:

@@ -5,11 +5,26 @@ renumbered by any operation, so reduction traces can refer to vertices by id
 across the whole run.  Edge multiplicities are arbitrary positive integers
 (the reduction pipeline caps them at 2 early on, but the container does not
 care).  Self-loops are rejected.
+
+Every edit keeps the graph's bookkeeping current, so the fixpoint's
+cheapest rules read it instead of rescanning the graph:
+
+- the edge count, counting multiplicities, is a field;
+- an index of the heavy edges (multiplicity above 2) and of each vertex's
+  count of doubled neighbours (multiplicity 2 or more) is built on the
+  first query and then kept;
+- the components that rule 1 found not clean keep that verdict until an
+  edit touches one of their vertices, so the scan for a clean component
+  re-checks only the components without one.
+
+Copies and induced subgraphs start without index or verdicts; both are
+rebuilt on demand.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -25,9 +40,24 @@ class Deg2Path(NamedTuple):
 
 
 class MultiGraph:
+    __slots__ = ("_adj", "_next_id", "_m", "_heavy", "_doubled", "_judged",
+                 "_pending")
+
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
         self._next_id = 0
+        self._m = 0  # edges, counting multiplicities
+        # heavy-edge index, built by ``_index``: a heap of pairs (u, v),
+        # u < v, holding every edge of multiplicity above 2 (and stale
+        # pairs, dropped when they reach the top), and the count of
+        # doubled neighbours of every vertex that has one
+        self._heavy: list[tuple[int, int]] | None = None
+        self._doubled: dict[int, int] | None = None
+        # rule 1's verdicts, built by ``unjudged_components``: each vertex
+        # of a component judged not clean maps to that component, and a
+        # heap holds every vertex without a verdict (and stale ones)
+        self._judged: dict[int, list[int]] | None = None
+        self._pending: list[int] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -57,6 +87,7 @@ class MultiGraph:
         g = MultiGraph()
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         g._next_id = self._next_id
+        g._m = self._m
         return g
 
     # -- vertices -------------------------------------------------------
@@ -65,25 +96,37 @@ class MultiGraph:
         """Create a fresh vertex and return its (never reused) id."""
         v = self._next_id
         self._next_id += 1
-        self._adj[v] = {}
+        self._new_vertex(v)
         return v
 
     def ensure_vertex(self, v: int) -> int:
         if v < 0:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         if v not in self._adj:
-            self._adj[v] = {}
+            self._new_vertex(v)
             if v >= self._next_id:
                 self._next_id = v + 1
         return v
+
+    def _new_vertex(self, v: int) -> None:
+        self._adj[v] = {}
+        if self._pending is not None:
+            heappush(self._pending, v)
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
 
     def delete_vertex(self, v: int) -> None:
-        for u in list(self._adj[v]):
+        if self._judged is not None:
+            self._touch(v)
+        doubled = self._doubled
+        for u, m in self._adj.pop(v).items():
             del self._adj[u][v]
-        del self._adj[v]
+            self._m -= m
+            if m >= 2 and doubled is not None:
+                self._count_doubled(u, -1)
+        if doubled is not None:
+            doubled.pop(v, None)
 
     @property
     def vertices(self) -> list[int]:
@@ -103,8 +146,7 @@ class MultiGraph:
             raise ValueError("multiplicity must be positive")
         if u not in self._adj or v not in self._adj:
             raise KeyError("both endpoints must exist")
-        self._adj[u][v] = self._adj[u].get(v, 0) + multiplicity
-        self._adj[v][u] = self._adj[u][v]
+        self._set(u, v, self._adj[u].get(v, 0) + multiplicity)
 
     def set_multiplicity(self, u: int, v: int, multiplicity: int) -> None:
         """Force edge uv to the given multiplicity; 0 removes the edge."""
@@ -114,12 +156,44 @@ class MultiGraph:
             raise ValueError("multiplicity must be non-negative")
         if u not in self._adj or v not in self._adj:
             raise KeyError("both endpoints must exist")
-        if multiplicity == 0:
-            self._adj[u].pop(v, None)
-            self._adj[v].pop(u, None)
+        self._set(u, v, multiplicity)
+
+    def _set(self, u: int, v: int, m: int) -> None:
+        """Give the edge uv multiplicity ``m`` >= 0, keeping the
+        bookkeeping: the edge count, the heavy-edge index if built, and
+        the verdicts of the components of u and v, which it drops."""
+        au, av = self._adj[u], self._adj[v]
+        old = au.get(v, 0)
+        if m:
+            au[v] = av[u] = m
+        elif old:
+            del au[v], av[u]
+        self._m += m - old
+        if self._doubled is not None:
+            if (old >= 2) != (m >= 2):
+                step = 1 if m >= 2 else -1
+                self._count_doubled(u, step)
+                self._count_doubled(v, step)
+            if old <= 2 < m:
+                heappush(self._heavy, (u, v) if u < v else (v, u))
+        if self._judged is not None:
+            self._touch(u)
+            self._touch(v)
+
+    def _count_doubled(self, v: int, step: int) -> None:
+        c = self._doubled.get(v, 0) + step
+        if c:
+            self._doubled[v] = c
         else:
-            self._adj[u][v] = multiplicity
-            self._adj[v][u] = multiplicity
+            del self._doubled[v]
+
+    def _touch(self, v: int) -> None:
+        """Drop the verdict of v's component, if it has one."""
+        comp = self._judged.get(v)
+        if comp is not None:
+            for u in comp:
+                del self._judged[u]
+                heappush(self._pending, u)
 
     def multiplicity(self, u: int, v: int) -> int:
         return self._adj[u].get(v, 0)
@@ -145,15 +219,58 @@ class MultiGraph:
     @property
     def edge_count(self) -> int:
         """Number of edges counting multiplicities."""
-        return sum(sum(nbrs.values()) for nbrs in self._adj.values()) // 2
+        return self._m
 
     def double_edges(self, vs: Iterable[int] | None = None
                      ) -> list[tuple[int, int]]:
         """Sorted pairs (u, v), u < v, joined by 2 or more parallel edges in
-        the subgraph induced on ``vs`` (default: the whole graph)."""
+        the subgraph induced on ``vs`` (default: the whole graph).
+
+        Only the neighbourhoods of vertices with a doubled neighbour are
+        read.
+        """
         keep = self._subset(vs)
-        return sorted((u, v) for u in keep for v, m in self._adj[u].items()
+        doubled = self._index()[1]
+        # self._adj[u] raises KeyError on a u missing from the graph
+        ends = (doubled if vs is None
+                else [u for u in keep if self._adj[u] and u in doubled])
+        return sorted((u, v) for u in ends for v, m in self._adj[u].items()
                       if m >= 2 and u < v and v in keep)
+
+    def least_heavy_edge(self) -> tuple[int, int] | None:
+        """The least pair (u, v), u < v, joined by more than 2 parallel
+        edges, or None."""
+        heavy = self._index()[0]
+        while heavy:
+            u, v = heavy[0]
+            if self._adj.get(u, {}).get(v, 0) > 2:
+                return u, v
+            heappop(heavy)
+        return None
+
+    def least_doubled_hub(self, t: int) -> int | None:
+        """The least vertex with at least ``t`` >= 1 doubled neighbours
+        (joined to it by 2 or more parallel edges), or None."""
+        return min((v for v, c in self._index()[1].items() if c >= t),
+                   default=None)
+
+    def _index(self) -> tuple[list[tuple[int, int]], dict[int, int]]:
+        """The heavy-edge heap and the doubled-neighbour counts, built from
+        one walk over the adjacency on the first call."""
+        if self._doubled is None:
+            heavy, doubled = [], {}
+            for u, nbrs in self._adj.items():
+                c = 0
+                for v, m in nbrs.items():
+                    if m >= 2:
+                        c += 1
+                        if m > 2 and u < v:
+                            heavy.append((u, v))
+                if c:
+                    doubled[u] = c
+            heavy.sort()
+            self._heavy, self._doubled = heavy, doubled
+        return self._heavy, self._doubled
 
     # -- structure ------------------------------------------------------
 
@@ -197,7 +314,34 @@ class MultiGraph:
                 raise KeyError(f"vertex {v} not in graph")
         g._adj = {v: {u: m for u, m in self._adj[v].items() if u in keep} for v in keep}
         g._next_id = self._next_id
+        g._m = sum(sum(nbrs.values()) for nbrs in g._adj.values()) // 2
         return g
+
+    def unjudged_components(self) -> Iterator[list[int]]:
+        """Yield the components without a verdict, by ascending minimum id.
+
+        Asking for the next component records the one yielded last as not
+        clean, a verdict it keeps until an edit touches one of its
+        vertices; a caller that stops at a component records nothing for
+        it.  The graph must not change while the iteration runs.
+        """
+        if self._judged is None:
+            self._judged, self._pending = {}, sorted(self._adj)
+        judged, pending = self._judged, self._pending
+        while pending:
+            v = pending[0]
+            if v in judged or v not in self._adj:
+                heappop(pending)
+                continue
+            comp = self.component_of(v)
+            yield comp
+            for u in comp:
+                judged[u] = comp
+
+    def drop_caches(self) -> None:
+        """Free the heavy-edge index and the verdicts; both are rebuilt on
+        demand."""
+        self._heavy = self._doubled = self._judged = self._pending = None
 
     def hanging_trees(self, vs: Iterable[int] | None = None, keep=()
                       ) -> list[tuple[int, int, list[int]]]:

@@ -31,20 +31,16 @@ def mutant1_drop_any_component(g: MultiGraph, k: int):
 
 def mutant2_cap_to_one(g: MultiGraph, k: int):
     """Caps oversized multiplicities to one instead of two."""
-    for u, v, m in g.edges():
-        if m > 2:
-            return RuleApplication(rule="2", ops=(("mult", u, v, 1),),
-                                   affected=(u, v))
-    return None
+    e = g.least_heavy_edge()
+    if e is None:
+        return None
+    return RuleApplication(rule="2", ops=(("mult", *e, 1),), affected=e)
 
 
 def mutant3_low_threshold(g: MultiGraph, k: int):
     """Fires at max(1, k) doubled neighbors instead of k + 1."""
-    for v in g.vertices:
-        doubled = [u for u in g.neighbors(v) if g.multiplicity(v, u) >= 2]
-        if len(doubled) >= max(1, k):
-            return deletion("3", [v], k_delta=-1)
-    return None
+    v = g.least_doubled_hub(max(1, k))
+    return None if v is None else deletion("3", [v], k_delta=-1)
 
 
 def mutant4_cut_tail_too_short(g: MultiGraph, k: int):

@@ -5,7 +5,9 @@ later rules, the modulator strata), it either returns a
 :class:`RuleApplication` describing the edit or ``None`` when the rule
 does not apply.  The driver owns mutation, ordering and restarts; keeping
 the rules side-effect free is what makes traces replayable and the
-per-rule safety tests honest.
+per-rule safety tests honest.  Rules 1-3 read the bookkeeping that the
+graph keeps current under every edit instead of rescanning it; rule 1
+leaves its "not clean" verdicts there, which changes no later answer.
 
 Edits are encoded as small op tuples:
 
@@ -70,36 +72,32 @@ def deletion(rule: str, vs, k_delta: int = 0, affected=None) -> RuleApplication:
 def rule1_drop_clean_component(g: MultiGraph, k: int):
     """Delete a whole component that is already simple and clean.
 
-    Components are walked by ascending minimum id, each built only when
-    it is reached, so the scan stops at the first clean one.
+    Components are walked by ascending minimum id and the scan stops at
+    the first clean one.  A component this scan found not clean keeps
+    that verdict in the graph until an edit touches it, so only the
+    components without one are checked again; since a clean component
+    is deleted as soon as it is found, every kept verdict is "not clean"
+    and the first clean component is the same as a full rescan's.
     """
-    seen: set[int] = set()
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = g.component_of(v)
+    for comp in g.unjudged_components():
         if component_clean(g, comp):
             return deletion("1", comp)
-        seen.update(comp)
     return None
 
 
 def rule2_cap_multiplicity(g: MultiGraph, k: int):
-    """Reduce the first edge with multiplicity above two down to two."""
-    for u, v, m in g.edges():
-        if m > 2:
-            return RuleApplication(rule="2", ops=(("mult", u, v, 2),),
-                                   affected=(u, v))
-    return None
+    """Reduce the least edge with multiplicity above two down to two."""
+    e = g.least_heavy_edge()
+    if e is None:
+        return None
+    return RuleApplication(rule="2", ops=(("mult", *e, 2),), affected=e)
 
 
 def rule3_many_double_edges(g: MultiGraph, k: int):
-    """A vertex with k+1 doubled neighbors is in every solution."""
-    for v in g.vertices:
-        doubled = [u for u in g.neighbors(v) if g.multiplicity(v, u) >= 2]
-        if len(doubled) >= k + 1:
-            return deletion("3", [v], k_delta=-1)
-    return None
+    """A vertex with k+1 doubled neighbors is in every solution; the
+    least such vertex goes."""
+    v = g.least_doubled_hub(k + 1)
+    return None if v is None else deletion("3", [v], k_delta=-1)
 
 
 def rule4_trim_tail(g: MultiGraph, k: int):

@@ -19,6 +19,7 @@ from pitvd.combinatorics import sunflower_reduce
 from pitvd.modulator import (classify_tree_side, compute_base_set,
                              greedy_modulator, small_obstruction_family)
 from pitvd.multigraph import Deg2Path, MultiGraph
+from pitvd.rules import RuleApplication, deletion
 
 
 def adj_from_edges(n: int, edges) -> list[int]:
@@ -392,6 +393,37 @@ def component_ok(adj, mask) -> bool:
 def pitg_ok(adj, mask) -> bool:
     """Every component a tree or proper interval graph (simple-graph part)."""
     return all(component_ok(adj, c) for c in backend.comp_masks(adj, mask))
+
+
+def rule1_by_rescan(g: MultiGraph, k: int):
+    """Rule 1 without the graph's verdicts: every component by minimum
+    id, each judged on a fresh induced copy, up to the first clean one."""
+    for comp in g.components():
+        h = g.induced(comp)
+        ids, _, adjm = h.compact()
+        if (all(m == 1 for *_, m in h.edges())
+                and pitg_ok(adjm, (1 << len(ids)) - 1)):
+            return deletion("1", comp)
+    return None
+
+
+def rule2_by_rescan(g: MultiGraph, k: int):
+    """Rule 2 without the heavy-edge index: the first heavy edge of
+    ``edges()``."""
+    for u, v, m in g.edges():
+        if m > 2:
+            return RuleApplication(rule="2", ops=(("mult", u, v, 2),),
+                                   affected=(u, v))
+    return None
+
+
+def rule3_by_rescan(g: MultiGraph, k: int):
+    """Rule 3 without the doubled-neighbour counts: the first vertex with
+    k + 1 doubled neighbours, counted from its neighbourhood."""
+    for v in g.vertices:
+        if sum(g.multiplicity(v, u) >= 2 for u in g.neighbors(v)) > k:
+            return deletion("3", [v], k_delta=-1)
+    return None
 
 
 def minimum_deletion(g: MultiGraph, node_limit: int = DEFAULT_NODE_LIMIT):

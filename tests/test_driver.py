@@ -165,3 +165,93 @@ def test_trace_records_budget_spending_rules():
     assert [app.rule for app in res.trace][:1] == ["3"]
     assert not res.decided_no
     assert res.k == 0 and res.graph.n == 0
+
+
+class WalkCountingDict(dict):
+    """An adjacency map that counts the keys read by walks over all of
+    it."""
+
+    walked = 0
+
+    def __iter__(self):
+        WalkCountingDict.walked += len(self)
+        return super().__iter__()
+
+    def keys(self):
+        WalkCountingDict.walked += len(self)
+        return super().keys()
+
+    def values(self):
+        WalkCountingDict.walked += len(self)
+        return super().values()
+
+    def items(self):
+        WalkCountingDict.walked += len(self)
+        return super().items()
+
+
+class CountedAdjacency:
+    """Stands in for the ``MultiGraph._adj`` slot and stores every
+    adjacency map a graph is given as a ``WalkCountingDict``."""
+
+    def __init__(self, slot):
+        self.slot = slot
+
+    def __get__(self, g, owner=None):
+        return self if g is None else self.slot.__get__(g, owner)
+
+    def __set__(self, g, adj):
+        self.slot.__set__(g, WalkCountingDict(adj))
+
+
+def fixpoint_work(monkeypatch, g: MultiGraph, k: int) -> dict[str, int]:
+    """Kernelize (g, k) and count rule 1's recognitions, the items
+    ``MultiGraph.edges`` yields and the vertices read by full walks over
+    an adjacency map (of every graph the run builds)."""
+    from pitvd import recognition, rules
+
+    counts = {"component_clean": 0, "edges": 0}
+    clean, edges = recognition.component_clean, MultiGraph.edges
+
+    def counted_clean(*args):
+        counts["component_clean"] += 1
+        return clean(*args)
+
+    def counted_edges(self):
+        for e in edges(self):
+            counts["edges"] += 1
+            yield e
+
+    monkeypatch.setattr(recognition, "component_clean", counted_clean)
+    monkeypatch.setattr(rules, "component_clean", counted_clean)
+    monkeypatch.setattr(MultiGraph, "edges", counted_edges)
+    monkeypatch.setattr(MultiGraph, "_adj",
+                        CountedAdjacency(vars(MultiGraph)["_adj"]))
+    WalkCountingDict.walked = 0
+    kernelize(g, k)
+    counts["walked"] = WalkCountingDict.walked
+    monkeypatch.undo()
+    return counts
+
+
+def isolated_vertices(n: int) -> tuple[MultiGraph, int]:
+    return MultiGraph.from_edges([], vertices=range(n)), 1
+
+
+def doubled_matching(n: int) -> tuple[MultiGraph, int]:
+    """n/2 disjoint edges of multiplicity 3: rule 2 fires n/2 times, and
+    the n/2 doubled edges left are more than k = 2 deletions can break."""
+    return MultiGraph.from_edges([(2 * i, 2 * i + 1, 3)
+                                  for i in range(n // 2)]), 2
+
+
+@pytest.mark.parametrize("family", [isolated_vertices, doubled_matching])
+def test_fixpoint_work_grows_linearly(monkeypatch, family):
+    """Each firing restarts the battery at rule 1, so a fixpoint that
+    rescanned the graph per firing would do quadratic work on these
+    families; doubling n may at most about double each count."""
+    small, large = (fixpoint_work(monkeypatch, *family(n))
+                    for n in (500, 1000))
+    assert small["component_clean"] >= 250
+    for name, count in small.items():
+        assert large[name] <= 2.2 * count, (name, small, large)

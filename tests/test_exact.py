@@ -332,3 +332,29 @@ def test_ring_of_holes(h):
     sol = decide(g, h)
     assert sol is not None and len(sol) == h
     assert all(set(sol) & set(range(6 * i, 6 * i + 6)) for i in range(h))
+
+
+def test_untouched_components_are_recognized_once(monkeypatch):
+    """A node recognizes only the pieces of the bad component it deleted
+    from, so clean paths beside a ring of holes are recognized once per
+    search, at the root, however many nodes the search visits."""
+    calls = []
+    orig = rec._tree_or_pig
+
+    def counted(adjm, comp):
+        calls.append(comp)
+        return orig(adjm, comp)
+
+    monkeypatch.setattr(rec, "_tree_or_pig", counted)
+    counts = []
+    for paths in (0, 50):
+        ring = ring_of_holes(4)
+        base = ring.n
+        edges = list(ring.edges())
+        edges += [(base + 3 * i + j, base + 3 * i + j + 1)
+                  for i in range(paths) for j in range(2)]
+        calls.clear()
+        assert decide(mg(edges), 3) is None
+        counts.append(len(calls))
+    assert counts[0] > 50
+    assert counts[1] <= counts[0] + 50

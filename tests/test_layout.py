@@ -11,6 +11,7 @@ import os
 import re
 
 from pitvd import backend
+from pitvd.multigraph import MultiGraph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE_DIR = os.path.join(ROOT, "src", "pitvd")
@@ -39,17 +40,22 @@ def test_package_has_no_assert_statements():
 
 def test_only_multigraph_reads_the_adjacency():
     """Every other module reaches the graph through ``MultiGraph``'s
-    methods, so its in-place subset queries stay the only path to
-    ``_adj``."""
+    public methods: it reads no private attribute of the class (its
+    adjacency, counters, indexes and verdicts, or a private method), so
+    the in-place subset queries stay the only path to ``_adj`` and every
+    edit keeps the bookkeeping current."""
+    private = {name for name in [*MultiGraph.__slots__, *vars(MultiGraph)]
+               if name.startswith("_") and not name.endswith("__")}
+    assert "_adj" in private
     found = []
     for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
         if os.path.basename(path) == "multigraph.py":
             continue
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
-        found += [f"{os.path.basename(path)}:{node.lineno}"
+        found += [f"{os.path.basename(path)}:{node.lineno} {node.attr}"
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "_adj"]
+                  if isinstance(node, ast.Attribute) and node.attr in private]
     assert not found
 
 

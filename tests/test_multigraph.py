@@ -5,9 +5,11 @@ import random
 import networkx as nx
 import pytest
 from conftest import (degree2_paths_reference, nx_multigraph,
-                      random_multigraph, random_near_tree)
-from hypothesis import given, strategies as st
+                      random_multigraph, random_near_tree, rule1_by_rescan,
+                      rule2_by_rescan, rule3_by_rescan)
+from hypothesis import given, settings, strategies as st
 
+from pitvd import rules as R
 from pitvd.multigraph import MultiGraph
 
 
@@ -354,3 +356,64 @@ def test_deg2_paths_cover_each_chain_vertex_once(code):
             assert g.has_edge(a, b)
     assert seen.keys() == chain
     assert all(c == 1 for c in seen.values())
+
+
+def assert_bookkeeping_is_current(g: MultiGraph) -> None:
+    """The edge count, the heavy-edge index and the doubled-neighbour
+    counts equal a recount from ``edges()``, and rules 1-3 fire as their
+    rescanning oracles do."""
+    edges = list(g.edges())
+    assert g.edge_count == sum(m for *_, m in edges)
+    heavy = [(u, v) for u, v, m in edges if m > 2]
+    assert g.least_heavy_edge() == (heavy[0] if heavy else None)
+    assert set(heavy) <= set(g._heavy)
+    doubled: dict[int, int] = {}
+    for u, v, m in edges:
+        if m >= 2:
+            doubled[u] = doubled.get(u, 0) + 1
+            doubled[v] = doubled.get(v, 0) + 1
+    assert g._doubled == doubled
+    assert g.double_edges() == [(u, v) for u, v, m in edges if m >= 2]
+    for k in range(3):
+        for rule, oracle in ((R.rule1_drop_clean_component, rule1_by_rescan),
+                             (R.rule2_cap_multiplicity, rule2_by_rescan),
+                             (R.rule3_many_double_edges, rule3_by_rescan)):
+            assert rule(g, k) == oracle(g, k)
+
+
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["vertex", "edge", "mult", "delete", "copy", "induced",
+                     "fire"]),
+    st.integers(0, 20), st.integers(0, 20), st.integers(0, 3)), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EDITS)
+def test_bookkeeping_survives_every_edit(edits):
+    """Random edit sequences, checked after every step; "fire" applies
+    the first of rules 1-3 that fires at k = 1, as the driver would."""
+    g = MultiGraph.from_edges([(0, 1, 3), (1, 2, 2), (2, 3)],
+                              vertices=range(6))
+    assert_bookkeeping_is_current(g)
+    for op, a, b, m in edits:
+        vs = g.vertices
+        u, v = (vs[a % len(vs)], vs[b % len(vs)]) if vs else (None, None)
+        if op == "vertex":
+            g.add_vertex()
+        elif op == "edge" and u != v:
+            g.add_edge(u, v, m + 1)
+        elif op == "mult" and u != v:
+            g.set_multiplicity(u, v, m)
+        elif op == "delete" and vs:
+            g.delete_vertex(u)
+        elif op == "copy":
+            g = g.copy()
+        elif op == "induced":
+            g = g.induced(vs[::2] if m % 2 else vs[a % 3:])
+        elif op == "fire":
+            for rule in R.RULES[:3]:
+                app = rule[2](g, 1)
+                if app is not None:
+                    R.apply_ops(g, app.ops)
+                    break
+        assert_bookkeeping_is_current(g)
