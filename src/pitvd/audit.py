@@ -30,15 +30,9 @@ from .rules import RULES, pendant_trees
 def audit_violations(g: MultiGraph, k: int,
                      node_limit: int = DEFAULT_NODE_LIMIT) -> list[str]:
     """All irreducibility violations of (g, k); empty means the kernel is
-    irreducible.  The rules' reads build caches in g; they are dropped
-    again, so an audited kernel holds no more memory than before."""
-    try:
-        return _violations(g, k, node_limit)
-    finally:
-        g.drop_caches()
-
-
-def _violations(g: MultiGraph, k: int, node_limit: int) -> list[str]:
+    irreducible.  The audit reads a copy of g, so it neither trusts the
+    verdicts g carries nor leaves any of its own in g."""
+    g = g.copy()
     bad = [f"rule {rule_id} still applies" for rule_id, needs_mod, fn in RULES
            if not needs_mod and fn(g, k) is not None]
     if bad:

@@ -17,8 +17,8 @@ the check costs O(1).
 The restart is cheap for the first three rules: the graph keeps its
 heavy edges, its doubled-neighbour counts and rule 1's "not clean"
 verdicts current under every edit, so rules 1-3 read what changed
-instead of rescanning the whole graph.  The kernel is returned without
-those caches.
+instead of rescanning the whole graph.  The kernel is returned as a
+copy of the working graph, so it carries a fresh index and no verdicts.
 
 The full run is recorded as a trace of rule applications; replaying a
 trace against the original graph reproduces the kernel bit for bit.
@@ -78,8 +78,7 @@ def kernelize(g: MultiGraph, k: int,
     s: set[int] | None = None
 
     def done(decided_no: bool) -> KernelInstance:
-        g.drop_caches()
-        return KernelInstance(g, k, tuple(trace), decided_no)
+        return KernelInstance(g.copy(), k, tuple(trace), decided_no)
 
     while True:
         mod = None

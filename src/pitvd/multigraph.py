@@ -10,15 +10,16 @@ Every edit keeps the graph's bookkeeping current, so the fixpoint's
 cheapest rules read it instead of rescanning the graph:
 
 - the edge count, counting multiplicities, is a field;
-- an index of the heavy edges (multiplicity above 2) and of each vertex's
-  count of doubled neighbours (multiplicity 2 or more) is built on the
-  first query and then kept;
+- an index holds the heavy edges (multiplicity above 2) and each vertex's
+  count of doubled neighbours (multiplicity 2 or more);
 - the components that rule 1 found not clean keep that verdict until an
   edit touches one of their vertices, so the scan for a clean component
   re-checks only the components without one.
 
-Copies and induced subgraphs start without index or verdicts; both are
-rebuilt on demand.
+The bookkeeping exists from construction on.  Copies and induced
+subgraphs rebuild the index from their own adjacency in one walk and
+start with no verdicts, so a copy never trusts the verdicts of its
+source.
 """
 
 from __future__ import annotations
@@ -47,17 +48,17 @@ class MultiGraph:
         self._adj: dict[int, dict[int, int]] = {}
         self._next_id = 0
         self._m = 0  # edges, counting multiplicities
-        # heavy-edge index, built by ``_index``: a heap of pairs (u, v),
-        # u < v, holding every edge of multiplicity above 2 (and stale
-        # pairs, dropped when they reach the top), and the count of
-        # doubled neighbours of every vertex that has one
-        self._heavy: list[tuple[int, int]] | None = None
-        self._doubled: dict[int, int] | None = None
-        # rule 1's verdicts, built by ``unjudged_components``: each vertex
-        # of a component judged not clean maps to that component, and a
-        # heap holds every vertex without a verdict (and stale ones)
-        self._judged: dict[int, list[int]] | None = None
-        self._pending: list[int] | None = None
+        # heavy-edge index: a heap of pairs (u, v), u < v, holding every
+        # edge of multiplicity above 2 (and stale pairs, dropped when they
+        # reach the top), and the count of doubled neighbours of every
+        # vertex that has one
+        self._heavy: list[tuple[int, int]] = []
+        self._doubled: dict[int, int] = {}
+        # rule 1's verdicts: each vertex of a component judged not clean
+        # maps to that component, and a heap holds every vertex without a
+        # verdict (and stale ones)
+        self._judged: dict[int, list[int]] = {}
+        self._pending: list[int] = []
 
     # -- construction ---------------------------------------------------
 
@@ -88,6 +89,7 @@ class MultiGraph:
         g._adj = {v: dict(nbrs) for v, nbrs in self._adj.items()}
         g._next_id = self._next_id
         g._m = self._m
+        g._rebuild()
         return g
 
     # -- vertices -------------------------------------------------------
@@ -110,23 +112,19 @@ class MultiGraph:
 
     def _new_vertex(self, v: int) -> None:
         self._adj[v] = {}
-        if self._pending is not None:
-            heappush(self._pending, v)
+        heappush(self._pending, v)
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
 
     def delete_vertex(self, v: int) -> None:
-        if self._judged is not None:
-            self._touch(v)
-        doubled = self._doubled
+        self._touch(v)
         for u, m in self._adj.pop(v).items():
             del self._adj[u][v]
             self._m -= m
-            if m >= 2 and doubled is not None:
+            if m >= 2:
                 self._count_doubled(u, -1)
-        if doubled is not None:
-            doubled.pop(v, None)
+        self._doubled.pop(v, None)
 
     @property
     def vertices(self) -> list[int]:
@@ -160,8 +158,8 @@ class MultiGraph:
 
     def _set(self, u: int, v: int, m: int) -> None:
         """Give the edge uv multiplicity ``m`` >= 0, keeping the
-        bookkeeping: the edge count, the heavy-edge index if built, and
-        the verdicts of the components of u and v, which it drops."""
+        bookkeeping: the edge count, the heavy-edge index, and the
+        verdicts of the components of u and v, which it drops."""
         au, av = self._adj[u], self._adj[v]
         old = au.get(v, 0)
         if m:
@@ -169,16 +167,14 @@ class MultiGraph:
         elif old:
             del au[v], av[u]
         self._m += m - old
-        if self._doubled is not None:
-            if (old >= 2) != (m >= 2):
-                step = 1 if m >= 2 else -1
-                self._count_doubled(u, step)
-                self._count_doubled(v, step)
-            if old <= 2 < m:
-                heappush(self._heavy, (u, v) if u < v else (v, u))
-        if self._judged is not None:
-            self._touch(u)
-            self._touch(v)
+        if (old >= 2) != (m >= 2):
+            step = 1 if m >= 2 else -1
+            self._count_doubled(u, step)
+            self._count_doubled(v, step)
+        if old <= 2 < m:
+            heappush(self._heavy, (u, v) if u < v else (v, u))
+        self._touch(u)
+        self._touch(v)
 
     def _count_doubled(self, v: int, step: int) -> None:
         c = self._doubled.get(v, 0) + step
@@ -230,7 +226,7 @@ class MultiGraph:
         read.
         """
         keep = self._subset(vs)
-        doubled = self._index()[1]
+        doubled = self._doubled
         # self._adj[u] raises KeyError on a u missing from the graph
         ends = (doubled if vs is None
                 else [u for u in keep if self._adj[u] and u in doubled])
@@ -240,7 +236,7 @@ class MultiGraph:
     def least_heavy_edge(self) -> tuple[int, int] | None:
         """The least pair (u, v), u < v, joined by more than 2 parallel
         edges, or None."""
-        heavy = self._index()[0]
+        heavy = self._heavy
         while heavy:
             u, v = heavy[0]
             if self._adj.get(u, {}).get(v, 0) > 2:
@@ -251,26 +247,25 @@ class MultiGraph:
     def least_doubled_hub(self, t: int) -> int | None:
         """The least vertex with at least ``t`` >= 1 doubled neighbours
         (joined to it by 2 or more parallel edges), or None."""
-        return min((v for v, c in self._index()[1].items() if c >= t),
+        return min((v for v, c in self._doubled.items() if c >= t),
                    default=None)
 
-    def _index(self) -> tuple[list[tuple[int, int]], dict[int, int]]:
-        """The heavy-edge heap and the doubled-neighbour counts, built from
-        one walk over the adjacency on the first call."""
-        if self._doubled is None:
-            heavy, doubled = [], {}
-            for u, nbrs in self._adj.items():
+    def _rebuild(self) -> None:
+        """Rebuild the heavy-edge index from the adjacency in one walk,
+        with every vertex pending a verdict."""
+        heavy, doubled = [], {}
+        for u, nbrs in self._adj.items():
+            if nbrs and max(nbrs.values()) >= 2:
                 c = 0
                 for v, m in nbrs.items():
                     if m >= 2:
                         c += 1
                         if m > 2 and u < v:
                             heavy.append((u, v))
-                if c:
-                    doubled[u] = c
-            heavy.sort()
-            self._heavy, self._doubled = heavy, doubled
-        return self._heavy, self._doubled
+                doubled[u] = c
+        heavy.sort()
+        self._heavy, self._doubled = heavy, doubled
+        self._judged, self._pending = {}, sorted(self._adj)
 
     # -- structure ------------------------------------------------------
 
@@ -315,6 +310,7 @@ class MultiGraph:
         g._adj = {v: {u: m for u, m in self._adj[v].items() if u in keep} for v in keep}
         g._next_id = self._next_id
         g._m = sum(sum(nbrs.values()) for nbrs in g._adj.values()) // 2
+        g._rebuild()
         return g
 
     def unjudged_components(self) -> Iterator[list[int]]:
@@ -325,8 +321,6 @@ class MultiGraph:
         vertices; a caller that stops at a component records nothing for
         it.  The graph must not change while the iteration runs.
         """
-        if self._judged is None:
-            self._judged, self._pending = {}, sorted(self._adj)
         judged, pending = self._judged, self._pending
         while pending:
             v = pending[0]
@@ -337,11 +331,6 @@ class MultiGraph:
             yield comp
             for u in comp:
                 judged[u] = comp
-
-    def drop_caches(self) -> None:
-        """Free the heavy-edge index and the verdicts; both are rebuilt on
-        demand."""
-        self._heavy = self._doubled = self._judged = self._pending = None
 
     def hanging_trees(self, vs: Iterable[int] | None = None, keep=()
                       ) -> list[tuple[int, int, list[int]]]:

@@ -691,15 +691,17 @@ def _add_tree(rng, g: MultiGraph, size: int) -> list[int]:
     return vs
 
 
-def planted_interval_graph(rng) -> tuple[MultiGraph, int]:
+def planted_interval_graph(rng, body_size: int = 28
+                           ) -> tuple[MultiGraph, int]:
     """A ``planted-interval`` instance: a vertex joined to the 8th and 22nd
-    vertices of a 28-vertex unit-interval body (cliques of about eight),
-    beside a random tree and a small unit-interval component.  Deleting
-    the planted vertex solves it, with k = 1."""
+    vertices of a unit-interval body of ``body_size`` >= 22 vertices
+    (cliques of about eight), beside a random tree and a small
+    unit-interval component.  Deleting the planted vertex solves it, with
+    k = 1."""
     g = MultiGraph()
     x = g.add_vertex()
     body = _add_unit_interval(g, sorted(0.12 * i + rng.uniform(-0.05, 0.05)
-                                        for i in range(28)))
+                                        for i in range(body_size)))
     g.add_edge(x, body[7])
     g.add_edge(x, body[21])
     _add_tree(rng, g, rng.randint(10, 20))
@@ -707,18 +709,18 @@ def planted_interval_graph(rng) -> tuple[MultiGraph, int]:
     return g, 1
 
 
-def planted_tree_graph(rng) -> tuple[MultiGraph, int]:
-    """A ``planted-tree`` instance: two random trees grown from 5-edge
-    spines, each closed into a hole by a planted vertex that also joins a
-    unit-interval component of 3-4 vertices.  Deleting the two planted
-    vertices solves it, with k = 2."""
+def planted_tree_graph(rng, tree_size: int = 22) -> tuple[MultiGraph, int]:
+    """A ``planted-tree`` instance: two random trees of ``tree_size`` >= 6
+    vertices grown from 5-edge spines, each closed into a hole by a
+    planted vertex that also joins a unit-interval component of 3-4
+    vertices.  Deleting the two planted vertices solves it, with k = 2."""
     g = MultiGraph()
     for _ in range(2):
         spine = [g.add_vertex() for _ in range(6)]
         for u, w in zip(spine, spine[1:]):
             g.add_edge(u, w)
         grown = list(spine)
-        for _ in range(22 - len(spine)):
+        for _ in range(tree_size - len(spine)):
             v = g.add_vertex()
             g.add_edge(rng.choice(grown), v)
             grown.append(v)

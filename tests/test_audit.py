@@ -4,6 +4,7 @@ does."""
 
 import pytest
 
+from pitvd import rules
 from pitvd.audit import audit_violations
 from pitvd.multigraph import MultiGraph
 from pitvd.mutation import killer_instances
@@ -40,3 +41,27 @@ def test_audit_reports_only_the_first_base_set_rule():
                                for e in ((0, 2 * i + 1), (0, 2 * i + 2),
                                          (2 * i + 1, 2 * i + 2))])
     assert audit_violations(g, 1) == ["rule 9 still applies"]
+
+
+def test_audit_judges_every_component_and_leaves_the_graph(monkeypatch):
+    """Three disjoint 4-holes that rule 1 has already judged not clean:
+    the audit checks all three again instead of trusting those verdicts,
+    leaves the graph as it was, and leaves its verdicts standing."""
+    g = MultiGraph.from_edges([(b + i, b + (i + 1) % 4)
+                               for b in (0, 10, 20) for i in range(4)])
+    assert rules.rule1_drop_clean_component(g, 1) is None
+    before = g.copy()
+    calls = []
+    orig = rules.component_clean
+
+    def counted(h, comp):
+        calls.append(comp)
+        return orig(h, comp)
+
+    monkeypatch.setattr(rules, "component_clean", counted)
+    audit_violations(g, 1)
+    assert len(calls) == 3
+    assert g == before
+    calls.clear()
+    assert rules.rule1_drop_clean_component(g, 1) is None
+    assert calls == []

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from pitvd import driver
+from pitvd.audit import audit_violations
 from pitvd.driver import kernelize, replay
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
 from pitvd.rules import RULES, RuleApplication
 
-from conftest import random_multigraph, unit_interval_graph
+from conftest import (planted_interval_graph, planted_tree_graph,
+                      random_multigraph, unit_interval_graph)
 
 
 def same_graph(a: MultiGraph, b: MultiGraph) -> bool:
@@ -142,6 +144,27 @@ def _eight_cycle_closed_up():
         return RuleApplication(rule="x", ops=(("del", 0), ("edge", 1, 7, 1)))
 
     return g, (("x", True, close_up),)
+
+
+@pytest.mark.parametrize("shape,size", [("tree", 50), ("tree", 100),
+                                        ("tree", 150), ("interval", 60),
+                                        ("interval", 100)])
+def test_planted_yes_instances_at_scale(shape, size):
+    """The benchmark's planted shapes grown to n of about 80-310: trees of
+    50-150 vertices, unit-interval bodies of 60 and 100.  Deleting the
+    planted vertices solves each, so none is decided no, and each trace
+    replays to a kernel that audits clean."""
+    rng = random.Random(f"yes-at-scale/{shape}/{size}")
+    for _ in range(5):
+        if shape == "tree":
+            g, k = planted_tree_graph(rng, tree_size=size)
+        else:
+            g, k = planted_interval_graph(rng, body_size=size)
+        res = kernelize(g, k)
+        assert not res.decided_no
+        kernel, kk = replay(g, k, res.trace)
+        assert same_graph(kernel, res.graph) and kk == res.k
+        assert audit_violations(res.graph, res.k) == []
 
 
 def test_broken_base_set_is_recomputed():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from pitvd import recognition as rec
+from pitvd.audit import audit_violations
 from pitvd.driver import kernelize
 from pitvd.exact import SearchLimitExceeded, decide
 from pitvd.modulator import compute_base_set, greedy_modulator
@@ -309,17 +310,36 @@ def test_search_compacts_the_graph_once(monkeypatch):
     assert len(calls) <= 2
 
 
-def ring_of_holes(h: int) -> MultiGraph:
-    """h 6-holes in a ring, each joined to the next by a 3-vertex path
-    from its vertex 3 to the next hole's vertex 0.  The holes are
-    disjoint, so h deletions are needed; h suffice when one of them is a
-    hole's joint, which also breaks the long cycle around the ring."""
-    edges = [(6 * i + j, 6 * i + (j + 1) % 6)
-             for i in range(h) for j in range(6)]
+#: gadget -> (vertex count, edges, exit vertex); every gadget is entered
+#: at its vertex 0.  The tent is the triangle 1, 2, 3 with vertex 0 over
+#: 1-2, vertex 4 over 2-3 and vertex 5 over 3-1; the net is the triangle
+#: 0, 1, 2 with the pendant vertices 3, 4 and 5.
+GADGETS = {
+    "hole": (6, [(j, (j + 1) % 6) for j in range(6)], 3),
+    "tent": (6, [(1, 2), (2, 3), (1, 3), (0, 1), (0, 2), (2, 4), (3, 4),
+                 (1, 5), (3, 5)], 4),
+    "net": (6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)], 4),
+    "double": (2, [(0, 1, 2)], 1),
+}
+
+
+def ring_of_gadgets(h: int, gadget: str = "hole") -> MultiGraph:
+    """h copies of a gadget in a ring, each joined to the next by a
+    3-vertex path from its exit vertex to the next copy's vertex 0.
+
+    The copies are disjoint obstructions, so h deletions are needed.  h
+    suffice: deleting vertex 0 of every copy breaks the long cycle around
+    the ring and leaves each copy's rest, with the path hanging from its
+    exit, a tree (hole, net, doubled edge) or a proper interval graph
+    (tent: a triangle with two ears and the path at one ear's tip).
+    """
+    size, gadget_edges, exit_ = GADGETS[gadget]
+    edges = [(size * i + u, size * i + v, *m)
+             for i in range(h) for u, v, *m in gadget_edges]
     for i in range(h):
-        p = 6 * h + 3 * i
-        edges += [(6 * i + 3, p), (p, p + 1), (p + 1, p + 2),
-                  (p + 2, 6 * ((i + 1) % h))]
+        p = size * h + 3 * i
+        edges += [(size * i + exit_, p), (p, p + 1), (p + 1, p + 2),
+                  (p + 2, size * ((i + 1) % h))]
     return mg(edges)
 
 
@@ -327,11 +347,25 @@ def ring_of_holes(h: int) -> MultiGraph:
 def test_ring_of_holes(h):
     """No by construction with k = h - 1, proved by exhausting the search;
     at h = 5 within the 1,555 nodes the memoized search needed."""
-    g = ring_of_holes(h)
+    g = ring_of_gadgets(h)
     assert decide(g, h - 1, node_limit=1555) is None
     sol = decide(g, h)
     assert sol is not None and len(sol) == h
     assert all(set(sol) & set(range(6 * i, 6 * i + 6)) for i in range(h))
+
+
+@pytest.mark.parametrize("gadget", sorted(GADGETS))
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_ring_of_gadgets_through_kernelize(gadget, h):
+    """One budget short, the kernelizer rejects the ring or leaves a
+    kernel the search proves a no; at the full budget it keeps a kernel
+    that audits clean."""
+    g = ring_of_gadgets(h, gadget)
+    res = kernelize(g, h - 1)
+    assert res.decided_no or decide(res.graph, res.k) is None
+    res = kernelize(g, h)
+    assert not res.decided_no
+    assert audit_violations(res.graph, res.k) == []
 
 
 def test_untouched_components_are_recognized_once(monkeypatch):
@@ -348,7 +382,7 @@ def test_untouched_components_are_recognized_once(monkeypatch):
     monkeypatch.setattr(rec, "_tree_or_pig", counted)
     counts = []
     for paths in (0, 50):
-        ring = ring_of_holes(4)
+        ring = ring_of_gadgets(4)
         base = ring.n
         edges = list(ring.edges())
         edges += [(base + 3 * i + j, base + 3 * i + j + 1)

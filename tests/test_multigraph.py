@@ -360,8 +360,9 @@ def test_deg2_paths_cover_each_chain_vertex_once(code):
 
 def assert_bookkeeping_is_current(g: MultiGraph) -> None:
     """The edge count, the heavy-edge index and the doubled-neighbour
-    counts equal a recount from ``edges()``, and rules 1-3 fire as their
-    rescanning oracles do."""
+    counts equal a recount from ``edges()``, rules 1-3 fire as their
+    rescanning oracles do, and every vertex either maps to its current,
+    unclean component in the verdict map or waits on the pending heap."""
     edges = list(g.edges())
     assert g.edge_count == sum(m for *_, m in edges)
     heavy = [(u, v) for u, v, m in edges if m > 2]
@@ -379,6 +380,13 @@ def assert_bookkeeping_is_current(g: MultiGraph) -> None:
                              (R.rule2_cap_multiplicity, rule2_by_rescan),
                              (R.rule3_many_double_edges, rule3_by_rescan)):
             assert rule(g, k) == oracle(g, k)
+    pending = set(g._pending)
+    for v in g.vertices:
+        if v in g._judged:
+            assert g._judged[v] == g.component_of(v)
+            assert not R.component_clean(g, g._judged[v])
+        else:
+            assert v in pending
 
 
 EDITS = st.lists(st.tuples(
