@@ -24,21 +24,23 @@ from . import marking
 from .exact import DEFAULT_NODE_LIMIT
 from .modulator import classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
-from .rules import RULES, pendant_trees
+from .rules import RULES
 
 
 def audit_violations(g: MultiGraph, k: int,
                      node_limit: int = DEFAULT_NODE_LIMIT) -> list[str]:
     """All irreducibility violations of (g, k); empty means the kernel is
     irreducible.  The audit reads a copy of g, so it neither trusts the
-    verdicts g carries nor leaves any of its own in g."""
+    verdicts g carries nor leaves any of its own in g.  On the copy, the
+    pendant-tree bound reads the map that rules 6 and 7 just built, and
+    the base set's search starts from the verdicts of rule 1's scan."""
     g = g.copy()
     bad = [f"rule {rule_id} still applies" for rule_id, needs_mod, fn in RULES
            if not needs_mod and fn(g, k) is not None]
     if bad:
         return bad
 
-    for x, trees in pendant_trees(g).items():
+    for x, trees in g.pendant_trees().items():
         for piece in trees:
             if any(g.degree(v) >= 3 for v in piece) and len(piece) > 5:
                 bad.append(f"branching pendant tree at {x} keeps "

@@ -140,17 +140,20 @@ def chordal_fail(adj: list[int], mask: int):
     return None
 
 
-def _independent_triples(adj, pa, pb, pc):
-    """Pairwise non-adjacent (x, y, z) from pa x pb x pc, in scan order."""
-    if not (pa and pb and pc):
+def _independent_triples(adj, pa, pb, pc, meet=0):
+    """Pairwise non-adjacent (x, y, z) from pa x pb x pc, in scan order;
+    with ``meet`` nonzero, only the triples with a vertex in ``meet``."""
+    if not (pa and pb and pc) or meet and not (pa | pb | pc) & meet:
         return
     for x in bits(pa):
         for y in bits(pb & ~adj[x]):
             for z in bits(pc & ~adj[x] & ~adj[y]):
-                yield x, y, z
+                if not meet or ((1 << x) | (1 << y) | (1 << z)) & meet:
+                    yield x, y, z
 
 
-def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
+def net_tent_witnesses(adj: list[int], mask: int, find_all: bool,
+                       anchors: int | None = None) -> list:
     """Induced nets and tents in the induced subgraph.
 
     Returns ``(kind, (a, b, c, x, y, z))`` tuples where (a, b, c) is the
@@ -165,10 +168,28 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
     (x and y of a net, z and y of a tent).  A pair (a, b) without them is
     skipped before its triangles are walked; it would emit nothing, so
     the output and its order are those of the unpruned scan.
+
+    With ``anchors`` given, only the nets and tents whose six vertices
+    meet it are emitted, in the same order, and the first of each kind
+    is the first that meets it.  Every outer vertex sees the central
+    triangle, so such a net or tent has a triangle vertex in N[anchors],
+    and the scan walks no other triangle.
     """
     out = []
     tent = None
+    # N[anchors] within mask (all of mask without anchors): each walked
+    # triangle a < b < c has a vertex in it
+    near = mask
+    if anchors is not None:
+        anchors &= mask
+        near = anchors
+        for v in bits(anchors):
+            near |= adj[v]
+        near &= mask
     for a in bits(mask):
+        a_near = (near >> a) & 1
+        if not (a_near or (adj[a] & near) >> (a + 1)):
+            continue
         for b in bits(adj[a] & mask):
             if b <= a:
                 continue
@@ -176,15 +197,21 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
             if not (adj[a] & ~adj[b] & mask & ~ab
                     and adj[b] & ~adj[a] & mask & ~ab):
                 continue
-            for c in bits(adj[a] & adj[b] & mask):
+            cs = adj[a] & adj[b] & mask
+            if not (a_near or (near >> b) & 1):
+                cs &= near
+            for c in bits(cs):
                 if c <= b:
                     continue
                 tri = (a, b, c)
-                outside = mask & ~((1 << a) | (1 << b) | (1 << c))
+                abc = ab | (1 << c)
+                # the anchors the outer vertices must meet, 0 if any may
+                miss = 0 if anchors is None or abc & anchors else anchors
+                outside = mask & ~abc
                 na, nb, nc = adj[a] & outside, adj[b] & outside, adj[c] & outside
                 for xyz in _independent_triples(adj, na & ~nb & ~nc,
                                                 nb & ~na & ~nc,
-                                                nc & ~na & ~nb):
+                                                nc & ~na & ~nb, miss):
                     if not find_all:
                         return [("net", tri + xyz)]
                     out.append(("net", tri + xyz))
@@ -192,7 +219,7 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool) -> list:
                     continue
                 for xyz in _independent_triples(adj, na & nb & ~nc,
                                                 nb & nc & ~na,
-                                                nc & na & ~nb):
+                                                nc & na & ~nb, miss):
                     if not find_all:
                         tent = ("tent", tri + xyz)
                         break

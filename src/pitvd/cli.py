@@ -53,8 +53,12 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse(text: str) -> tuple[MultiGraph, int]:
-    """Instance file text -> (graph, budget)."""
-    g = MultiGraph()
+    """Instance file text -> (graph, budget).
+
+    Every record is checked as it is read; the graph is built once the
+    whole file has passed.
+    """
+    edges: list[tuple[int, int, int]] = []
     n = m = k = None
     records = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -75,8 +79,6 @@ def parse(text: str) -> tuple[MultiGraph, int]:
             if n > MAX_VERTICES:
                 raise ParseError(f"line {lineno}: {n} vertices exceed the "
                                  f"limit of {MAX_VERTICES}")
-            for v in range(1, n + 1):
-                g.ensure_vertex(v)
         elif fields[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before problem line")
@@ -92,7 +94,7 @@ def parse(text: str) -> tuple[MultiGraph, int]:
                 raise ParseError(f"line {lineno}: self-loop at {u}")
             if mult < 1:
                 raise ParseError(f"line {lineno}: multiplicity {mult} < 1")
-            g.add_edge(u, v, mult)
+            edges.append((u, v, mult))
             records += 1
         else:
             raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
@@ -100,7 +102,7 @@ def parse(text: str) -> tuple[MultiGraph, int]:
         raise ParseError("missing problem line")
     if records != m:
         raise ParseError(f"header announces {m} edge records, found {records}")
-    return g, k
+    return MultiGraph.from_edges(edges, range(1, n + 1)), k
 
 
 def serialize(g: MultiGraph, k: int) -> str:
@@ -147,9 +149,7 @@ def random_instance(rng: random.Random, max_n: int,
     n = rng.randint(4, max_n)
     p = rng.choice(DENSITIES)
     k = rng.randint(0, max_k)
-    g = MultiGraph()
-    for v in range(1, n + 1):
-        g.ensure_vertex(v)
+    edges = []
     for u in range(1, n + 1):
         for v in range(u + 1, n + 1):
             if rng.random() >= p:
@@ -157,8 +157,8 @@ def random_instance(rng: random.Random, max_n: int,
             mult = 1
             if rng.random() < 0.1:
                 mult = 3 if rng.random() < 0.2 else 2
-            g.add_edge(u, v, mult)
-    return g, k
+            edges.append((u, v, mult))
+    return MultiGraph.from_edges(edges, range(1, n + 1)), k
 
 
 def _write(path: str | None, text: str) -> bool:
@@ -217,15 +217,14 @@ def cmd_kernelize(args) -> int:
 
 def cmd_generate(args) -> int:
     rng = random.Random(args.seed)
-    g = MultiGraph()
-    for v in range(1, args.n + 1):
-        g.ensure_vertex(v)
+    edges = []
     for u in range(1, args.n + 1):
         for v in range(u + 1, args.n + 1):
             if rng.random() >= args.density:
                 continue
             mult = 2 if rng.random() < args.double_rate else 1
-            g.add_edge(u, v, mult)
+            edges.append((u, v, mult))
+    g = MultiGraph.from_edges(edges, range(1, args.n + 1))
     return 0 if _write(args.output, serialize(g, args.k)) else 2
 
 

@@ -29,7 +29,13 @@ A branching node knows all its bad components, and its candidate v lies
 in one of them, C.  Deleting v leaves every other component as it was,
 so a child recognizes only the pieces of C - v and carries the parent's
 other bad components over; an untouched component, clean or bad, is
-recognized once per search rather than once per node.
+recognized once per search rather than once per node.  The root starts
+the same way from what the graph already knows: the components that
+carry rule 1's "not clean" verdict are bad, so the root carries them and
+recognizes only the rest.  With more of them than k the answer is no
+before the graph is even compacted.  The root's bad components, and so
+every node and the first solution, are those of a search on a copy
+without verdicts.
 
 This is exponential and guarded by an explicit node budget; it serves as
 the bootstrap for the modulator and as the correctness oracle for the
@@ -53,6 +59,9 @@ def decide(g: MultiGraph, k: int,
            node_limit: int = DEFAULT_NODE_LIMIT) -> list[int] | None:
     """A deletion set of size <= k (sorted ids), or None if none exists."""
     if k < 0:
+        return None
+    judged = g.judged_components()
+    if len(judged) > k:  # more bad components than deletions
         return None
     ids, index, adjm = g.compact()
     pairs = [1 << index[u] | 1 << index[v] for u, v in g.double_edges()]
@@ -95,7 +104,8 @@ def decide(g: MultiGraph, k: int,
     # every open node through its vertex on trial.
     stack: list[list] = []
     full = (1 << len(ids)) - 1
-    kk, alive, banned, carried, piece = k, full, 0, [], full
+    carried = [sum(1 << index[v] for v in comp) for comp in judged]
+    kk, alive, banned, piece = k, full, 0, full & ~sum(carried)
     while (node := visit(kk, alive, banned, carried, piece)) is not None:
         bad, cands = node
         stack.append([kk, alive, banned, iter(cands), None, bad])

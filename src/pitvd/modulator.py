@@ -6,9 +6,10 @@ graph or a tree.  S is assembled from two halves: the union of a
 sunflower-reduced family of small obstructions (parallel pairs, short
 holes, nets, tents) and a bootstrap solution B found by the exact search,
 or by the greedy fallback when the search outgrows its budget.  G - B is
-clean, so every small obstruction meets B, and the short holes are
-searched only through B.  When the exact search certifies that no
-solution within the budget exists, the whole instance is already decided.
+clean, so every small obstruction meets B, and the short holes, nets
+and tents are searched only through B.  When the exact search certifies
+that no solution within the budget exists, the whole instance is already
+decided.
 
 Relative to S, the leftover graph splits into
 
@@ -62,7 +63,9 @@ def small_obstruction_family(g: MultiGraph,
 
     Parallel edges contribute their endpoint pairs; the rest (holes of
     length 4-6, nets, tents) come from the witness scan of the underlying
-    simple graph, whose hole search starts only at the anchors.  Larger
+    simple graph, which searches only through the anchors: the holes
+    start at them, and the nets and tents are found from the triangles
+    with a vertex in N[anchors].  Larger
     holes and claw-plus-triangle components are deliberately absent: the
     structural rules handle those.
     """

@@ -14,12 +14,17 @@ cheapest rules read it instead of rescanning the graph:
   count of doubled neighbours (multiplicity 2 or more);
 - the components that rule 1 found not clean keep that verdict until an
   edit touches one of their vertices, so the scan for a clean component
-  re-checks only the components without one.
+  re-checks only the components without one, and the exact search
+  starts from them;
+- the maximal degree-2 paths and the pendant-tree map, once asked for,
+  are kept until the next edit, so the rules that read them between two
+  edits share one walk.
 
-The bookkeeping exists from construction on.  Copies and induced
-subgraphs rebuild the index from their own adjacency in one walk and
-start with no verdicts, so a copy never trusts the verdicts of its
-source.
+The bookkeeping exists from construction on.  ``from_edges`` fills the
+adjacency first and builds the index once.  Copies and induced subgraphs
+rebuild the index from their own adjacency in one walk and start with
+no verdicts and no kept paths or trees, so a copy never trusts what its
+source remembers.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class Deg2Path(NamedTuple):
 
 class MultiGraph:
     __slots__ = ("_adj", "_next_id", "_m", "_heavy", "_doubled", "_judged",
-                 "_pending")
+                 "_pending", "_paths", "_pendant")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
@@ -59,6 +64,10 @@ class MultiGraph:
         # verdict (and stale ones)
         self._judged: dict[int, list[int]] = {}
         self._pending: list[int] = []
+        # the degree-2 paths and the pendant-tree map of this graph state,
+        # built when first asked for and dropped by the next edit
+        self._paths: list[Deg2Path] | None = None
+        self._pendant: dict[int, list[list[int]]] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -68,20 +77,33 @@ class MultiGraph:
         """Build a graph from ``(u, v)`` or ``(u, v, multiplicity)`` tuples.
 
         Repeated pairs accumulate multiplicity.  ``vertices`` may list extra
-        isolated vertices.
+        isolated vertices.  The adjacency is filled first and the
+        bookkeeping built from it once, so no edit pays for its upkeep.
         """
         g = cls()
         for v in vertices:
             g.ensure_vertex(v)
+        adj = g._adj
+        total = 0
         for e in edges:
             if len(e) == 2:
                 u, v = e  # type: ignore[misc]
                 m = 1
             else:
                 u, v, m = e  # type: ignore[misc]
-            g.ensure_vertex(u)
-            g.ensure_vertex(v)
-            g.add_edge(u, v, m)
+            if u not in adj:
+                g.ensure_vertex(u)
+            if v not in adj:
+                g.ensure_vertex(v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} not allowed")
+            if m <= 0:
+                raise ValueError("multiplicity must be positive")
+            au, av = adj[u], adj[v]
+            au[v] = av[u] = au.get(v, 0) + m
+            total += m
+        g._m = total
+        g._rebuild()
         return g
 
     def copy(self) -> "MultiGraph":
@@ -184,7 +206,9 @@ class MultiGraph:
             del self._doubled[v]
 
     def _touch(self, v: int) -> None:
-        """Drop the verdict of v's component, if it has one."""
+        """Drop the verdict of v's component, if it has one, and the kept
+        paths and trees of the graph."""
+        self._paths = self._pendant = None
         comp = self._judged.get(v)
         if comp is not None:
             for u in comp:
@@ -332,6 +356,12 @@ class MultiGraph:
             for u in comp:
                 judged[u] = comp
 
+    def judged_components(self) -> list[list[int]]:
+        """The components that carry rule 1's "not clean" verdict, by
+        ascending minimum id."""
+        comps = {id(comp): comp for comp in self._judged.values()}
+        return sorted(comps.values())
+
     def hanging_trees(self, vs: Iterable[int] | None = None, keep=()
                       ) -> list[tuple[int, int, list[int]]]:
         """Strip leaves from the subgraph induced on ``vs`` (default: the
@@ -365,6 +395,38 @@ class MultiGraph:
                 queue.append(w)
         return out
 
+    def pendant_trees(self) -> dict[int, list[list[int]]]:
+        """Every pendant tree of the graph, by the vertex x it hangs from.
+
+        A pendant tree at x is a component of (component of x) - x that
+        is a simple tree joined to x by one plain edge, where x is a cut
+        vertex.  Keys ascend, and each x maps to its trees as sorted lists
+        ordered by minimum id.  One leaf-stripping pass per component
+        finds them all: each stripped u hangs its tree from w.  In a
+        component that strips down to a single vertex, a simple tree, the
+        branch holding u's parent is a pendant tree at u as well.  The map
+        is kept until the next edit, so callers must not change it.
+        """
+        if self._pendant is None:
+            self._pendant = self._strip_pendant_trees()
+        return self._pendant
+
+    def _strip_pendant_trees(self) -> dict[int, list[list[int]]]:
+        at: dict[int, list[list[int]]] = {}
+        for comp in self.components():
+            hung = self.hanging_trees(comp)
+            is_tree = len(hung) == len(comp) - 1
+            for w, u, tree in hung:
+                at.setdefault(w, []).append(sorted(tree))
+                if is_tree and len(tree) > 1:
+                    cut = set(tree)
+                    at[u].append([v for v in comp if v not in cut])
+            if is_tree and hung:
+                root = hung[-1][0]  # the vertex left; one child makes no cut
+                if len(at[root]) == 1:
+                    del at[root]
+        return {x: sorted(at[x]) for x in sorted(at)}
+
     def _subset(self, vs: Iterable[int] | None):
         """``vs`` as a container with fast membership (the graph if None).
 
@@ -388,8 +450,14 @@ class MultiGraph:
         anchor; both then follow s by its lesser chain neighbour.  A
         ``tail`` starts at a vertex of degree > 2 and ends in a pendant
         vertex; any other path starts at its lesser end.  A vertex is
-        internal to at most one returned path.
+        internal to at most one returned path.  The list is kept until the
+        next edit, so callers must not change it.
         """
+        if self._paths is None:
+            self._paths = self._walk_degree2_paths()
+        return self._paths
+
+    def _walk_degree2_paths(self) -> list[Deg2Path]:
         adj = self._adj
         chain = {v for v, nbrs in adj.items()
                  if len(nbrs) == 2 and all(m == 1 for m in nbrs.values())}

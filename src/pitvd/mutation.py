@@ -18,8 +18,7 @@ from __future__ import annotations
 from .cliques import attachment
 from .modulator import Modulator
 from .multigraph import MultiGraph
-from .rules import (RULES, RuleApplication, branch_path, deletion,
-                    pendant_trees)
+from .rules import RULES, RuleApplication, branch_path, deletion
 
 
 def mutant1_drop_any_component(g: MultiGraph, k: int):
@@ -64,7 +63,7 @@ def mutant5_forget_reconnect(g: MultiGraph, k: int):
 
 def mutant6_bare_path(g: MultiGraph, k: int):
     """Keeps only the path to the branch vertex, losing its two children."""
-    for x, trees in pendant_trees(g).items():
+    for x, trees in g.pendant_trees().items():
         for piece in trees:
             if all(g.degree(v) < 3 for v in piece):
                 continue
@@ -77,7 +76,7 @@ def mutant6_bare_path(g: MultiGraph, k: int):
 
 def mutant7_keep_one_tree(g: MultiGraph, k: int):
     """Trims to a single pendant tree and already fires at two."""
-    for x, trees in pendant_trees(g).items():
+    for x, trees in g.pendant_trees().items():
         if len(trees) >= 2:
             drop = [u for t in trees[1:] for u in t]
             return deletion("7", drop, affected=[x] + drop)

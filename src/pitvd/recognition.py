@@ -38,11 +38,12 @@ component is searched for holes.  The net, tent, short-hole and claw
 scans stay independent of the sweeps.
 
 ``obstruction_sets`` lists the small obstructions for the base set.  It
-searches short holes only through a given vertex set that meets every
-obstruction (a deletion set), since a hole that misses it would survive
-its deletion.  The net and tent scan reads the whole graph, but walks
-the triangles only of the edges ab where a and b each have a neighbour
-the other lacks.
+searches them only through a given vertex set that meets every
+obstruction (a deletion set), since one that misses it would survive
+its deletion: short holes start at its vertices, and the net and tent
+scan walks only the triangles with a vertex in its closed neighbourhood,
+and of those only the ones on an edge ab where a and b each have a
+neighbour the other lacks.
 """
 
 from __future__ import annotations
@@ -240,11 +241,13 @@ def obstruction_sets(g: MultiGraph, anchors: Collection[int]
     given vertex ids ``anchors`` that meet every one of them.
 
     Returned as (kind, vertex-id set) pairs in deterministic order; the
-    modulator construction feeds these to the set-family reductions.  The
-    net and tent scan reads the whole graph, while the short holes are
-    searched only from the anchors (``backend.small_cycles``), so a hole
-    that misses them is not listed.  Any deletion set leaves no
-    obstruction behind, so it is a valid ``anchors``.
+    modulator construction feeds these to the set-family reductions.  Both
+    scans are searched only through the anchors: the short holes start at
+    them (``backend.small_cycles``), and the net and tent scan walks only
+    the triangles with a vertex in N[anchors]
+    (``backend.net_tent_witnesses``), so an obstruction that misses them
+    is not listed.  Any deletion set leaves no obstruction behind, so it
+    is a valid ``anchors``.
     """
     ids, index, adjm = g.compact()
     full = (1 << len(ids)) - 1
@@ -252,7 +255,7 @@ def obstruction_sets(g: MultiGraph, anchors: Collection[int]
     for v in anchors:
         roots |= 1 << index[v]
     out: list[tuple[str, frozenset[int]]] = []
-    for kind, t in bk.net_tent_witnesses(adjm, full, True):
+    for kind, t in bk.net_tent_witnesses(adjm, full, True, roots):
         out.append((kind, frozenset(ids[p] for p in t)))
     for cyc in bk.small_cycles(adjm, full, roots, True):
         out.append(("hole", frozenset(ids[p] for p in cyc)))

@@ -8,6 +8,9 @@ the rules side-effect free is what makes traces replayable and the
 per-rule safety tests honest.  Rules 1-3 read the bookkeeping that the
 graph keeps current under every edit instead of rescanning it; rule 1
 leaves its "not clean" verdicts there, which changes no later answer.
+Rules 4 and 5 read the degree-2 paths and rules 6 and 7 the pendant-tree
+map that the graph keeps until its next edit, so a sweep of rules 4-7
+that fires nothing walks the chains once and the pendant trees once.
 
 Edits are encoded as small op tuples:
 
@@ -125,33 +128,6 @@ def rule5_shrink_degree2_path(g: MultiGraph, k: int):
     return None
 
 
-def pendant_trees(g: MultiGraph) -> dict[int, list[list[int]]]:
-    """Every pendant tree of g, by the vertex x it hangs from.
-
-    A pendant tree at x is a component of (component of x) - x that is a
-    simple tree joined to x by one plain edge, where x is a cut vertex.
-    Keys ascend, and each x maps to its trees as sorted lists ordered by
-    minimum id.  One leaf-stripping pass per component finds them all:
-    each stripped u hangs its tree from w.  In a component that strips
-    down to a single vertex, a simple tree, the branch holding u's
-    parent is a pendant tree at u as well.
-    """
-    at: dict[int, list[list[int]]] = {}
-    for comp in g.components():
-        hung = g.hanging_trees(comp)
-        is_tree = len(hung) == len(comp) - 1
-        for w, u, tree in hung:
-            at.setdefault(w, []).append(sorted(tree))
-            if is_tree and len(tree) > 1:
-                cut = set(tree)
-                at[u].append([v for v in comp if v not in cut])
-        if is_tree and hung:
-            root = hung[-1][0]  # the vertex left; one child makes no cut
-            if len(at[root]) == 1:
-                del at[root]
-    return {x: sorted(at[x]) for x in sorted(at)}
-
-
 def branch_path(g: MultiGraph, x: int, piece) -> list[int]:
     """x, its one neighbor in the pendant tree ``piece``, then degree-2
     vertices up to the first vertex of degree >= 3: the tree's nearest
@@ -174,7 +150,7 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
     degree >= 3 plus two of that vertex's other neighbors (smallest ids);
     the rest of the pendant tree goes.
     """
-    for x, trees in pendant_trees(g).items():
+    for x, trees in g.pendant_trees().items():
         for piece in trees:
             if all(g.degree(v) < 3 for v in piece):
                 continue
@@ -191,7 +167,7 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
 
 def rule7_limit_pendant_trees(g: MultiGraph, k: int):
     """Keep at most three pendant trees per attachment vertex."""
-    for x, trees in pendant_trees(g).items():
+    for x, trees in g.pendant_trees().items():
         if len(trees) >= 4:
             drop = [u for t in trees[3:] for u in t]
             return deletion("7", drop, affected=[x] + drop)

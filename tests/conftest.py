@@ -518,7 +518,7 @@ def base_set_from_whole_family(g: MultiGraph, k: int,
 
 def pendant_trees_by_copy(g: MultiGraph, x: int) -> list[list[int]]:
     """The pendant trees at x, read off an induced copy of the component
-    of x minus x: the per-vertex form that ``rules.pendant_trees``, one
+    of x minus x: the per-vertex form that ``MultiGraph.pendant_trees``, one
     leaf-stripping pass for every x at once, replaced."""
     comp = set(g.component_of(x))
     comp.discard(x)

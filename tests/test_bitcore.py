@@ -211,6 +211,35 @@ def test_net_tent_pruning_keeps_the_unpruned_output():
     assert kinds == {"net", "tent"}
 
 
+def test_anchored_net_tent_scan_keeps_the_nets_and_tents_that_meet_it():
+    """With anchors, the scan lists the unpruned scan's nets and tents
+    whose six vertices meet them, in the same order; without find_all it
+    gives the first such net, else the first such tent.  ``anchors=None``
+    is the plain scan."""
+    rng = random.Random(1919)
+    met = missed = 0
+    for _ in range(500):
+        n = rng.randint(6, 12)
+        adj = random_adj(rng, n, rng.choice([0.3, 0.45, 0.6, 0.8]))
+        mask = mask_of(n) & (rng.getrandbits(n) if rng.random() < 0.3 else -1)
+        anchors = rng.choice([0, 1 << rng.randrange(n),
+                              rng.getrandbits(n) & rng.getrandbits(n),
+                              rng.getrandbits(n)])
+        every = net_tent_witnesses_unpruned(adj, mask, True)
+        want = [(kind, t) for kind, t in every
+                if sum(1 << v for v in t) & anchors]
+        assert P.net_tent_witnesses(adj, mask, True, anchors) == want
+        first = ([w for w in want if w[0] == "net"][:1]
+                 or [w for w in want if w[0] == "tent"][:1])
+        assert P.net_tent_witnesses(adj, mask, False, anchors) == first
+        assert P.net_tent_witnesses(adj, mask, True, None) == every
+        assert (P.net_tent_witnesses(adj, mask, False, None)
+                == net_tent_witnesses_unpruned(adj, mask, False))
+        met += len(want)
+        missed += len(every) - len(want)
+    assert met and missed
+
+
 def test_net_tent_scan_skips_the_clique_edges_of_the_rule14_shape(
         monkeypatch):
     """On a hub over every other vertex of a 56-clique, only the edges at

@@ -229,12 +229,36 @@ class CountedAdjacency:
 
 def fixpoint_work(monkeypatch, g: MultiGraph, k: int) -> dict[str, int]:
     """Kernelize (g, k) and count rule 1's recognitions, the items
-    ``MultiGraph.edges`` yields and the vertices read by full walks over
-    an adjacency map (of every graph the run builds)."""
-    from pitvd import recognition, rules
+    ``MultiGraph.edges`` yields, the vertices read by full walks over
+    an adjacency map (of every graph the run builds), and the
+    compactions and component sweeps made inside ``compute_base_set``."""
+    from pitvd import backend, recognition, rules
 
-    counts = {"component_clean": 0, "edges": 0}
+    counts = {"component_clean": 0, "edges": 0, "base_set_compact": 0,
+              "base_set_comp_masks": 0}
     clean, edges = recognition.component_clean, MultiGraph.edges
+    base_set, compact = driver.compute_base_set, MultiGraph.compact
+    comp_masks = backend.comp_masks
+    inside = []
+
+    def counted_base_set(*args):
+        inside.append(True)
+        try:
+            return base_set(*args)
+        finally:
+            inside.pop()
+
+    def counted_compact(self, *args):
+        counts["base_set_compact"] += bool(inside)
+        return compact(self, *args)
+
+    def counted_comp_masks(*args):
+        counts["base_set_comp_masks"] += bool(inside)
+        return comp_masks(*args)
+
+    monkeypatch.setattr(driver, "compute_base_set", counted_base_set)
+    monkeypatch.setattr(MultiGraph, "compact", counted_compact)
+    monkeypatch.setattr(backend, "comp_masks", counted_comp_masks)
 
     def counted_clean(*args):
         counts["component_clean"] += 1
@@ -278,3 +302,9 @@ def test_fixpoint_work_grows_linearly(monkeypatch, family):
     assert small["component_clean"] >= 250
     for name, count in small.items():
         assert large[name] <= 2.2 * count, (name, small, large)
+    if family is doubled_matching:
+        # rule 1 judged all n/2 components, more than k: the search says
+        # no without compacting the graph or sweeping its components
+        for counts in (small, large):
+            assert counts["base_set_compact"] == 0, counts
+            assert counts["base_set_comp_masks"] == 0, counts

@@ -8,9 +8,10 @@ import pytest
 from pitvd import recognition as rec
 from pitvd.audit import audit_violations
 from pitvd.driver import kernelize
-from pitvd.exact import SearchLimitExceeded, decide
+from pitvd.exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from pitvd.modulator import compute_base_set, greedy_modulator
 from pitvd.multigraph import MultiGraph
+from pitvd.rules import apply_ops, rule1_drop_clean_component
 
 from conftest import (decide_unpruned, minimum_deletion, pitg_ok,
                       random_multigraph)
@@ -392,3 +393,69 @@ def test_untouched_components_are_recognized_once(monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 50
     assert counts[1] <= counts[0] + 50
+
+
+def judged_by_rule1(g: MultiGraph) -> MultiGraph:
+    """A copy of g after rule 1 has run to exhaustion: the clean
+    components are gone and every other one carries its verdict."""
+    g = g.copy()
+    while (app := rule1_drop_clean_component(g, 0)) is not None:
+        apply_ops(g, app.ops)
+    assert g.judged_components() == g.components()
+    return g
+
+
+def test_search_from_rule1_verdicts_matches_a_fresh_search():
+    """The root starts from the components rule 1 judged not clean, and
+    the answer is the one a copy without verdicts gets, on yes- and
+    no-instances and under a small node budget alike."""
+    rng = random.Random(19)
+    seen = {"yes": 0, "no": 0, "limit": 0}
+    for i in range(500):
+        g = judged_by_rule1(mixed_instance(rng, i))
+        k = rng.randint(0, 5)
+        for limit in (DEFAULT_NODE_LIMIT, 4):
+            try:
+                want = decide(g.copy(), k, node_limit=limit)
+            except SearchLimitExceeded:
+                with pytest.raises(SearchLimitExceeded):
+                    decide(g, k, node_limit=limit)
+                seen["limit"] += 1
+                continue
+            assert decide(g, k, node_limit=limit) == want, (i, k)
+            seen["no" if want is None else "yes"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_search_recognizes_no_judged_component(monkeypatch):
+    """Judged bad components reach neither the recognizer nor, with more
+    of them than k, the compaction; the unjudged rest is recognized."""
+    g = judged_by_rule1(side_by_side(ring_of_gadgets(3), claw_triangle(
+        random.Random(5)), mg([(0, 1, 2)])))
+    judged = g.judged_components()
+    assert len(judged) == 3
+    # a clean path and a 4-cycle added after the verdicts stay unjudged
+    fresh = [g.add_vertex() for _ in range(7)]
+    for u, v in [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)]:
+        g.add_edge(fresh[u], fresh[v])
+    ids = g.vertices
+    masks = {sum(1 << ids.index(v) for v in comp) for comp in judged}
+    calls = []
+    orig = rec._tree_or_pig
+
+    def counted(adjm, comp):
+        calls.append(comp)
+        return orig(adjm, comp)
+
+    want = decide(g.copy(), 4)
+    monkeypatch.setattr(rec, "_tree_or_pig", counted)
+    assert decide(g, 4) == want
+    assert calls and not masks.intersection(calls)
+    assert sum(1 << ids.index(v) for v in fresh[:3]) in calls
+
+    compacted = []
+    monkeypatch.setattr(MultiGraph, "compact",
+                        lambda self, *a: compacted.append(a))
+    calls.clear()
+    assert decide(g, 2) is None
+    assert compacted == [] and calls == []

@@ -361,8 +361,12 @@ def test_deg2_paths_cover_each_chain_vertex_once(code):
 def assert_bookkeeping_is_current(g: MultiGraph) -> None:
     """The edge count, the heavy-edge index and the doubled-neighbour
     counts equal a recount from ``edges()``, rules 1-3 fire as their
-    rescanning oracles do, and every vertex either maps to its current,
-    unclean component in the verdict map or waits on the pending heap."""
+    rescanning oracles do, every vertex either maps to its current,
+    unclean component in the verdict map or waits on the pending heap,
+    and the degree-2 paths and pendant trees equal a fresh copy's."""
+    fresh = g.copy()
+    assert g.find_degree2_paths() == fresh.find_degree2_paths()
+    assert g.pendant_trees() == fresh.pendant_trees()
     edges = list(g.edges())
     assert g.edge_count == sum(m for *_, m in edges)
     heavy = [(u, v) for u, v, m in edges if m > 2]
@@ -399,7 +403,7 @@ EDITS = st.lists(st.tuples(
 @given(EDITS)
 def test_bookkeeping_survives_every_edit(edits):
     """Random edit sequences, checked after every step; "fire" applies
-    the first of rules 1-3 that fires at k = 1, as the driver would."""
+    the first of rules 1-7 that fires at k = 1, as the driver would."""
     g = MultiGraph.from_edges([(0, 1, 3), (1, 2, 2), (2, 3)],
                               vertices=range(6))
     assert_bookkeeping_is_current(g)
@@ -419,9 +423,43 @@ def test_bookkeeping_survives_every_edit(edits):
         elif op == "induced":
             g = g.induced(vs[::2] if m % 2 else vs[a % 3:])
         elif op == "fire":
-            for rule in R.RULES[:3]:
+            for rule in R.RULES[:7]:
                 app = rule[2](g, 1)
                 if app is not None:
                     R.apply_ops(g, app.ops)
                     break
         assert_bookkeeping_is_current(g)
+
+
+def test_from_edges_builds_what_edge_by_edge_building_builds():
+    """The bulk construction sums repeated pairs, creates the listed and
+    the edge-named vertices, and leaves the same bookkeeping, ids and
+    answers as building one edge at a time."""
+    rng = random.Random(42)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        edges = []
+        for _ in range(rng.randint(0, 20)):
+            u, v = rng.sample(range(n + 3), 2)
+            edges.append((u, v) if rng.random() < 0.5
+                         else (u, v, rng.randint(1, 3)))
+        vertices = rng.sample(range(n + 5), rng.randint(0, n))
+        want = MultiGraph()
+        for v in vertices:
+            want.ensure_vertex(v)
+        for e in edges:
+            want.ensure_vertex(e[0])
+            want.ensure_vertex(e[1])
+            want.add_edge(*e)
+        got = MultiGraph.from_edges(edges, vertices)
+        assert got == want
+        assert got.edge_count == want.edge_count
+        assert got.double_edges() == want.double_edges()
+        assert got.least_heavy_edge() == want.least_heavy_edge()
+        assert got.add_vertex() == want.add_vertex()
+        assert_bookkeeping_is_current(got)
+    for bad in ([(1, 1)], [(0, 1, 0)], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            MultiGraph.from_edges(bad)
+    with pytest.raises(ValueError):
+        MultiGraph.from_edges([], vertices=[-3])

@@ -202,7 +202,7 @@ def test_rule7_keeps_three_pendant_trees():
 
 def test_pendant_trees_exclude_heavy_links():
     g = MultiGraph.from_edges([(0, 1, 2), (0, 2), (0, 3), (0, 4)])
-    assert [min(t) for t in R.pendant_trees(g)[0]] == [2, 3, 4]
+    assert [min(t) for t in g.pendant_trees()[0]] == [2, 3, 4]
 
 
 def test_pendant_trees_match_the_copy_based_oracle():
@@ -219,7 +219,7 @@ def test_pendant_trees_match_the_copy_based_oracle():
             g = random_forest(rng, n)
         else:
             g = tree_and_cyclic(rng, n)
-        trees = R.pendant_trees(g)
+        trees = g.pendant_trees()
         assert list(trees) == sorted(trees)
         for x in g.vertices:
             got = trees.get(x, [])
@@ -258,7 +258,7 @@ def test_pendant_tree_readers_walk_the_components_once(monkeypatch):
     audit_calls = []
     for copies in (5, 40):
         g = gadgets(copies)
-        assert len(R.pendant_trees(g)) == 6 * copies
+        assert len(g.pendant_trees()) == 6 * copies
         for rule in (R.rule6_prune_pendant_tree, R.rule7_limit_pendant_trees):
             calls.clear()
             rule(g, 0)
@@ -269,6 +269,43 @@ def test_pendant_tree_readers_walk_the_components_once(monkeypatch):
         audit_violations(gadgets(copies, paws=False), 0)
         audit_calls.append(len(calls))
     assert audit_calls[0] == audit_calls[1]
+
+
+def test_rules_4_to_7_walk_the_chains_and_pendant_trees_once(monkeypatch):
+    """Between two edits the graph keeps its degree-2 paths and pendant
+    trees: a sweep of rules 4-7 that fires nothing, and the audit's
+    sweep plus its pendant-tree bound, each walk the chains once and the
+    pendant trees once, and the next edit makes the next sweep walk them
+    again."""
+    from pitvd.audit import audit_violations
+
+    walks = {"chains": 0, "trees": 0}
+    for name, key in (("_walk_degree2_paths", "chains"),
+                      ("_strip_pendant_trees", "trees")):
+        orig = getattr(MultiGraph, name)
+
+        def counted(self, orig=orig, key=key):
+            walks[key] += 1
+            return orig(self)
+
+        monkeypatch.setattr(MultiGraph, name, counted)
+
+    # a 4-cycle through one triangle corner, two pendant vertices at
+    # another and one at the third
+    g = MultiGraph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
+                               (4, 5), (5, 0), (1, 8), (1, 9), (2, 11)])
+    assert g.find_degree2_paths() and g.pendant_trees()
+    walks.update(chains=0, trees=0)
+    g = g.copy()
+    for _ in range(2):
+        for _, _, rule in R.RULES[3:7]:
+            assert rule(g, 1) is None
+        assert walks == {"chains": 1, "trees": 1}
+        walks.update(chains=0, trees=0)
+        g.add_edge(8, 9)
+        g.set_multiplicity(8, 9, 0)
+    assert audit_violations(g, 1) == []
+    assert walks == {"chains": 1, "trees": 1}
 
 
 # ---------------------------------------------------------------------------
