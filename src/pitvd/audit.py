@@ -14,8 +14,11 @@ ones no longer apply.
 Next to the rules, the audit checks the size bounds that no rule states
 as a trigger: branching pendant trees of at most five vertices,
 marked-size cliques, bounded base-set-free clique runs, and the stratum
-cardinality bounds.  Every finding is a human-readable violation string;
-an irreducible kernel reports none.
+cardinality bounds.  The pendant-tree bound is checked on the maximal
+pendant trees only; a tree nested in one is a subtree of it, so it
+branches only if the maximal tree does and has no more vertices.  Every
+finding is a human-readable violation string; an irreducible kernel
+reports none.
 """
 
 from __future__ import annotations

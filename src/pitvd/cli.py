@@ -52,6 +52,17 @@ class ParseError(ValueError):
 # instance files
 # ---------------------------------------------------------------------------
 
+def _integers(fields: list[str]) -> list[int]:
+    """Decimal integers written in ASCII digits with an optional leading
+    minus; any other spelling that ``int`` would take (``1_0``, ``+3``,
+    non-ASCII digits) raises ``ValueError``."""
+    for x in fields:
+        digits = x.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not a decimal integer: {x!r}")
+    return [int(x) for x in fields]
+
+
 def parse(text: str) -> tuple[MultiGraph, int]:
     """Instance file text -> (graph, budget).
 
@@ -71,7 +82,7 @@ def parse(text: str) -> tuple[MultiGraph, int]:
             if len(fields) != 5 or fields[1] != "pitvd":
                 raise ParseError(f"line {lineno}: expected 'p pitvd n m k'")
             try:
-                n, m, k = (int(x) for x in fields[2:])
+                n, m, k = _integers(fields[2:])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer header field")
             if n < 0 or m < 0 or k < 0:
@@ -85,7 +96,7 @@ def parse(text: str) -> tuple[MultiGraph, int]:
             if len(fields) != 4:
                 raise ParseError(f"line {lineno}: expected 'e u v mult'")
             try:
-                u, v, mult = (int(x) for x in fields[1:])
+                u, v, mult = _integers(fields[1:])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer edge field")
             if not (1 <= u <= n and 1 <= v <= n):

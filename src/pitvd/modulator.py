@@ -32,11 +32,14 @@ G - S, its positions ascending with vertex id, lists the components in
 min-id order, tells the trees (n - 1 edges) from the cyclic components
 and finds a triangle in each cyclic one.  Two leaf-stripping passes
 (:meth:`MultiGraph.hanging_trees`) over the whole tree side, whatever
-the number of trees, give the rest: the first keeps the S-neighbors,
-leaves the connectors and hands over the hangers; the second strips the
-chains of non-critical connectors down to their hooks and so tells the
-good hooks from the bad.  The flowers check that the tree side is a
-forest as they walk it.
+the number of trees, give the rest.  Each returns one map from the
+vertices it leaves to the maximal trees hung from them.  The first
+keeps the S-neighbors: its keys are the survivors, whose degrees among
+themselves give the connectors, and the trees at the degree-2
+connectors are the hangers.  The second strips the chains of
+non-critical connectors down to their hooks, and its keys, the stretch
+between each chain's outermost hooks, tell the good hooks from the bad.
+The flowers check that the tree side is a forest as they walk it.
 """
 
 from __future__ import annotations
@@ -179,11 +182,12 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     # two or more S-neighbors keeps the minimal subtree spanning them, one
     # with a single S-neighbor keeps it, and one with none keeps a lone
     # vertex.  The connectors are the survivors outside f1 that kept a
-    # neighbor.  Each stripped piece hangs by one plain edge wu; the
-    # pieces below a degree-2 connector w are its hangers, ordered by u.
+    # neighbor.  Each maximal stripped tree hangs by one plain edge wu;
+    # the trees hung from a degree-2 connector w are its hangers, ordered
+    # by their roots u.
     f1 = {u for u in v2 if any(w in s for w in g.neighbors(u))}
     hung = g.hanging_trees(v2, keep=f1)
-    alive = v2.difference(u for _, u, _ in hung)
+    alive = hung.keys()
     sdeg = {u: sum(1 for w in g.neighbors(u) if w in alive) for u in alive}
     f3 = {u for u in alive - f1 if sdeg[u] > 0}
     f3c = {u for u in f3 if sdeg[u] >= 3}
@@ -192,17 +196,14 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
         raise AssertionError("connector chains must have degree 2")
     if len(f3c) > len(f1):
         raise AssertionError("branch points cannot outnumber S-neighbors")
-    hangers: dict[int, tuple[frozenset[int], ...]] = {}
-    for w, u, tree in sorted(hung, key=lambda t: t[:2]):
-        if w in chains:
-            hangers[w] = hangers.get(w, ()) + (frozenset(tree),)
+    hangers = {w: tuple(map(frozenset, sorted(hung[w])))
+               for w in sorted(chains) if hung[w]}
 
     # The non-critical connectors form disjoint paths, the chains between
     # two anchors (S-neighbors or branch points).  Stripping a chain down
     # to its hooks leaves the stretch from its first hook to its last;
     # only the two ends of that stretch keep their hangers.
-    stripped = g.hanging_trees(chains, keep=hangers)
-    stretch = chains.difference(u for _, u, _ in stripped)
+    stretch = g.hanging_trees(chains, keep=hangers)
     bad = {w for w in hangers
            if sum(1 for u in g.neighbors(w) if u in stretch) == 2}
     good = set(hangers) - bad

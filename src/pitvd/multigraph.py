@@ -16,9 +16,11 @@ cheapest rules read it instead of rescanning the graph:
   edit touches one of their vertices, so the scan for a clean component
   re-checks only the components without one, and the exact search
   starts from them;
-- the maximal degree-2 paths and the pendant-tree map, once asked for,
-  are kept until the next edit, so the rules that read them between two
-  edits share one walk.
+- the maximal degree-2 paths and the map of maximal pendant trees, once
+  asked for, are kept until the next edit, so the rules that read them
+  between two edits share one walk.  The trees come from one
+  leaf-stripping pass that records only each stripped vertex's parent,
+  so they are disjoint and the map is linear in the graph.
 
 The bookkeeping exists from construction on.  ``from_edges`` fills the
 adjacency first and builds the index once.  Copies and induced subgraphs
@@ -363,69 +365,64 @@ class MultiGraph:
         return sorted(comps.values())
 
     def hanging_trees(self, vs: Iterable[int] | None = None, keep=()
-                      ) -> list[tuple[int, int, list[int]]]:
+                      ) -> dict[int, list[list[int]]]:
         """Strip leaves from the subgraph induced on ``vs`` (default: the
-        whole graph) until none is left to strip.
+        whole graph) until none is left, and map each vertex left
+        unstripped to the maximal trees hung from it.
 
         A leaf is a vertex outside ``keep`` with one neighbour left, joined
-        to it by a single plain edge.  For each stripped u, in stripping
-        order, the result holds ``(w, u, tree)``: w is the vertex u hung
-        from, and ``tree`` lists u and everything stripped below it, a
-        simple tree whose only edge to the rest of ``vs`` is the plain
-        edge wu.  The vertices never stripped hold no leaf; a component
-        stripped down to one vertex was a simple tree.
+        to it by a single plain edge.  Each stripped vertex records only
+        the vertex it hung from.  A tree lists its root u first; u hangs
+        from the key w by the plain edge wu, the tree's only edge to the
+        rest of ``vs``.  The trees are simple and pairwise disjoint, so the
+        map holds each vertex of ``vs`` once, as a key or in one tree.  The
+        keys hold no leaf; a component stripped down to one vertex was a
+        simple tree.
         """
         alive = set(self._adj if vs is None else vs)
         left = {v: sum(1 for u in self._adj[v] if u in alive) for v in alive}
         queue = deque(v for v in sorted(alive) if left[v] == 1 and v not in keep)
-        below: dict[int, list[int]] = {}
-        out = []
+        parent: dict[int, int] = {}
         while queue:
             u = queue.popleft()
             ws = [w for w in self._adj[u] if w in alive]
             if len(ws) != 1 or self._adj[u][ws[0]] != 1:
                 continue
-            w = ws[0]
+            w = parent[u] = ws[0]
             alive.remove(u)
-            tree = [u, *below.pop(u, ())]
-            below.setdefault(w, []).extend(tree)
-            out.append((w, u, tree))
             left[w] -= 1
             if left[w] == 1 and w not in keep:
                 queue.append(w)
-        return out
+        hung: dict[int, list[list[int]]] = {v: [] for v in alive}
+        tree_of: dict[int, list[int]] = {}
+        # u is stripped after everything below it, so walking the
+        # stripping order backwards meets each root before its tree
+        for u in reversed(parent):
+            w = parent[u]
+            if w in hung:  # u roots a tree hung from the key w
+                tree_of[u] = [u]
+                hung[w].append(tree_of[u])
+            else:
+                tree_of[u] = tree_of[w]
+                tree_of[u].append(u)
+        return hung
 
     def pendant_trees(self) -> dict[int, list[list[int]]]:
-        """Every pendant tree of the graph, by the vertex x it hangs from.
+        """The maximal pendant trees of the graph, by the vertex x they
+        hang from: one whole-graph :meth:`hanging_trees` pass.
 
-        A pendant tree at x is a component of (component of x) - x that
-        is a simple tree joined to x by one plain edge, where x is a cut
-        vertex.  Keys ascend, and each x maps to its trees as sorted lists
-        ordered by minimum id.  One leaf-stripping pass per component
-        finds them all: each stripped u hangs its tree from w.  In a
-        component that strips down to a single vertex, a simple tree, the
-        branch holding u's parent is a pendant tree at u as well.  The map
-        is kept until the next edit, so callers must not change it.
+        Each tree is a simple tree joined to the rest of the graph only
+        by one plain edge to x, and no tree lies inside another.  Keys
+        ascend, and each x maps to its trees as sorted lists ordered by
+        minimum id.  A simple tree component keeps its last vertex as a
+        key, with the branches around it; rule 1 deletes such a component
+        before any reader of this map runs.  The map is kept until the
+        next edit, so callers must not change it.
         """
         if self._pendant is None:
-            self._pendant = self._strip_pendant_trees()
+            self._pendant = {x: sorted(map(sorted, trees)) for x, trees
+                             in sorted(self.hanging_trees().items()) if trees}
         return self._pendant
-
-    def _strip_pendant_trees(self) -> dict[int, list[list[int]]]:
-        at: dict[int, list[list[int]]] = {}
-        for comp in self.components():
-            hung = self.hanging_trees(comp)
-            is_tree = len(hung) == len(comp) - 1
-            for w, u, tree in hung:
-                at.setdefault(w, []).append(sorted(tree))
-                if is_tree and len(tree) > 1:
-                    cut = set(tree)
-                    at[u].append([v for v in comp if v not in cut])
-            if is_tree and hung:
-                root = hung[-1][0]  # the vertex left; one child makes no cut
-                if len(at[root]) == 1:
-                    del at[root]
-        return {x: sorted(at[x]) for x in sorted(at)}
 
     def _subset(self, vs: Iterable[int] | None):
         """``vs`` as a container with fast membership (the graph if None).

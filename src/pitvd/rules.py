@@ -11,6 +11,11 @@ leaves its "not clean" verdicts there, which changes no later answer.
 Rules 4 and 5 read the degree-2 paths and rules 6 and 7 the pendant-tree
 map that the graph keeps until its next edit, so a sweep of rules 4-7
 that fires nothing walks the chains once and the pendant trees once.
+The map holds the maximal pendant trees only, which loses no firing: a
+maximal tree that rule 6 leaves alone is a path, or a path ending at a
+vertex with exactly two leaf children, and no tree nested in it can
+trigger rule 6 or rule 7.  A simple tree component is clean, so rule 1
+deletes it before rules 6 and 7 look at it.
 
 Edits are encoded as small op tuples:
 
@@ -148,7 +153,10 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
 
     Keeps the path from the attachment vertex to the closest vertex of
     degree >= 3 plus two of that vertex's other neighbors (smallest ids);
-    the rest of the pendant tree goes.
+    the rest of the pendant tree goes.  Only maximal pendant trees are
+    read, attachment vertices ascending; each is a pendant tree, so
+    every firing is one the rule allows.  Tree components belong to
+    rule 1.
     """
     for x, trees in g.pendant_trees().items():
         for piece in trees:
@@ -166,7 +174,12 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
 
 
 def rule7_limit_pendant_trees(g: MultiGraph, k: int):
-    """Keep at most three pendant trees per attachment vertex."""
+    """Keep at most three pendant trees per attachment vertex.
+
+    Only maximal pendant trees are counted: once rule 6 is exhausted, a
+    vertex inside a pendant tree carries at most two nested ones.  Tree
+    components belong to rule 1.
+    """
     for x, trees in g.pendant_trees().items():
         if len(trees) >= 4:
             drop = [u for t in trees[3:] for u in t]

@@ -517,9 +517,11 @@ def base_set_from_whole_family(g: MultiGraph, k: int,
 
 
 def pendant_trees_by_copy(g: MultiGraph, x: int) -> list[list[int]]:
-    """The pendant trees at x, read off an induced copy of the component
-    of x minus x: the per-vertex form that ``MultiGraph.pendant_trees``, one
-    leaf-stripping pass for every x at once, replaced."""
+    """The pendant trees at x, nested ones included, read off an induced
+    copy of the component of x minus x.  ``MultiGraph.pendant_trees`` finds
+    the maximal ones in one leaf-stripping pass; in a component that is
+    not a simple tree, the two agree at every x that lies in no pendant
+    tree."""
     comp = set(g.component_of(x))
     comp.discard(x)
     if not comp:

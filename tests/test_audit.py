@@ -23,12 +23,14 @@ def test_audit_names_every_firing_raw_rule(name, g, k):
 
 
 def test_audit_stops_at_the_raw_rules_that_still_apply():
-    """A spider beside a triangle with a pendant path: rules 1, 4 and 6
-    still apply, and the base-set rules, which assume them exhausted,
-    are not run (rule 11 would meet a clean cyclic component)."""
+    """A spider beside a triangle with a pendant path and a hanging claw:
+    rules 1, 4 and 6 still apply, and the base-set rules, which assume
+    them exhausted, are not run (rule 11 would meet a clean cyclic
+    component)."""
     g = MultiGraph.from_edges([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6),
                                (10, 11), (11, 12), (10, 12), (10, 13),
-                               (13, 14)])
+                               (13, 14), (12, 20), (20, 21), (20, 22),
+                               (20, 23)])
     assert audit_violations(g, 0) == ["rule 1 still applies",
                                       "rule 4 still applies",
                                       "rule 6 still applies"]

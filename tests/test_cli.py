@@ -97,6 +97,13 @@ def test_parse_comments_and_blanks_ignored():
     "p pitvd 2 1 0\ne 1 2 0\n",           # zero multiplicity
     "p pitvd 2 1 0\nq 1 2 1\n",
     "p pitvd two 1 0\ne 1 2 1\n",
+    # spellings that int() reads but an instance file may not hold
+    "p pitvd 2 1 1_0\ne 1 2 1\n",
+    "p pitvd +2 1 0\ne 1 2 1\n",
+    "p pitvd \u0662 1 0\ne 1 2 1\n",       # Arabic-Indic digit two
+    "p pitvd 2 1 0\ne 1 2 1_0\n",
+    "p pitvd 2 1 0\ne +1 2 1\n",
+    "p pitvd 2 1 0\ne 1 \u0662 1\n",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):

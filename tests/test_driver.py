@@ -230,12 +230,13 @@ class CountedAdjacency:
 def fixpoint_work(monkeypatch, g: MultiGraph, k: int) -> dict[str, int]:
     """Kernelize (g, k) and count rule 1's recognitions, the items
     ``MultiGraph.edges`` yields, the vertices read by full walks over
-    an adjacency map (of every graph the run builds), and the
-    compactions and component sweeps made inside ``compute_base_set``."""
+    an adjacency map (of every graph the run builds), the vertices in
+    the trees ``MultiGraph.hanging_trees`` returns, and the compactions
+    and component sweeps made inside ``compute_base_set``."""
     from pitvd import backend, recognition, rules
 
-    counts = {"component_clean": 0, "edges": 0, "base_set_compact": 0,
-              "base_set_comp_masks": 0}
+    counts = {"component_clean": 0, "edges": 0, "hung": 0,
+              "base_set_compact": 0, "base_set_comp_masks": 0}
     clean, edges = recognition.component_clean, MultiGraph.edges
     base_set, compact = driver.compute_base_set, MultiGraph.compact
     comp_masks = backend.comp_masks
@@ -269,9 +270,17 @@ def fixpoint_work(monkeypatch, g: MultiGraph, k: int) -> dict[str, int]:
             counts["edges"] += 1
             yield e
 
+    hanging_trees = MultiGraph.hanging_trees
+
+    def counted_hanging_trees(self, *args, **kwargs):
+        hung = hanging_trees(self, *args, **kwargs)
+        counts["hung"] += sum(len(t) for ts in hung.values() for t in ts)
+        return hung
+
     monkeypatch.setattr(recognition, "component_clean", counted_clean)
     monkeypatch.setattr(rules, "component_clean", counted_clean)
     monkeypatch.setattr(MultiGraph, "edges", counted_edges)
+    monkeypatch.setattr(MultiGraph, "hanging_trees", counted_hanging_trees)
     monkeypatch.setattr(MultiGraph, "_adj",
                         CountedAdjacency(vars(MultiGraph)["_adj"]))
     WalkCountingDict.walked = 0
@@ -292,14 +301,29 @@ def doubled_matching(n: int) -> tuple[MultiGraph, int]:
                                   for i in range(n // 2)]), 2
 
 
-@pytest.mark.parametrize("family", [isolated_vertices, doubled_matching])
+def caterpillar(n: int) -> tuple[MultiGraph, int]:
+    """A triangle with a spine of n/2 - 1 vertices hung from one corner,
+    one leaf on each spine vertex: every spine vertex roots a pendant
+    tree nested in the one above it."""
+    spine = [3 + 2 * i for i in range(n // 2 - 1)]
+    edges = [(0, 1), (1, 2), (0, 2), (0, spine[0])]
+    edges += [(a, b) for a, b in zip(spine, spine[1:])]
+    edges += [(v, v + 1) for v in spine]
+    return MultiGraph.from_edges(edges), 1
+
+
+@pytest.mark.parametrize("family",
+                         [isolated_vertices, doubled_matching, caterpillar])
 def test_fixpoint_work_grows_linearly(monkeypatch, family):
     """Each firing restarts the battery at rule 1, so a fixpoint that
-    rescanned the graph per firing would do quadratic work on these
-    families; doubling n may at most about double each count."""
+    rescanned the graph per firing would do quadratic work on the first
+    two families, and listing every pendant tree at every vertex would
+    on the caterpillar; doubling n may at most about double each
+    count."""
     small, large = (fixpoint_work(monkeypatch, *family(n))
                     for n in (500, 1000))
-    assert small["component_clean"] >= 250
+    if family is not caterpillar:
+        assert small["component_clean"] >= 250
     for name, count in small.items():
         assert large[name] <= 2.2 * count, (name, small, large)
     if family is doubled_matching:

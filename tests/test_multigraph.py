@@ -171,10 +171,11 @@ def test_subset_queries_copy_the_subset_at_most_once(monkeypatch):
 
 
 def test_hanging_trees_contract():
-    """Each stripped tree is a simple tree joined to the rest of ``vs`` by
-    the plain edge wu alone, ``keep`` is never stripped, and no leaf is
-    left; with nothing kept, a component strips to one vertex exactly
-    when it is a simple tree."""
+    """The map holds every vertex of ``vs`` once, as a key or in one tree;
+    each tree is simple and joined to the rest of ``vs`` only by the
+    plain edge from its root, listed first, to its key; ``keep`` is never
+    stripped and no leaf is left; with nothing kept, a component strips
+    to one vertex exactly when it is a simple tree."""
     rng = random.Random(4242)
     outcomes = set()
     for trial in range(300):
@@ -189,17 +190,18 @@ def test_hanging_trees_contract():
         keep = () if trial % 4 < 2 else {v for v in members
                                          if rng.random() < 0.3}
         hung = g.hanging_trees(vs, keep=keep)
-        stripped = [u for _, u, _ in hung]
+        left = set(hung)
+        stripped = [u for trees in hung.values() for t in trees for u in t]
         assert len(set(stripped)) == len(stripped)
-        assert not set(stripped) & set(keep)
-        for i, (w, u, tree) in enumerate(hung):
-            assert u in tree and set(tree) <= set(stripped[:i + 1])
-            assert w in members and w not in stripped[:i + 1]
-            assert nx.is_tree(nx_multigraph(g, tree))
-            out = [(a, b) for a in tree for b in g.neighbors(a)
-                   if b in members and b not in tree]
-            assert out == [(u, w)] and g.multiplicity(u, w) == 1
-        left = members - set(stripped)
+        assert left | set(stripped) == members and not left & set(stripped)
+        assert set(keep) <= left
+        for w, trees in hung.items():
+            for tree in trees:
+                u = tree[0]
+                assert nx.is_tree(nx_multigraph(g, tree))
+                out = [(a, b) for a in tree for b in g.neighbors(a)
+                       if b in members and b not in tree]
+                assert out == [(u, w)] and g.multiplicity(u, w) == 1
         for v in left - set(keep):
             nbrs = [y for y in g.neighbors(v) if y in left]
             assert len(nbrs) != 1 or g.multiplicity(v, nbrs[0]) > 1
@@ -208,7 +210,7 @@ def test_hanging_trees_contract():
                 rest = left.intersection(comp)
                 assert (len(rest) == 1) == nx.is_tree(nx_multigraph(g, comp))
                 outcomes.add(len(rest) == 1)
-        outcomes.add(bool(hung))
+        outcomes.add(bool(stripped))
     assert outcomes == {True, False}
 
 

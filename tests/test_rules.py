@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 
+import networkx as nx
 import pytest
 
 import pitvd
@@ -23,8 +24,8 @@ from pitvd.modulator import classify_tree_side
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
-from conftest import (pendant_trees_by_copy, random_forest, random_multigraph,
-                      random_near_tree, tree_and_cyclic)
+from conftest import (nx_multigraph, pendant_trees_by_copy, random_forest,
+                      random_multigraph, random_near_tree, tree_and_cyclic)
 
 
 def strip(n):
@@ -206,6 +207,9 @@ def test_pendant_trees_exclude_heavy_links():
 
 
 def test_pendant_trees_match_the_copy_based_oracle():
+    """At every vertex of a component that is not a simple tree and that
+    lies in no pendant tree, the map lists exactly the pendant trees of
+    the copy-based oracle; no key lies inside another key's tree."""
     rng = random.Random(606)
     found = 0
     for trial in range(240):
@@ -221,16 +225,25 @@ def test_pendant_trees_match_the_copy_based_oracle():
             g = tree_and_cyclic(rng, n)
         trees = g.pendant_trees()
         assert list(trees) == sorted(trees)
-        for x in g.vertices:
-            got = trees.get(x, [])
-            assert got == pendant_trees_by_copy(g, x)
-            found += len(got)
+        inside = {u for ts in trees.values() for t in ts for u in t}
+        assert not inside.intersection(trees)
+        for comp in g.components():
+            if nx.is_tree(nx_multigraph(g, comp)):
+                continue
+            for x in comp:
+                if x not in inside:
+                    got = trees.get(x, [])
+                    assert got == pendant_trees_by_copy(g, x)
+                    found += len(got)
     assert found > 0
 
 
 def test_pendant_tree_readers_walk_the_components_once(monkeypatch):
-    """Rules 6 and 7 read every pendant tree from one ``components()``
-    walk, and the audit's count of walks does not grow with the graph."""
+    """Rules 6 and 7 read every pendant tree from one whole-graph
+    leaf-stripping pass, with no ``components()`` walk, and the audit's
+    count of walks does not grow with the graph.  Each spider is a tree
+    component, left with its centre as a key, and each paw has one key,
+    its triangle corner."""
     from pitvd.audit import audit_violations
 
     calls = []
@@ -258,11 +271,11 @@ def test_pendant_tree_readers_walk_the_components_once(monkeypatch):
     audit_calls = []
     for copies in (5, 40):
         g = gadgets(copies)
-        assert len(g.pendant_trees()) == 6 * copies
+        assert len(g.pendant_trees()) == 2 * copies
         for rule in (R.rule6_prune_pendant_tree, R.rule7_limit_pendant_trees):
             calls.clear()
             rule(g, 0)
-            assert len(calls) <= 1
+            assert len(calls) == 0
         # a forest keeps the audit's base set empty, so nothing but the
         # pendant trees scales with the number of components
         calls.clear()
@@ -280,15 +293,20 @@ def test_rules_4_to_7_walk_the_chains_and_pendant_trees_once(monkeypatch):
     from pitvd.audit import audit_violations
 
     walks = {"chains": 0, "trees": 0}
-    for name, key in (("_walk_degree2_paths", "chains"),
-                      ("_strip_pendant_trees", "trees")):
-        orig = getattr(MultiGraph, name)
+    walk_paths, hanging_trees = (MultiGraph._walk_degree2_paths,
+                                 MultiGraph.hanging_trees)
 
-        def counted(self, orig=orig, key=key):
-            walks[key] += 1
-            return orig(self)
+    def counted_paths(self):
+        walks["chains"] += 1
+        return walk_paths(self)
 
-        monkeypatch.setattr(MultiGraph, name, counted)
+    def counted_trees(self, vs=None, keep=()):
+        # the strata strip only the tree side; count whole-graph passes
+        walks["trees"] += vs is None
+        return hanging_trees(self, vs, keep)
+
+    monkeypatch.setattr(MultiGraph, "_walk_degree2_paths", counted_paths)
+    monkeypatch.setattr(MultiGraph, "hanging_trees", counted_trees)
 
     # a 4-cycle through one triangle corner, two pendant vertices at
     # another and one at the third

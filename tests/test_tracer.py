@@ -64,7 +64,7 @@ def test_tracer_wraps_every_traced_name_and_restores_it():
     assert calls["driver.kernelize"] == 1
     for name in ("modulator.compute_base_set", "modulator.classify_tree_side",
                  "combinatorics.flower_in_forest", "recognition.is_pitg",
-                 "multigraph.MultiGraph.components"):
+                 "multigraph.MultiGraph.copy"):
         assert calls.get(name, 0) >= 1, name
     after = bindings(tracer)
     assert after.keys() == before.keys()
