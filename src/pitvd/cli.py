@@ -10,8 +10,11 @@ column::
 ``kernelize`` reads one instance, runs the reduction pipeline and writes
 the kernel back in the same format (exit 0), or reports a definite
 negative (exit 20); malformed input, a header announcing more than
-``MAX_VERTICES`` vertices and out-of-range arguments exit 2.
-``generate`` emits seeded random instances, ``verify`` round-trips
+``MAX_VERTICES`` vertices and out-of-range arguments exit 2.  When a
+base set came from the greedy fallback, ``kernelize`` adds a warning on
+stderr that the kernel's size bound does not hold.
+``generate`` emits seeded random instances (the same builder as the
+verification corpus, with its own multiplicities), ``verify`` round-trips
 generated instances through the pipeline against the exact solver and
 audits every kernel.  With
 ``--mutation-test`` the verifier swaps one rule for its deliberately
@@ -153,6 +156,21 @@ def load_trace(text: str) -> tuple[RuleApplication, ...]:
 # instance generation
 # ---------------------------------------------------------------------------
 
+def random_graph(rng: random.Random, n: int, p: float, mult) -> MultiGraph:
+    """A random graph on 1..n: each pair, in order, is joined with chance
+    ``p``, and a joined pair then draws its multiplicity ``mult(rng)``."""
+    edges = [(u, v, mult(rng)) for u in range(1, n + 1)
+             for v in range(u + 1, n + 1) if rng.random() < p]
+    return MultiGraph.from_edges(edges, range(1, n + 1))
+
+
+def _sprinkled(rng: random.Random) -> int:
+    """Multiplicity 1, or 2 or 3 with chance 0.08 and 0.02."""
+    if rng.random() >= 0.1:
+        return 1
+    return 3 if rng.random() < 0.2 else 2
+
+
 def random_instance(rng: random.Random, max_n: int,
                     max_k: int) -> tuple[MultiGraph, int]:
     """One verification-corpus instance: modest size, one density from the
@@ -160,16 +178,7 @@ def random_instance(rng: random.Random, max_n: int,
     n = rng.randint(4, max_n)
     p = rng.choice(DENSITIES)
     k = rng.randint(0, max_k)
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() >= p:
-                continue
-            mult = 1
-            if rng.random() < 0.1:
-                mult = 3 if rng.random() < 0.2 else 2
-            edges.append((u, v, mult))
-    return MultiGraph.from_edges(edges, range(1, n + 1)), k
+    return random_graph(rng, n, p, _sprinkled), k
 
 
 def _write(path: str | None, text: str) -> bool:
@@ -220,6 +229,10 @@ def cmd_kernelize(args) -> int:
     print(f"edges    {m0} -> {res.graph.edge_count}", file=sys.stderr)
     print(f"budget   {k} -> {res.k}", file=sys.stderr)
     print(f"rules    {_histogram(res)}", file=sys.stderr)
+    if res.fallback:
+        print("warning: the exact base-set search ran out of nodes and a "
+              "greedy base set was used, so the kernel size bound does not "
+              "hold and a no-instance may be left undecided", file=sys.stderr)
     if res.decided_no:
         print("decided no", file=sys.stderr)
         return 20
@@ -227,15 +240,9 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    rng = random.Random(args.seed)
-    edges = []
-    for u in range(1, args.n + 1):
-        for v in range(u + 1, args.n + 1):
-            if rng.random() >= args.density:
-                continue
-            mult = 2 if rng.random() < args.double_rate else 1
-            edges.append((u, v, mult))
-    g = MultiGraph.from_edges(edges, range(1, args.n + 1))
+    def mult(rng: random.Random) -> int:
+        return 2 if rng.random() < args.double_rate else 1
+    g = random_graph(random.Random(args.seed), args.n, args.density, mult)
     return 0 if _write(args.output, serialize(g, args.k)) else 2
 
 

@@ -24,6 +24,8 @@ The full run is recorded as a trace of rule applications; replaying a
 trace against the original graph reproduces the kernel bit for bit.
 Base-set (re)computations appear in the trace as op-free entries so a
 reader can see which vertices the structural rules were working against.
+Whether any of them came from the greedy fallback is kept in the result's
+``fallback`` flag, not in the trace.
 """
 
 from __future__ import annotations
@@ -44,12 +46,18 @@ class KernelInstance:
     negative, or the bootstrap search proved that no solution fits.  The
     graph and budget then hold the state at the moment of rejection and
     carry no further meaning.
+
+    ``fallback`` marks a run in which some base set came from the greedy
+    fallback after the exact search ran out of nodes: the kernel is still
+    equivalent to the input, but its size bound is void, and a no-instance
+    may come back as a kernel instead of ``decided_no``.
     """
 
     graph: MultiGraph
     k: int
     trace: tuple[RuleApplication, ...]
     decided_no: bool = False
+    fallback: bool = False
 
 
 def replay(original: MultiGraph, k: int, trace) -> tuple[MultiGraph, int]:
@@ -76,9 +84,10 @@ def kernelize(g: MultiGraph, k: int,
     g = g.copy()
     trace: list[RuleApplication] = []
     s: set[int] | None = None
+    fallback = False
 
     def done(decided_no: bool) -> KernelInstance:
-        return KernelInstance(g.copy(), k, tuple(trace), decided_no)
+        return KernelInstance(g.copy(), k, tuple(trace), decided_no, fallback)
 
     while True:
         mod = None
@@ -92,7 +101,8 @@ def kernelize(g: MultiGraph, k: int,
                     except ValueError:  # an edit left G - S unclean
                         s = None
                 if mod is None:
-                    s, _ = compute_base_set(g, k, node_limit)
+                    s, greedy = compute_base_set(g, k, node_limit)
+                    fallback |= greedy
                     if s is None:
                         return done(True)
                     trace.append(RuleApplication(

@@ -119,24 +119,19 @@ class MultiGraph:
     # -- vertices -------------------------------------------------------
 
     def add_vertex(self) -> int:
-        """Create a fresh vertex and return its (never reused) id."""
-        v = self._next_id
-        self._next_id += 1
-        self._new_vertex(v)
-        return v
+        """Create a fresh vertex, one past the largest id the graph has
+        ever held, through :meth:`ensure_vertex`; ids are never reused."""
+        return self.ensure_vertex(self._next_id)
 
     def ensure_vertex(self, v: int) -> int:
         if v < 0:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         if v not in self._adj:
-            self._new_vertex(v)
+            self._adj[v] = {}
+            heappush(self._pending, v)
             if v >= self._next_id:
                 self._next_id = v + 1
         return v
-
-    def _new_vertex(self, v: int) -> None:
-        self._adj[v] = {}
-        heappush(self._pending, v)
 
     def has_vertex(self, v: int) -> bool:
         return v in self._adj
@@ -161,14 +156,14 @@ class MultiGraph:
     # -- edges ----------------------------------------------------------
 
     def add_edge(self, u: int, v: int, multiplicity: int = 1) -> None:
-        """Add ``multiplicity`` parallel copies of edge uv."""
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u} not allowed")
+        """Add ``multiplicity`` >= 1 parallel copies of edge uv: the sum
+        goes through :meth:`set_multiplicity`, whose checks raise
+        ``ValueError`` on a self-loop and ``KeyError`` on a missing
+        endpoint."""
         if multiplicity <= 0:
             raise ValueError("multiplicity must be positive")
-        if u not in self._adj or v not in self._adj:
-            raise KeyError("both endpoints must exist")
-        self._set(u, v, self._adj[u].get(v, 0) + multiplicity)
+        old = self._adj.get(u, {}).get(v, 0)
+        self.set_multiplicity(u, v, old + multiplicity)
 
     def set_multiplicity(self, u: int, v: int, multiplicity: int) -> None:
         """Force edge uv to the given multiplicity; 0 removes the edge."""

@@ -7,6 +7,14 @@ pair, a constant misread.  Swapping a mutant into the battery must make
 the verification suite fail on some instance; a mutant nobody can catch
 means the tests are blind to that rule's contract.
 
+Mutants 2, 3, 4, 5 and 8 call their rule and plant the bug in its input
+or its output: rule 2's cap written as one, rule 3 run at budget
+max(1, k) - 1, rule 4's deletion widened to the whole tail, rule 5's
+closing edge dropped, rule 8 run with every hook counted bad.  A change
+to one of those rules therefore reaches its mutant too.  The others
+change a trigger or an edit that the rule's output cannot express, so
+they restate their rule with the change in place.
+
 The mutants for the structural rules fire on much smaller triggers than
 their hosts, otherwise they would never execute on test-sized graphs and
 the swap would be vacuous.  An eager trigger is itself one of the planted
@@ -15,10 +23,15 @@ bugs (a misread threshold), so this keeps each variant honest.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .cliques import attachment
 from .modulator import Modulator
 from .multigraph import MultiGraph
-from .rules import RULES, RuleApplication, branch_path, deletion
+from .rules import (RULES, RuleApplication, branch_path, deletion,
+                    rule2_cap_multiplicity, rule3_many_double_edges,
+                    rule4_trim_tail, rule5_shrink_degree2_path,
+                    rule8_remove_bad_hangers)
 
 
 def mutant1_drop_any_component(g: MultiGraph, k: int):
@@ -29,36 +42,29 @@ def mutant1_drop_any_component(g: MultiGraph, k: int):
 
 
 def mutant2_cap_to_one(g: MultiGraph, k: int):
-    """Caps oversized multiplicities to one instead of two."""
-    e = g.least_heavy_edge()
-    if e is None:
-        return None
-    return RuleApplication(rule="2", ops=(("mult", *e, 1),), affected=e)
+    """Rule 2, capping oversized multiplicities to one instead of two."""
+    app = rule2_cap_multiplicity(g, k)
+    return app and replace(app, ops=(("mult", *app.affected, 1),))
 
 
 def mutant3_low_threshold(g: MultiGraph, k: int):
-    """Fires at max(1, k) doubled neighbors instead of k + 1."""
-    v = g.least_doubled_hub(max(1, k))
-    return None if v is None else deletion("3", [v], k_delta=-1)
+    """Rule 3, firing at max(1, k) doubled neighbors instead of k + 1."""
+    return rule3_many_double_edges(g, max(1, k) - 1)
 
 
 def mutant4_cut_tail_too_short(g: MultiGraph, k: int):
-    """Slices the tail off entirely instead of keeping its first vertex."""
-    for p in g.find_degree2_paths():
-        if p.kind == "tail" and len(p.vertices) >= 3:
-            return deletion("4", p.vertices[1:], affected=p.vertices)
-    return None
+    """Rule 4, slicing the tail off entirely instead of keeping its first
+    vertex: every tail vertex but the anchor (the one of degree > 2) goes."""
+    app = rule4_trim_tail(g, k)
+    return app and deletion("4", [v for v in app.affected if g.degree(v) <= 2],
+                            affected=app.affected)
 
 
 def mutant5_forget_reconnect(g: MultiGraph, k: int):
-    """Shrinks the path but forgets the edge that closes the gap."""
-    for p in g.find_degree2_paths():
-        if p.kind == "tail" or len(p.vertices) < 5:
-            continue
-        vs = p.vertices
-        ops = tuple(("del", v) for v in vs[2:-2])
-        return RuleApplication(rule="5", ops=ops, affected=vs)
-    return None
+    """Rule 5, shrinking the path but forgetting the edge that closes the
+    gap (its last op)."""
+    app = rule5_shrink_degree2_path(g, k)
+    return app and replace(app, ops=app.ops[:-1])
 
 
 def mutant6_bare_path(g: MultiGraph, k: int):
@@ -84,12 +90,8 @@ def mutant7_keep_one_tree(g: MultiGraph, k: int):
 
 
 def mutant8_strip_all_hooks(g: MultiGraph, k: int, mod: Modulator):
-    """Deletes the hangers of every hook, good ones included."""
-    drop = sorted({u for w in mod.hooks
-                   for c in mod.hangers.get(w, ()) for u in c})
-    if not drop:
-        return None
-    return deletion("8", drop, affected=sorted(mod.hooks) + drop)
+    """Rule 8, deleting the hangers of every hook, good ones included."""
+    return rule8_remove_bad_hangers(g, k, replace(mod, bad_hooks=mod.hooks))
 
 
 def mutant9_delete_cover_vertex(g: MultiGraph, k: int, mod: Modulator):

@@ -74,8 +74,6 @@ def pig_order(adjm: list[int], comp: int):
     Three-sweep LBFS; the final sweep is an umbrella ordering iff the
     component is a proper interval graph, which the last step verifies.
     """
-    if comp.bit_count() <= 2:
-        return tuple(bits(comp))
     s1 = bk.lbfs(adjm, comp)
     s2 = bk.lbfs(adjm, comp, {v: i for i, v in enumerate(s1)})
     s3 = bk.lbfs(adjm, comp, {v: i for i, v in enumerate(s2)})

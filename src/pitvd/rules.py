@@ -311,6 +311,16 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
     meets at most two consecutive partition cliques and must miss one of
     the three strictly between; that clique is deleted and its attachment
     sets in the two flanking cliques get joined.
+
+    The separator is cut in the six cliques from x's to y's, so a firing
+    costs those, not the component.  A clique's neighbours lie in the
+    cliques beside it, so every x-y path of the component has a stretch
+    from x's clique to y's through the six, which the cliques close into
+    an x-y walk inside them: a set avoiding x and y separates x from y in
+    the component iff it does in the six, and both have the same minimum
+    separators.  In the umbrella order each is a run of positions
+    p+1..r(p) with the prefix up to p on x's side, so the cut nearest x,
+    the one the flow returns, is the one with the least p in both.
     """
     ns = {u for s in mod.s for u in g.neighbors(s)}
     span = 14 * k + 5
@@ -324,8 +334,8 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
                 continue
             x = path.cliques[i][0]
             y = path.cliques[i + 5][0]
-            comp = sorted(path.order)
-            sep = set(min_vertex_separator(g.induced(comp), x, y))
+            six = [v for kq in path.cliques[i:i + 6] for v in kq]
+            sep = set(min_vertex_separator(g.induced(six), x, y))
             ell = next((e for e in (i + 1, i + 2, i + 3)
                         if not sep.intersection(path.cliques[e])), None)
             if ell is None:

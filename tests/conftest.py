@@ -738,6 +738,22 @@ def planted_tree_graph(rng, tree_size: int = 22) -> tuple[MultiGraph, int]:
     return g, 2
 
 
+def tree_with_triangles(rng, tree_size: int = 60, triangles: int = 5
+                        ) -> tuple[MultiGraph, int]:
+    """A random recursive tree of ``tree_size`` vertices with ``triangles``
+    triangles, each hung by one edge from a distinct tree vertex, and
+    k = triangles - 1.  The one component holds a claw and every
+    triangle, so the exact search branches over all of it."""
+    g = MultiGraph()
+    tree = _add_tree(rng, g, tree_size)
+    for v in rng.sample(tree, triangles):
+        a, b, c = (g.add_vertex() for _ in range(3))
+        g.add_edge(v, a)
+        for x, y in ((a, b), (b, c), (a, c)):
+            g.add_edge(x, y)
+    return g, triangles - 1
+
+
 def rule14_adj(clique: int) -> list[int]:
     """Bitmask form of the rule-14 shape: a hub (position 0) over every
     other vertex of a clique on positions 1..clique, with a pendant vertex

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
 
 import pytest
-from conftest import random_multigraph
+from conftest import (planted_interval_graph, random_multigraph,
+                      tree_with_triangles)
 
 from pitvd import cli
 from pitvd.audit import audit_violations
@@ -157,6 +159,8 @@ def test_generate_is_deterministic(tmp_path):
         assert main(["generate", "--n", "9", "--density", "0.4",
                      "--seed", "123", "-o", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "8b4246bfe3fc875788f9f9599d7c37439b9d8474c3c833fa280367d16e4bcaf2")
 
 
 def test_generate_density_zero_is_edgeless(tmp_path):
@@ -195,6 +199,23 @@ def test_kernelize_two_holes_one_budget_says_no(tmp_path):
             g.add_edge(u, c[(i + 1) % 7], 1)
     path = write(tmp_path, "no.txt", serialize(g, 1))
     assert main(["kernelize", path]) == 20
+
+
+def test_kernelize_warns_when_the_size_bound_is_void(tmp_path, capsys,
+                                                     monkeypatch):
+    """A run whose base set came from the greedy fallback still writes its
+    kernel (exit 0) and says on stderr that the size bound is void; the
+    instance is a no-instance, which the default node limit decides in
+    seconds.  A run with exact base sets does not warn."""
+    monkeypatch.setattr(cli, "kernelize",
+                        lambda g, k: kernelize(g, k, node_limit=2000))
+    for g, k, warned in ((*tree_with_triangles(random.Random(3)), True),
+                         (*planted_interval_graph(random.Random(0)), False)):
+        path = write(tmp_path, "in.txt", serialize(g, k))
+        assert main(["kernelize", path, "-o", str(tmp_path / "k.txt")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == warned
+        assert ("size bound" in err) == warned
 
 
 def test_kernelize_rejects_malformed_file(tmp_path):
@@ -341,10 +362,23 @@ def test_checked_functions_leave_their_input_unchanged():
         assert res.graph is not g
 
 
-def test_verify_detects_a_broken_rule(capsys):
+#: the last line of ``verify --count 0 --seed 3 --mutation-test R`` for
+#: the mutants built on their rules, and its exit code
+MUTANT_REPORTS = {
+    "2": (0, "mutant rule 2: detected after 2 instances"),
+    "3": (0, "mutant rule 3: detected after 3 instances"),
+    "4": (0, "mutant rule 4: detected after 4 instances"),
+    "5": (0, "mutant rule 5: detected after 1 instances"),
+    "8": (1, "mutant rule 8: survived 14 instances"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(MUTANT_REPORTS))
+def test_verify_detects_a_broken_rule(capsys, rule):
+    code, last = MUTANT_REPORTS[rule]
     assert main(["verify", "--count", "0", "--seed", "3",
-                 "--mutation-test", "5"]) == 0
-    assert "detected" in capsys.readouterr().out
+                 "--mutation-test", rule]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pitvd import driver
+from pitvd import driver, flows
 from pitvd.audit import audit_violations
 from pitvd.driver import kernelize, replay
 from pitvd.exact import decide
@@ -12,7 +12,8 @@ from pitvd.multigraph import MultiGraph
 from pitvd.rules import RULES, RuleApplication
 
 from conftest import (planted_interval_graph, planted_tree_graph,
-                      random_multigraph, unit_interval_graph)
+                      random_multigraph, tree_with_triangles,
+                      unit_interval_graph)
 
 
 def same_graph(a: MultiGraph, b: MultiGraph) -> bool:
@@ -182,6 +183,24 @@ def test_unclean_fresh_base_set_raises(monkeypatch):
         kernelize(g, 1, rules=battery)
 
 
+def test_greedy_base_set_sets_the_fallback_flag():
+    """Past its node limit the exact search hands over to the greedy base
+    set: the run on this no-instance comes back as a kernel, not decided,
+    and says that its size bound is void.  The kernel still replays from
+    the trace."""
+    g, k = tree_with_triangles(random.Random(3))
+    assert (g.n, k) == (75, 4)
+    res = kernelize(g, k, node_limit=2000)
+    assert res.fallback and not res.decided_no
+    assert replay(g, k, res.trace) == (res.graph, res.k)
+
+
+def test_exact_base_set_leaves_the_flag_down():
+    res = kernelize(*planted_interval_graph(random.Random(0)))
+    assert any(app.rule == "base-set" for app in res.trace)
+    assert not res.fallback and not res.decided_no
+
+
 def test_trace_records_budget_spending_rules():
     g = MultiGraph.from_edges([(0, 1, 2), (0, 2, 2), (1, 2)])
     res = kernelize(g, 1)
@@ -332,3 +351,25 @@ def test_fixpoint_work_grows_linearly(monkeypatch, family):
         for counts in (small, large):
             assert counts["base_set_compact"] == 0, counts
             assert counts["base_set_comp_masks"] == 0, counts
+
+
+def test_rule13_flow_network_does_not_grow_with_the_body(monkeypatch):
+    """Rule 13 builds its flow network on six cliques, not on the whole
+    component, so on a unit-interval body twice as long the largest
+    network it builds is at most 1.2 times as large."""
+
+    def largest_network(body_size: int) -> int:
+        sizes = []
+
+        class CountedDinic(flows.Dinic):
+            def __init__(self, n: int):
+                sizes.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(flows, "Dinic", CountedDinic)
+        res = kernelize(*planted_interval_graph(random.Random(0), body_size))
+        monkeypatch.undo()
+        assert any(app.rule == "13" for app in res.trace)
+        return max(sizes)
+
+    assert largest_network(480) <= 1.2 * largest_network(240)

@@ -19,13 +19,15 @@ import pitvd
 from pitvd import rules as R
 from pitvd.cliques import clique_path
 from pitvd.exact import decide
+from pitvd.flows import min_vertex_separator
 from pitvd.marking import unmarked_vertices
 from pitvd.modulator import classify_tree_side
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
 from conftest import (nx_multigraph, pendant_trees_by_copy, random_forest,
-                      random_multigraph, random_near_tree, tree_and_cyclic)
+                      random_multigraph, random_near_tree, tree_and_cyclic,
+                      unit_interval_graph)
 
 
 def strip(n):
@@ -494,6 +496,27 @@ def test_rule13_checks_survive_python_O(name):
     assert done.returncode != 0
     message = RULE13_BREAKS[name][2]
     assert f"AssertionError: {message}" in done.stderr, done.stderr
+
+
+def test_rule13_cut_on_six_cliques_is_the_component_cut():
+    """Rule 13 cuts x from y on the six cliques from x's to y's.  On
+    random unit-interval components, at every start i with a clique
+    i + 5, that cut is the one on the whole component (the oracle)."""
+    rng = random.Random(13)
+    starts = 0
+    for _ in range(60):
+        n = rng.randint(40, 120)
+        g = unit_interval_graph(rng, n, n / rng.uniform(2.5, 6.0))
+        for comp in g.components():
+            cliques = clique_path(g, comp).cliques
+            whole = g.induced(comp)
+            for i in range(len(cliques) - 5):
+                x, y = cliques[i][0], cliques[i + 5][0]
+                six = [v for kq in cliques[i:i + 6] for v in kq]
+                assert (min_vertex_separator(g.induced(six), x, y)
+                        == min_vertex_separator(whole, x, y)), (comp, i)
+                starts += 1
+    assert starts >= 300
 
 
 def test_rule13_ignores_short_runs():
