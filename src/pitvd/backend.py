@@ -10,6 +10,14 @@ umbrella sweeps of ``recognition.pig_order`` and the chordality check,
 which reads the reverse LBFS order as a perfect elimination order (Rose,
 Tarjan and Lueker 1976).
 
+An order is read through its prefix masks (``prefix_masks``): ``pre[j]``
+holds its first j vertices.  Two facts are all the order checks need.
+The vertex of a mask placed latest is found by a binary search over the
+prefixes (``latest``); it is the pivot of the tie-breaking sweeps and of
+the chordality check.  A neighbourhood is a contiguous run of the order
+when it fills the gap between two prefixes, one comparison; that is the
+umbrella check, and ``cliques.clique_path`` cuts its blocks the same way.
+
 These are the innermost loops of the whole package (the exact solver and the
 recognizer call them many thousands of times), hence the flat,
 allocation-shy style.
@@ -29,23 +37,38 @@ def bits(x: int):
         x ^= b
 
 
+def id_mask(index: dict[int, int], vs) -> int:
+    """The mask of the positions that ``index`` gives the ids ``vs``."""
+    m = 0
+    for v in vs:
+        m |= 1 << index[v]
+    return m
+
+
 def comp_masks(adj: list[int], mask: int) -> list[int]:
     """Connected components of the induced subgraph, as masks, by lowest bit."""
     comps = []
     rem = mask
     while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            nxt &= mask & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = reach(adj, rem & -rem, mask)
         comps.append(comp)
         rem &= ~comp
     return comps
+
+
+def reach(adj: list[int], seeds: int, mask: int) -> int:
+    """The positions of ``mask`` joined to ``seeds`` (a subset of
+    ``mask``) by a path inside ``mask``: the union of the components of
+    the induced subgraph that meet ``seeds``."""
+    comp = frontier = seeds
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        nxt &= mask & ~comp
+        comp |= nxt
+        frontier = nxt
+    return comp
 
 
 def count_edges(adj: list[int], mask: int) -> int:
@@ -83,23 +106,58 @@ def find_claw(adj: list[int], mask: int):
     return None
 
 
-def lbfs(adj: list[int], mask: int, prev_pos=None) -> list[int]:
+def prefix_masks(order) -> list[int]:
+    """``pre[j]``, for j = 0..len(order), is the mask of the first j
+    vertices of ``order``."""
+    pre = [0]
+    m = 0
+    for v in order:
+        m |= 1 << v
+        pre.append(m)
+    return pre
+
+
+def latest(order, pre: list[int], mask: int) -> int:
+    """The vertex of the nonempty ``mask`` placed latest in ``order``,
+    whose prefix masks are ``pre``; ``mask`` must lie inside the order.
+
+    It is the last vertex of the shortest prefix that holds all of
+    ``mask``, found by binary search; a one-vertex mask is read directly.
+    """
+    if not mask & (mask - 1):
+        return mask.bit_length() - 1
+    lo, hi = 1, len(order)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if mask & ~pre[mid]:
+            lo = mid + 1
+        else:
+            hi = mid
+    return order[lo - 1]
+
+
+def lbfs(adj: list[int], mask: int, prev=None) -> list[int]:
     """One lexicographic BFS sweep over the positions in ``mask``, by
     partition refinement of bitmask slices; ``[]`` for an empty mask.
 
     Ties inside the first slice go to the lowest position on a first
-    sweep, and to the vertex latest in the previous sweep when its
-    positions ``prev_pos`` are given.  A disconnected mask is swept one
-    component after another.
+    sweep, and to the vertex latest in the previous sweep ``prev`` when
+    it is given.  ``prev`` must hold every position of ``mask``, else
+    ``ValueError``.  A disconnected mask is swept one component after
+    another.
     """
+    if prev is not None:
+        pre = prefix_masks(prev)
+        if mask & ~pre[-1]:
+            raise ValueError("the previous sweep misses a vertex of the mask")
     slices = [mask] if mask else []
     order: list[int] = []
     while slices:
         first = slices[0]
-        if prev_pos is None:
+        if prev is None:
             v = (first & -first).bit_length() - 1
         else:
-            v = max(bits(first), key=prev_pos.__getitem__)
+            v = latest(prev, pre, first)
         slices[0] = first & ~(1 << v)
         order.append(v)
         nb = adj[v]
@@ -125,18 +183,17 @@ def chordal_fail(adj: list[int], mask: int):
     extraction.
     """
     order = lbfs(adj, mask)
-    pos = {v: i for i, v in enumerate(order)}
-    later = mask
-    for v in reversed(order):
-        later &= ~(1 << v)
-        l_nbrs = adj[v] & later
-        if l_nbrs.bit_count() < 2:
-            continue
-        # the first of them to be eliminated is the last one swept
-        p = max(bits(l_nbrs), key=pos.__getitem__)
-        bad = l_nbrs & ~adj[p] & ~(1 << p)
-        if bad:
-            return (v, p, (bad & -bad).bit_length() - 1)
+    pre = prefix_masks(order)
+    for i in range(len(order) - 1, -1, -1):
+        v = order[i]
+        # the neighbours eliminated after v are those swept before it
+        l_nbrs = adj[v] & pre[i]
+        if l_nbrs & (l_nbrs - 1):
+            # the first of them to be eliminated is the last one swept
+            p = latest(order, pre, l_nbrs)
+            bad = l_nbrs & ~adj[p] & ~(1 << p)
+            if bad:
+                return (v, p, (bad & -bad).bit_length() - 1)
     return None
 
 
@@ -278,25 +335,17 @@ def umbrella_ok(adj: list[int], order) -> bool:
 
     Equivalent formulation checked here: every vertex's neighborhood within
     the order occupies a contiguous position interval around the vertex.
+    Its later part, with the prefix before it, must be a prefix of the
+    order; its earlier part must fill the gap between two prefixes.
     """
-    pos = {}
-    omask = 0
+    pre = prefix_masks(order)
+    omask = pre[-1]
     for i, v in enumerate(order):
-        pos[v] = i
-        omask |= 1 << v
-    for i, v in enumerate(order):
-        nb = adj[v] & omask
-        if not nb:
-            continue
-        lo = hi = i
-        cnt = 0
-        for u in bits(nb):
-            p = pos[u]
-            if p < lo:
-                lo = p
-            if p > hi:
-                hi = p
-            cnt += 1
-        if cnt != hi - lo:
+        nb = adj[v]
+        upto = (nb | pre[i + 1]) & omask
+        if upto != pre[upto.bit_count()]:
+            return False
+        before = nb & pre[i]
+        if before | pre[i - before.bit_count()] != pre[i]:
             return False
     return True

@@ -21,9 +21,12 @@ leave the branching order as it is, so the search returns the first
 solution that the unpruned depth-first search finds; a no-instance with
 more bad components than k is decided at the root.
 
-The graph is compacted once per search.  A node's state is ``(kk, alive
-mask, banned mask)`` over that one bitmask view, with the parallel pairs
-kept as position pairs, so no node copies or re-compacts the graph.
+The search reads the graph's kept bitmask view (``MultiGraph.view``),
+built at most once per graph state: its closing validation reads the
+same view, and so does the base-set stage after it.  A node's state is
+``(kk, alive mask, banned mask)`` over that view, with the parallel
+pairs kept as position pairs, so no node copies or re-compacts the
+graph.
 
 A branching node knows all its bad components, and its candidate v lies
 in one of them, C.  Deleting v leaves every other component as it was,
@@ -33,7 +36,7 @@ recognized once per search rather than once per node.  The root starts
 the same way from what the graph already knows: the components that
 carry rule 1's "not clean" verdict are bad, so the root carries them and
 recognizes only the rest.  With more of them than k the answer is no
-before the graph is even compacted.  The root's bad components, and so
+before the view is even built.  The root's bad components, and so
 every node and the first solution, are those of a search on a copy
 without verdicts.
 
@@ -45,7 +48,7 @@ reduction pipeline, not as a general-purpose solver.
 from __future__ import annotations
 
 from . import recognition as rec
-from .backend import bits
+from .backend import bits, id_mask
 from .multigraph import MultiGraph
 
 DEFAULT_NODE_LIMIT = 400_000
@@ -63,7 +66,7 @@ def decide(g: MultiGraph, k: int,
     judged = g.judged_components()
     if len(judged) > k:  # more bad components than deletions
         return None
-    ids, index, adjm = g.compact()
+    ids, index, adjm = g.view()
     pairs = [1 << index[u] | 1 << index[v] for u, v in g.double_edges()]
     nodes = 0
 
@@ -104,7 +107,7 @@ def decide(g: MultiGraph, k: int,
     # every open node through its vertex on trial.
     stack: list[list] = []
     full = (1 << len(ids)) - 1
-    carried = [sum(1 << index[v] for v in comp) for comp in judged]
+    carried = [id_mask(index, comp) for comp in judged]
     kk, alive, banned, piece = k, full, 0, full & ~sum(carried)
     while (node := visit(kk, alive, banned, carried, piece)) is not None:
         bad, cands = node

@@ -27,19 +27,24 @@ of the remaining *bad* hooks are deletable.
 G - S is analysed once, without copying it, and the result holds
 everything the base-set rules read: the clique path of each cyclic
 component (``paths``), the flower of each base vertex into the tree side
-with its cover Z_v (``flowers``), and the strata.  One bitmask view of
-G - S, its positions ascending with vertex id, lists the components in
+with its cover Z_v (``flowers``), and the strata.  G - S is read as a
+mask over the graph's kept bitmask view (:meth:`MultiGraph.view`), the
+one the exact bootstrap and the obstruction scan read before it.  Its
+positions ascend with vertex id, so the view lists the components in
 min-id order, tells the trees (n - 1 edges) from the cyclic components
-and finds a triangle in each cyclic one.  Two leaf-stripping passes
-(:meth:`MultiGraph.hanging_trees`) over the whole tree side, whatever
-the number of trees, give the rest.  Each returns one map from the
+and finds a triangle in each cyclic one; only the clique path of a
+cyclic component compacts that component again, on its own.  Two
+leaf-stripping passes (:meth:`MultiGraph.hanging_trees`) over the whole
+tree side, whatever the number of trees, give the rest.  Each returns one map from the
 vertices it leaves to the maximal trees hung from them.  The first
 keeps the S-neighbors: its keys are the survivors, whose degrees among
 themselves give the connectors, and the trees at the degree-2
 connectors are the hangers.  The second strips the chains of
 non-critical connectors down to their hooks, and its keys, the stretch
 between each chain's outermost hooks, tell the good hooks from the bad.
-The flowers check that the tree side is a forest as they walk it.
+Each base vertex's flower walks only the trees that hold one of its
+neighbours, found from that neighbourhood in the view; the other trees
+hold no petal and no vertex of its cover.
 """
 
 from __future__ import annotations
@@ -159,19 +164,21 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     passes however many trees it has (see the module docstring).
     """
     s = frozenset(s)
-    rest = [v for v in g.vertices if v not in s]
-    doubles = g.double_edges(rest)
+    doubles = [e for e in g.double_edges() if s.isdisjoint(e)]
     if doubles:
         raise ValueError(f"base set leaves the parallel edge {doubles[0]}")
 
     v1: set[int] = set()
     v2: set[int] = set()
     paths: list[CliquePath] = []
-    ids, _, adjm = g.compact(rest)
-    for mask in backend.comp_masks(adjm, (1 << len(ids)) - 1):
+    ids, index, adjm = g.view()
+    rest = ((1 << len(ids)) - 1) & ~backend.id_mask(index, s)
+    trees = 0  # the tree side, as a mask
+    for mask in backend.comp_masks(adjm, rest):
         comp = [ids[p] for p in backend.bits(mask)]
         if backend.count_edges(adjm, mask) == len(comp) - 1:
             v2.update(comp)
+            trees |= mask
             continue
         paths.append(clique_path(g, comp))
         v1.update(comp)
@@ -185,7 +192,10 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     # neighbor.  Each maximal stripped tree hangs by one plain edge wu;
     # the trees hung from a degree-2 connector w are its hangers, ordered
     # by their roots u.
-    f1 = {u for u in v2 if any(w in s for w in g.neighbors(u))}
+    near = 0  # N(S)
+    for v in s:
+        near |= adjm[index[v]]
+    f1 = {ids[p] for p in backend.bits(near & trees)}
     hung = g.hanging_trees(v2, keep=f1)
     alive = hung.keys()
     sdeg = {u: sum(1 for w in g.neighbors(u) if w in alive) for u in alive}
@@ -207,11 +217,15 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     bad = {w for w in hangers
            if sum(1 for u in g.neighbors(w) if u in stretch) == 2}
     good = set(hangers) - bad
+
+    flowers = {}
+    for v in sorted(s):
+        touched = backend.reach(adjm, adjm[index[v]] & trees, trees)
+        flowers[v] = flower_in_forest(
+            g, v, [ids[p] for p in backend.bits(touched)])
     return Modulator(s=s, v1=frozenset(v1), v2=frozenset(v2),
                      f1=frozenset(f1), f3=frozenset(f3),
                      f3_critical=frozenset(f3c),
                      good_hooks=frozenset(good), bad_hooks=frozenset(bad),
-                     hangers=hangers, paths=tuple(paths),
-                     flowers={v: flower_in_forest(g, v, v2)
-                              for v in sorted(s)})
+                     hangers=hangers, paths=tuple(paths), flowers=flowers)
 

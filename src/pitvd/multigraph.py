@@ -16,17 +16,18 @@ cheapest rules read it instead of rescanning the graph:
   edit touches one of their vertices, so the scan for a clean component
   re-checks only the components without one, and the exact search
   starts from them;
-- the maximal degree-2 paths and the map of maximal pendant trees, once
-  asked for, are kept until the next edit, so the rules that read them
-  between two edits share one walk.  The trees come from one
-  leaf-stripping pass that records only each stripped vertex's parent,
-  so they are disjoint and the map is linear in the graph.
+- the maximal degree-2 paths, the map of maximal pendant trees and the
+  whole-graph bitmask view (:meth:`view`), once asked for, are kept
+  until the next edit, so the readers between two edits share one walk.
+  The trees come from one leaf-stripping pass that records only each
+  stripped vertex's parent, so they are disjoint and the map is linear
+  in the graph.
 
 The bookkeeping exists from construction on.  ``from_edges`` fills the
 adjacency first and builds the index once.  Copies and induced subgraphs
 rebuild the index from their own adjacency in one walk and start with
-no verdicts and no kept paths or trees, so a copy never trusts what its
-source remembers.
+no verdicts and no kept paths, trees or view, so a copy never trusts
+what its source remembers.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class Deg2Path(NamedTuple):
 
 class MultiGraph:
     __slots__ = ("_adj", "_next_id", "_m", "_heavy", "_doubled", "_judged",
-                 "_pending", "_paths", "_pendant")
+                 "_pending", "_paths", "_pendant", "_view")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
@@ -66,10 +67,12 @@ class MultiGraph:
         # verdict (and stale ones)
         self._judged: dict[int, list[int]] = {}
         self._pending: list[int] = []
-        # the degree-2 paths and the pendant-tree map of this graph state,
-        # built when first asked for and dropped by the next edit
+        # the degree-2 paths, the pendant-tree map and the bitmask view of
+        # this graph state, built when first asked for and dropped by the
+        # next edit
         self._paths: list[Deg2Path] | None = None
         self._pendant: dict[int, list[list[int]]] | None = None
+        self._view: tuple[list[int], dict[int, int], list[int]] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -128,6 +131,7 @@ class MultiGraph:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         if v not in self._adj:
             self._adj[v] = {}
+            self._touch(v)
             heappush(self._pending, v)
             if v >= self._next_id:
                 self._next_id = v + 1
@@ -204,8 +208,8 @@ class MultiGraph:
 
     def _touch(self, v: int) -> None:
         """Drop the verdict of v's component, if it has one, and the kept
-        paths and trees of the graph."""
-        self._paths = self._pendant = None
+        paths, trees and view of the graph."""
+        self._paths = self._pendant = self._view = None
         comp = self._judged.get(v)
         if comp is not None:
             for u in comp:
@@ -508,6 +512,18 @@ class MultiGraph:
                     m |= 1 << j
             masks[i] = m
         return ids, index, masks
+
+    def view(self):
+        """The whole-graph :meth:`compact`, ``(ids, index, adj_masks)``,
+        kept until the next edit.
+
+        Positions ascend with ids, so the view of a vertex subset is a
+        mask over it, and the components of that mask come in the order
+        of their minimum ids.  Callers must not change it.
+        """
+        if self._view is None:
+            self._view = self.compact()
+        return self._view
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, MultiGraph) and self._adj == other._adj

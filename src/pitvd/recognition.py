@@ -27,15 +27,22 @@ neighbours; such a triple is an induced claw, which no proper interval
 graph has (Roberts 1969), so most bad components are rejected there.
 The rest are recognized by three lexicographic BFS sweeps (the second
 and third tie-break toward the vertex placed latest in the previous
-sweep) followed by an umbrella-ordering verification of the final sweep;
-a component passes the verification exactly when it is a proper
-interval graph (Corneil 2004).  The claw scan only ever answers "no"
-with an induced claw in hand, so every verdict is the sweeps' verdict.
+sweep, found on its prefix masks) followed by an umbrella-ordering
+verification of the final sweep, also on its prefix masks; a component
+passes the verification exactly when it is a proper interval graph
+(Corneil 2004).  The claw scan only ever answers "no" with an induced
+claw in hand, so every verdict is the sweeps' verdict.
 The witness search on a failed component shares
 ``backend.lbfs`` with the sweeps: its chordality check reads one more
 sweep in reverse as an elimination order, and only a non-chordal
 component is searched for holes.  The net, tent, short-hole and claw
 scans stay independent of the sweeps.
+
+``is_pitg`` and ``obstruction_sets`` read the graph's kept bitmask view
+(``MultiGraph.view``) and take a vertex subset as a mask over it, so the
+exact search, its closing validation and the obstruction scan of one
+graph state share one compaction.  ``component_clean``, which rule 1
+asks after every edit, compacts its component on its own instead.
 
 ``obstruction_sets`` lists the small obstructions for the base set.  It
 searches them only through a given vertex set that meets every
@@ -75,8 +82,8 @@ def pig_order(adjm: list[int], comp: int):
     component is a proper interval graph, which the last step verifies.
     """
     s1 = bk.lbfs(adjm, comp)
-    s2 = bk.lbfs(adjm, comp, {v: i for i, v in enumerate(s1)})
-    s3 = bk.lbfs(adjm, comp, {v: i for i, v in enumerate(s2)})
+    s2 = bk.lbfs(adjm, comp, s1)
+    s3 = bk.lbfs(adjm, comp, s2)
     return tuple(s3) if bk.umbrella_ok(adjm, s3) else None
 
 
@@ -209,7 +216,8 @@ def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
     """Decide membership in the target class; certify failure.
 
     Answers for the subgraph induced on ``vs`` (default: the whole graph)
-    without copying it.  Returns ``(True, None)`` or ``(False,
+    without copying it: ``vs`` is read as a mask over the graph's kept
+    :meth:`~MultiGraph.view`.  Returns ``(True, None)`` or ``(False,
     obstruction)`` with the obstruction stated in stable vertex ids.
     Preference order: double edge, then in the first bad component: net,
     tent, short hole, any hole, claw+triangle.
@@ -217,8 +225,9 @@ def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
     doubles = g.double_edges(vs)
     if doubles:
         return False, Obstruction("double", doubles[0])
-    ids, _, adjm = g.compact(vs)
-    bad = bad_components(adjm, 0, (1 << len(ids)) - 1, 1)
+    ids, index, adjm = g.view()
+    mask = (1 << len(ids)) - 1 if vs is None else bk.id_mask(index, vs)
+    bad = bad_components(adjm, 0, mask, 1)
     if not bad:
         return True, None
     obs = witness(adjm, bad[0])
@@ -226,7 +235,11 @@ def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
 
 
 def component_clean(g: MultiGraph, comp: list[int]) -> bool:
-    """Is the induced component simple and a proper interval graph or tree?"""
+    """Is the induced component simple and a proper interval graph or tree?
+
+    Rule 1 asks after every edit, so the component is compacted on its
+    own rather than read from the whole-graph view, which each edit drops.
+    """
     if g.double_edges(comp):
         return False
     ids, _, adjm = g.compact(comp)
@@ -247,11 +260,9 @@ def obstruction_sets(g: MultiGraph, anchors: Collection[int]
     is not listed.  Any deletion set leaves no obstruction behind, so it
     is a valid ``anchors``.
     """
-    ids, index, adjm = g.compact()
+    ids, index, adjm = g.view()
     full = (1 << len(ids)) - 1
-    roots = 0
-    for v in anchors:
-        roots |= 1 << index[v]
+    roots = bk.id_mask(index, anchors)
     out: list[tuple[str, frozenset[int]]] = []
     for kind, t in bk.net_tent_witnesses(adjm, full, True, roots):
         out.append((kind, frozenset(ids[p] for p in t)))

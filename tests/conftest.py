@@ -217,6 +217,62 @@ def lbfs_by_lists(adjm: list[int], verts: list[int], prev_pos=None):
     return order
 
 
+def umbrella_ok_by_positions(adj: list[int], order) -> bool:
+    """The umbrella check by an edge walk: every neighbourhood's extreme
+    positions bound a run it fills.  The O(m) form the prefix-mask
+    ``backend.umbrella_ok`` replaced, kept as its oracle."""
+    pos = {}
+    omask = 0
+    for i, v in enumerate(order):
+        pos[v] = i
+        omask |= 1 << v
+    for i, v in enumerate(order):
+        nb = adj[v] & omask
+        if not nb:
+            continue
+        lo = hi = i
+        cnt = 0
+        for u in backend.bits(nb):
+            p = pos[u]
+            lo, hi = min(lo, p), max(hi, p)
+            cnt += 1
+        if cnt != hi - lo:
+            return False
+    return True
+
+
+def clique_path_by_ranks(g: MultiGraph, comp: list[int]):
+    """The blocks of ``cliques.clique_path`` computed in rank space: the
+    component relabelled along its umbrella order, each block ending at
+    the last neighbour of its first vertex.  The form the prefix-mask
+    blocks replaced, kept as their oracle."""
+    ids, _, adjm = g.compact(comp)
+    full = (1 << len(ids)) - 1
+    order_pos = rec.pig_order(adjm, full)
+    n = len(order_pos)
+    rank = {p: i for i, p in enumerate(order_pos)}
+    radj = [0] * n
+    for i, p in enumerate(order_pos):
+        for q in backend.bits(adjm[p] & full):
+            radj[i] |= 1 << rank[q]
+    blocks = []
+    s = 0
+    while s < n:
+        later = radj[s] >> (s + 1)
+        r = s + later.bit_length() if later else s
+        for i in range(s, r + 1):
+            assert not ((1 << (r + 1)) - (1 << s)) & ~radj[i] & ~(1 << i)
+        blocks.append(tuple(ids[order_pos[i]] for i in range(s, r + 1)))
+        s = r + 1
+    return tuple(ids[p] for p in order_pos), tuple(blocks)
+
+
+def shift_adj(adj: list[int], off: int) -> list[int]:
+    """``adj`` with every position moved up by ``off``, below it nothing:
+    the same graph at the high positions a whole-graph view gives."""
+    return [0] * off + [a << off for a in adj]
+
+
 def witness_in_searched_order(adjm, comp):
     """``recognition.witness`` as it searched before the chordality check
     gated the hole searches: nets, tents, short holes, a hole seeded by

@@ -11,8 +11,10 @@ import random
 
 import networkx as nx
 
+import pytest
+
 from pitvd import backend as P
-from pitvd.recognition import find_hole
+from pitvd.recognition import find_hole, pig_order
 
 from conftest import (
     adj_from_edges,
@@ -22,6 +24,7 @@ from conftest import (
     brute_net_tent_sets,
     brute_triangles,
     component_ok,
+    lbfs_by_lists,
     mask_of,
     net_tent_witnesses_unpruned,
     nx_from_adj,
@@ -31,6 +34,8 @@ from conftest import (
     random_clique_tree_adj,
     random_interval_adj,
     rule14_adj,
+    shift_adj,
+    umbrella_ok_by_positions,
 )
 
 N_SMALL = 5
@@ -345,3 +350,69 @@ def test_umbrella_equivalence_exhaustive():
             continue
         seen += 1
         check_component_ok(adj, mask_of(6))
+
+
+def random_unit_interval_adj(rng, n: int) -> list[int]:
+    """A unit interval graph on n intervals, at randomly permuted
+    positions so that no order of the positions is given away."""
+    centres = sorted(rng.uniform(0, n / 3) for _ in range(n))
+    at = rng.sample(range(n), n)
+    return adj_from_edges(n, [(at[i], at[j])
+                              for i, j in itertools.combinations(range(n), 2)
+                              if centres[j] - centres[i] <= 1.0])
+
+
+def test_prefix_mask_kernels_match_their_oracles():
+    """On random unit-interval components and random graphs, both at
+    positions from 0 and above bit 60: ``umbrella_ok`` gives the edge
+    walk's verdict on the recognizer's orders, on those orders with two
+    neighbours swapped and on random orders; the sweeps taken with a
+    previous order are the list oracle's; ``latest`` is the latest
+    vertex by position; and the chordality witness only moves with the
+    positions."""
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for trial in range(300):
+        n = rng.randint(1, 24)
+        adj = (random_unit_interval_adj(rng, n) if trial % 2
+               else random_adj(rng, n, rng.uniform(0.1, 0.9)))
+        fail = P.chordal_fail(adj, mask_of(n))
+        for off in (0, 61 + rng.randrange(70)):
+            sadj = shift_adj(adj, off)
+            moved = None if fail is None else tuple(p + off for p in fail)
+            assert P.chordal_fail(sadj, mask_of(n) << off) == moved
+            for comp in P.comp_masks(sadj, mask_of(n) << off):
+                verts = list(P.bits(comp))
+                for prev in (P.lbfs(sadj, comp), rng.sample(verts, len(verts))):
+                    pos = {v: i for i, v in enumerate(prev)}
+                    assert (P.lbfs(sadj, comp, prev)
+                            == lbfs_by_lists(sadj, verts, pos))
+                    pre = P.prefix_masks(prev)
+                    sub = rng.getrandbits(len(verts) + off) & comp or comp
+                    assert (P.latest(prev, pre, sub)
+                            == max(P.bits(sub), key=pos.__getitem__))
+                orders = [rng.sample(verts, len(verts)) for _ in range(2)]
+                order = pig_order(sadj, comp)
+                if order is not None:
+                    i = rng.randrange(len(order))
+                    swapped = list(order)
+                    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+                    orders += [list(order), swapped]
+                for o in orders:
+                    want = umbrella_ok_by_positions(sadj, o)
+                    assert P.umbrella_ok(sadj, o) == want, (adj, off, o)
+                    verdicts[want] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def test_lbfs_raises_when_the_previous_sweep_misses_a_vertex():
+    """A previous sweep without every position of the mask has no latest
+    vertex to give; the sweep says so instead of picking a pivot."""
+    path = adj_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for off in (0, 64):
+        adj, mask = shift_adj(path, off), mask_of(4) << off
+        prev = [off, 1 + off, 2 + off, 3 + off]
+        assert P.lbfs(adj, mask, prev) == prev[::-1]
+        for prev in ([off, 1 + off, 2 + off], [], [off, 1 + off, 2 + off, 4]):
+            with pytest.raises(ValueError):
+                P.lbfs(adj, mask, prev)

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import pitvd
 from pitvd.cliques import clique_path
 from pitvd.multigraph import MultiGraph
 
@@ -12,7 +17,7 @@ def mg(edges, vertices=()):
     return MultiGraph.from_edges(edges, vertices=vertices)
 
 
-from conftest import unit_interval_graph
+from conftest import clique_path_by_ranks, unit_interval_graph
 
 
 def check_invariants(g, comp):
@@ -73,3 +78,44 @@ def test_random_unit_interval_invariants():
         for comp in g.components():
             check_invariants(g, comp)
 
+
+
+def test_blocks_match_the_rank_space_oracle():
+    """The prefix-mask blocks are the blocks cut in rank space, on the
+    components of random unit interval graphs, some of them beside other
+    vertices so that their ids start high."""
+    rng = random.Random(4321)
+    blocks = 0
+    for trial in range(150):
+        g = unit_interval_graph(rng, rng.randint(1, 30), rng.uniform(1.0, 8.0))
+        if trial % 2:
+            g = g.induced(v for v in g.vertices if v >= g.n // 3)
+        for comp in g.components():
+            cp = clique_path(g, comp)
+            assert (cp.order, cp.cliques) == clique_path_by_ranks(g, comp)
+            blocks += len(cp.cliques)
+    assert blocks >= 300
+
+
+@pytest.mark.parametrize("order, message", [
+    ((0, 2, 1), "umbrella order with a non-contiguous neighbourhood"),
+    ((1, 0, 2), "umbrella order produced a non-clique block"),
+], ids=["contiguity", "clique"])
+def test_block_checks_survive_python_O(order, message):
+    """An order that is no umbrella order, handed over as one, is caught
+    under ``python -O`` too: the later neighbours of 0 in (0, 2, 1) are
+    not a run, and (1, 0, 2) puts the path 0-1-2 in one block."""
+    script = textwrap.dedent(f"""
+        import pitvd.recognition as rec
+        from pitvd.cliques import clique_path
+        from pitvd.multigraph import MultiGraph
+        assert False, "asserts must be stripped"
+        rec.pig_order = lambda adjm, comp: {order!r}
+        clique_path(MultiGraph.from_edges([(0, 1), (1, 2)]), [0, 1, 2])
+    """)
+    src = os.path.dirname(os.path.dirname(pitvd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert f"AssertionError: {message}" in done.stderr, done.stderr

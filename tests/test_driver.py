@@ -250,16 +250,26 @@ def fixpoint_work(monkeypatch, g: MultiGraph, k: int) -> dict[str, int]:
     """Kernelize (g, k) and count rule 1's recognitions, the items
     ``MultiGraph.edges`` yields, the vertices read by full walks over
     an adjacency map (of every graph the run builds), the vertices in
-    the trees ``MultiGraph.hanging_trees`` returns, and the compactions
-    and component sweeps made inside ``compute_base_set``."""
+    the trees ``MultiGraph.hanging_trees`` returns, the compactions
+    and component sweeps made inside ``compute_base_set``, and the
+    whole-graph views built while rule 1 runs."""
     from pitvd import backend, recognition, rules
 
     counts = {"component_clean": 0, "edges": 0, "hung": 0,
-              "base_set_compact": 0, "base_set_comp_masks": 0}
+              "base_set_compact": 0, "base_set_comp_masks": 0, "view": 0}
     clean, edges = recognition.component_clean, MultiGraph.edges
     base_set, compact = driver.compute_base_set, MultiGraph.compact
     comp_masks = backend.comp_masks
     inside = []
+    rule1_id, rule1_needs_mod, rule1 = RULES[0]
+    in_rule1 = []
+
+    def counted_rule1(*args):
+        in_rule1.append(True)
+        try:
+            return rule1(*args)
+        finally:
+            in_rule1.pop()
 
     def counted_base_set(*args):
         inside.append(True)
@@ -268,9 +278,10 @@ def fixpoint_work(monkeypatch, g: MultiGraph, k: int) -> dict[str, int]:
         finally:
             inside.pop()
 
-    def counted_compact(self, *args):
+    def counted_compact(self, vs=None):
         counts["base_set_compact"] += bool(inside)
-        return compact(self, *args)
+        counts["view"] += vs is None and bool(in_rule1)
+        return compact(self, vs)
 
     def counted_comp_masks(*args):
         counts["base_set_comp_masks"] += bool(inside)
@@ -303,7 +314,8 @@ def fixpoint_work(monkeypatch, g: MultiGraph, k: int) -> dict[str, int]:
     monkeypatch.setattr(MultiGraph, "_adj",
                         CountedAdjacency(vars(MultiGraph)["_adj"]))
     WalkCountingDict.walked = 0
-    kernelize(g, k)
+    kernelize(g, k, rules=((rule1_id, rule1_needs_mod, counted_rule1),)
+              + RULES[1:])
     counts["walked"] = WalkCountingDict.walked
     monkeypatch.undo()
     return counts
@@ -345,6 +357,9 @@ def test_fixpoint_work_grows_linearly(monkeypatch, family):
         assert small["component_clean"] >= 250
     for name, count in small.items():
         assert large[name] <= 2.2 * count, (name, small, large)
+    # rule 1 runs after every edit, which drops the view; it compacts
+    # each component on its own instead
+    assert small["view"] == large["view"] == 0
     if family is doubled_matching:
         # rule 1 judged all n/2 components, more than k: the search says
         # no without compacting the graph or sweeping its components

@@ -407,11 +407,12 @@ def test_base_set_rules_reuse_the_paths_and_flowers(monkeypatch):
 
 
 def test_classify_reads_g_minus_s_from_one_bitmask_view(monkeypatch):
-    """G - S is compacted once: its components, tree tests and triangle
-    checks all read that view.  Only the clique path of each cyclic
-    component compacts that component again, no component search runs
-    on the multigraph, and the tree side takes at most two leaf-stripping
-    passes however many trees have two or more S-neighbors."""
+    """The graph is compacted once, into its kept view: the components,
+    tree tests and triangle checks of G - S all read it.  Only the clique
+    path of each cyclic component compacts that component again, no
+    component search runs on the multigraph, and the tree side takes at
+    most two leaf-stripping passes however many trees have two or more
+    S-neighbors."""
     calls = []
     for name in ("components", "compact", "hanging_trees"):
         orig = getattr(MultiGraph, name)
@@ -472,3 +473,57 @@ def test_paths_and_flowers_match_a_direct_computation():
         seen_paths += len(m.paths)
         seen_flowers += sum(fl.order > 0 for fl in m.flowers.values())
     assert seen_paths and seen_flowers
+
+
+def test_base_set_and_strata_share_one_view(monkeypatch):
+    """The exact bootstrap, its closing validation, the obstruction scan
+    and the strata of one unedited graph build its bitmask view once;
+    the clique paths compact their components on their own."""
+    shapes = [planted_interval_graph(random.Random(3)),
+              planted_tree_graph(random.Random(3)),
+              (random_forest_with_hubs(random.Random(5))[0], 3)]
+    compact = MultiGraph.compact
+    cyclic = 0
+    for g, k in shapes:
+        calls = []
+
+        def counted(self, vs=None):
+            calls.append(vs)
+            return compact(self, vs)
+
+        monkeypatch.setattr(MultiGraph, "compact", counted)
+        s, _ = compute_base_set(g, k)
+        mod = classify_tree_side(g, s)
+        monkeypatch.undo()
+        assert calls.count(None) == 1
+        assert (sorted(sorted(vs) for vs in calls if vs is not None)
+                == sorted(sorted(p.order) for p in mod.paths))
+        cyclic += len(mod.paths)
+    assert cyclic
+
+
+def test_flowers_walk_only_the_trees_their_hub_touches(monkeypatch):
+    """Each hub's flower is built over the trees of G - S that hold one
+    of its neighbours, and it equals the flower over the whole tree side,
+    on random forests under hubs with single and doubled edges."""
+    regions = count_calls(monkeypatch, flower_in_forest)
+    seen = dict.fromkeys(["doubled petal", "untouched tree", "path petal"], 0)
+    for seed in range(200):
+        rng = random.Random(9300 + seed)
+        g, hubs = random_forest_with_hubs(rng)
+        tree_side = [v for v in g.vertices if v not in hubs]
+        for u in rng.sample(tree_side, rng.randint(0, 3)):
+            g.set_multiplicity(rng.choice(sorted(hubs)), u, 2)
+        regions.clear()
+        m = classify_tree_side(g, hubs)
+        trees = g.components(m.v2)
+        for _g, hub, region in regions:
+            touched = [t for t in trees
+                       if any(g.has_edge(hub, u) for u in t)]
+            assert sorted(region) == sorted(u for t in touched for u in t)
+            seen["untouched tree"] += len(touched) < len(trees)
+            whole = flower_in_forest(g, hub, sorted(m.v2))
+            assert m.flowers[hub] == whole
+            seen["doubled petal"] += any(len(p) == 1 for p in whole.petals)
+            seen["path petal"] += any(len(p) > 1 for p in whole.petals)
+    assert all(seen.values()), seen

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pitvd import rules as R
 from pitvd.multigraph import MultiGraph
+from pitvd.recognition import is_pitg, obstruction_sets
 
 
 def build(edges, vertices=()):
@@ -365,10 +366,13 @@ def assert_bookkeeping_is_current(g: MultiGraph) -> None:
     counts equal a recount from ``edges()``, rules 1-3 fire as their
     rescanning oracles do, every vertex either maps to its current,
     unclean component in the verdict map or waits on the pending heap,
-    and the degree-2 paths and pendant trees equal a fresh copy's."""
+    and the degree-2 paths, pendant trees and view equal a fresh copy's.
+    Each check asks for the kept structures, so the next edit must drop
+    them."""
     fresh = g.copy()
     assert g.find_degree2_paths() == fresh.find_degree2_paths()
     assert g.pendant_trees() == fresh.pendant_trees()
+    assert g.view() == fresh.compact()
     edges = list(g.edges())
     assert g.edge_count == sum(m for *_, m in edges)
     heavy = [(u, v) for u, v, m in edges if m > 2]
@@ -465,3 +469,53 @@ def test_from_edges_builds_what_edge_by_edge_building_builds():
             MultiGraph.from_edges(bad)
     with pytest.raises(ValueError):
         MultiGraph.from_edges([], vertices=[-3])
+
+
+def count_views(monkeypatch) -> list:
+    """Record every whole-graph ``compact`` call, the one ``view`` makes."""
+    views = []
+    compact = MultiGraph.compact
+
+    def counted(self, vs=None):
+        if vs is None:
+            views.append(self)
+        return compact(self, vs)
+
+    monkeypatch.setattr(MultiGraph, "compact", counted)
+    return views
+
+
+def test_view_is_kept_until_the_next_edit(monkeypatch):
+    """The view is built once per graph state: asked for again it is the
+    same object, every kind of edit drops it, and a copy builds its own."""
+    views = count_views(monkeypatch)
+    g = build([(0, 1), (1, 2, 2)], vertices=[5])
+    first = g.view()
+    assert g.view() is first and len(views) == 1
+    edits = [lambda: g.add_vertex(), lambda: g.ensure_vertex(9),
+             lambda: g.add_edge(0, 5), lambda: g.set_multiplicity(1, 2, 1),
+             lambda: g.delete_vertex(0)]
+    for built, edit in enumerate(edits, start=2):
+        edit()
+        assert g.view() == g.copy().compact()
+        assert g.view() is g.view()
+        assert len([h for h in views if h is g]) == built
+    h = g.copy()
+    assert h.view() == g.view() and h.view() is not g.view()
+    g.ensure_vertex(5)  # already there: no edit, the view stays
+    assert len([h for h in views if h is g]) == len(edits) + 1
+
+
+def test_queries_after_an_edit_see_it():
+    """A recognition or an obstruction scan made after ``delete_vertex``
+    or ``set_multiplicity`` reads the edited graph, not the view kept
+    from before it."""
+    g = build([(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert not is_pitg(g)[0]
+    assert obstruction_sets(g, [0]) == [("hole", frozenset(range(4)))]
+    g.set_multiplicity(0, 2, 1)  # a chord: the diamond is clean
+    assert is_pitg(g) == (True, None) and obstruction_sets(g, [0]) == []
+    g.set_multiplicity(0, 2, 0)
+    assert is_pitg(g)[1].kind == "hole"
+    g.delete_vertex(0)
+    assert is_pitg(g) == (True, None) and obstruction_sets(g, [1]) == []

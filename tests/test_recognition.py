@@ -92,7 +92,7 @@ def test_lbfs_masks_match_the_list_oracle():
             m = rng.randint(1, 20)
             adj = adj + [a << n for a in random_adj(rng, m, rng.uniform(0.1, 0.9))]
             n += m
-        assert bk.lbfs(adj, 0) == [] and bk.lbfs(adj, 0, {}) == []
+        assert bk.lbfs(adj, 0) == [] and bk.lbfs(adj, 0, []) == []
         for mask in (mask_of(n), rng.getrandbits(n) or 1):
             disconnected += len(bk.comp_masks(adj, mask)) > 1
             verts = list(bk.bits(mask))
@@ -101,7 +101,7 @@ def test_lbfs_masks_match_the_list_oracle():
             shuffled = rng.sample(verts, len(verts))
             for prev in (order, shuffled):
                 prev_pos = {v: i for i, v in enumerate(prev)}
-                order2 = bk.lbfs(adj, mask, prev_pos)
+                order2 = bk.lbfs(adj, mask, prev)
                 assert order2 == lbfs_by_lists(adj, verts, prev_pos)
                 assert sorted(order2) == verts
     assert disconnected >= 100
