@@ -18,6 +18,14 @@ the chordality check.  A neighbourhood is a contiguous run of the order
 when it fills the gap between two prefixes, one comparison; that is the
 umbrella check, and ``cliques.clique_path`` cuts its blocks the same way.
 
+The two scans for small obstructions (nets, tents and 4-6 holes) stop
+wherever a mask shows that nothing more can be found.  The hole DFS
+carries the vertices that can still close its cycle and cuts a branch
+once none is left; the net and tent scan tests the three sets of each
+triangle's triple searches before it starts one.  Only work that would
+emit nothing is cut, so both list what an unpruned scan lists, in its
+order.
+
 These are the innermost loops of the whole package (the exact solver and the
 recognizer call them many thousands of times), hence the flat,
 allocation-shy style.
@@ -221,10 +229,14 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool,
     looking for tents once it has one.
 
     Each edge ab of the central triangle of a net or a tent has a private
-    neighbour on each side, one in N(a) - N[b] and one in N(b) - N[a]
-    (x and y of a net, z and y of a tent).  A pair (a, b) without them is
-    skipped before its triangles are walked; it would emit nothing, so
-    the output and its order are those of the unpruned scan.
+    neighbour on each side, one in Pa = N(a) - N[b] and one in
+    Pb = N(b) - N[a] (x and y of a net, z and y of a tent).  A pair
+    (a, b) without them is skipped before its triangles are walked.  On
+    a triangle (a, b, c), a net needs Pa - N(c), Pb - N(c) and
+    N(c) - N[a] - N[b] nonempty, and a tent Pa & N(c), Pb & N(c) and
+    (N(a) & N(b)) - N[c]; a triangle that has neither starts no triple
+    search.  What is skipped would emit nothing, so the output and its
+    order are those of the unpruned scan.
 
     With ``anchors`` given, only the nets and tents whose six vertices
     meet it are emitted, in the same order, and the first of each kind
@@ -251,32 +263,36 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool,
             if b <= a:
                 continue
             ab = (1 << a) | (1 << b)
-            if not (adj[a] & ~adj[b] & mask & ~ab
-                    and adj[b] & ~adj[a] & mask & ~ab):
+            pa = adj[a] & ~adj[b] & mask & ~ab
+            pb = adj[b] & ~adj[a] & mask & ~ab
+            if not (pa and pb):
                 continue
-            cs = adj[a] & adj[b] & mask
-            if not (a_near or (near >> b) & 1):
-                cs &= near
+            common = adj[a] & adj[b] & mask
+            cs = common if a_near or (near >> b) & 1 else common & near
             for c in bits(cs):
                 if c <= b:
                     continue
+                nc = adj[c]
+                # each search's three sets, tested before it starts: a net's
+                # outer vertices are private to a, b and c, a tent's see
+                # ab, bc and ca
+                nx, ny = pa & ~nc, pb & ~nc
+                nz = nx and ny and nc & mask & ~adj[a] & ~adj[b]
+                ty, tz = pb & nc, pa & nc
+                tx = tent is None and ty and tz and common & ~nc & ~(1 << c)
+                if not (nz or tx):
+                    continue
                 tri = (a, b, c)
-                abc = ab | (1 << c)
                 # the anchors the outer vertices must meet, 0 if any may
-                miss = 0 if anchors is None or abc & anchors else anchors
-                outside = mask & ~abc
-                na, nb, nc = adj[a] & outside, adj[b] & outside, adj[c] & outside
-                for xyz in _independent_triples(adj, na & ~nb & ~nc,
-                                                nb & ~na & ~nc,
-                                                nc & ~na & ~nb, miss):
+                miss = (0 if anchors is None or (ab | (1 << c)) & anchors
+                        else anchors)
+                for xyz in (_independent_triples(adj, nx, ny, nz, miss)
+                            if nz else ()):
                     if not find_all:
                         return [("net", tri + xyz)]
                     out.append(("net", tri + xyz))
-                if tent is not None:
-                    continue
-                for xyz in _independent_triples(adj, na & nb & ~nc,
-                                                nb & nc & ~na,
-                                                nc & na & ~nb, miss):
+                for xyz in (_independent_triples(adj, tx, ty, tz, miss)
+                            if tx else ()):
                     if not find_all:
                         tent = ("tent", tri + xyz)
                         break
@@ -284,24 +300,44 @@ def net_tent_witnesses(adj: list[int], mask: int, find_all: bool,
     return out if find_all else [tent] if tent else []
 
 
-def _cycle_dfs(adj, s, rest, path, pmask, blocked, out, find_all) -> bool:
+def _cycle_dfs(adj, s, rest, path, blocked, close, out, find_all) -> bool:
+    """Extend the induced path ``path`` = (s, p1, ..., pt) inside ``rest``
+    and emit the holes it closes; True once ``find_all`` is false and a
+    hole is emitted.
+
+    ``blocked`` holds N[s], N[p1..p(t-1)] and the path: the next vertex
+    must avoid it.  ``close`` holds the vertices that may still end the
+    cycle: N(s) inside ``rest``, above p1 and off N[p1..p(t-1)] (at the
+    root, all of N(s) inside ``rest``).
+    """
     t = len(path) - 1
     last = path[-1]
     if t >= 2:
-        closers = adj[last] & adj[s] & rest & ~pmask
-        for i in range(1, t):
-            closers &= ~adj[path[i]]
-        for w in bits(closers):
-            if path[1] < w:
-                out.append(path + (w,))
-                if not find_all:
-                    return True
-    if t >= 4:
+        for w in bits(adj[last] & close):
+            out.append(path + (w,))
+            if not find_all:
+                return True
+        if t == 4:
+            return False
+    if not t:
+        for w in bits(close):
+            sub = close & ~((2 << w) - 1)
+            if sub & ~adj[w] and _cycle_dfs(adj, s, rest, (s, w),
+                                            blocked | (1 << w), sub, out,
+                                            find_all):
+                return True
         return False
-    ext = adj[last] & rest & ~blocked if t else adj[last] & rest
+    close &= ~adj[last]
+    if not close:
+        return False
+    ext = adj[last] & rest & ~blocked
+    blocked |= adj[last]
     for w in bits(ext):
-        if _cycle_dfs(adj, s, rest, path + (w,), pmask | (1 << w),
-                      blocked | adj[last] | (1 << w), out, find_all):
+        # a last vertex p4 must see a closer
+        if t == 3 and not adj[w] & close:
+            continue
+        if _cycle_dfs(adj, s, rest, path + (w,), blocked | (1 << w), close,
+                      out, find_all):
             return True
     return False
 
@@ -319,12 +355,22 @@ def small_cycles(adj: list[int], mask: int, anchors: int,
     interior path vertices are kept out of N[s] so only true induced
     cycles survive.  With ``anchors == mask`` every short hole is listed,
     each from its minimum vertex.
+
+    Each DFS node carries the mask of the vertices that may still close
+    its cycle: N(s) in the searched set, above p1, off the closed
+    neighbourhoods of the interior vertices.  A child gets the mask less
+    N[pt], and the closers at pt are its neighbours in the mask, so a
+    branch whose mask runs empty is cut, and a last vertex p4 is tried
+    only when it sees a vertex of the mask.  Only branches that would
+    emit nothing are cut: the list, its order and the first hole found
+    without ``find_all`` are those of the unpruned DFS.
     """
     out = []
     done = 0
     for s in bits(anchors & mask):
         done |= 1 << s
-        if _cycle_dfs(adj, s, mask & ~done, (s,), 1 << s, adj[s] | (1 << s),
+        rest = mask & ~done
+        if _cycle_dfs(adj, s, rest, (s,), adj[s] | (1 << s), adj[s] & rest,
                       out, find_all):
             return out
     return out

@@ -50,7 +50,11 @@ obstruction (a deletion set), since one that misses it would survive
 its deletion: short holes start at its vertices, and the net and tent
 scan walks only the triangles with a vertex in its closed neighbourhood,
 and of those only the ones on an edge ab where a and b each have a
-neighbour the other lacks.
+neighbour the other lacks.  Both scans also stop where a mask shows
+that nothing can be found: the hole DFS leaves a branch once no vertex
+can close its cycle, and the net and tent scan starts a triple search
+only on a triangle whose three candidate sets are all nonempty.  The
+same cuts serve ``witness`` at every node of the exact search.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import itertools
 import networkx as nx
 
 from pitvd import backend
+from pitvd.backend import bits
 from pitvd import recognition as rec
 from pitvd.exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from pitvd.combinatorics import sunflower_reduce
@@ -321,6 +322,43 @@ def net_tent_witnesses_unpruned(adj, mask, find_all):
                 break
             out.append(("tent", tri + xyz))
     return out if find_all else [tent] if tent else []
+
+
+def _cycle_dfs_unpruned(adj, s, rest, path, pmask, blocked, out, find_all):
+    t = len(path) - 1
+    last = path[-1]
+    if t >= 2:
+        closers = adj[last] & adj[s] & rest & ~pmask
+        for i in range(1, t):
+            closers &= ~adj[path[i]]
+        for w in bits(closers):
+            if path[1] < w:
+                out.append(path + (w,))
+                if not find_all:
+                    return True
+    if t >= 4:
+        return False
+    ext = adj[last] & rest & ~blocked if t else adj[last] & rest
+    for w in bits(ext):
+        if _cycle_dfs_unpruned(adj, s, rest, path + (w,), pmask | (1 << w),
+                               blocked | adj[last] | (1 << w), out, find_all):
+            return True
+    return False
+
+
+def small_cycles_unpruned(adj, mask, anchors, find_all):
+    """``backend.small_cycles`` as it searched before its DFS was bounded
+    by the vertices that can still close a hole: every induced path of
+    up to five vertices from each anchor is walked, and the closers of
+    each are found by a loop over the path."""
+    out = []
+    done = 0
+    for s in bits(anchors & mask):
+        done |= 1 << s
+        if _cycle_dfs_unpruned(adj, s, mask & ~done, (s,), 1 << s,
+                               adj[s] | (1 << s), out, find_all):
+            return out
+    return out
 
 
 def degree2_paths_reference(g: MultiGraph) -> list[Deg2Path]:

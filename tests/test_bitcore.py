@@ -30,11 +30,14 @@ from conftest import (
     nx_from_adj,
     pig_order_bruteforce,
     plant_cycle,
+    planted_interval_graph,
+    planted_tree_graph,
     random_adj,
     random_clique_tree_adj,
     random_interval_adj,
     rule14_adj,
     shift_adj,
+    small_cycles_unpruned,
     umbrella_ok_by_positions,
 )
 
@@ -184,11 +187,19 @@ def test_net_tent_first_witness_is_first_net_else_first_tent():
     assert {("net",), ("tent",), ("net", "tent"), ()} <= seen
 
 
+def whole_view(g):
+    """The bitmask view of a ``MultiGraph`` and the mask of all of it."""
+    ids, _, adj = g.view()
+    return adj, (1 << len(ids)) - 1
+
+
 def test_net_tent_pruning_keeps_the_unpruned_output():
     """Skipping the triangle edges without a private neighbour on each
-    side changes neither the list nor its order, with or without
+    side, and the triangles whose triple searches would start on an
+    empty set, changes neither the list nor its order, with or without
     ``find_all``: on random graphs, on unit-interval bodies with pendant
-    vertices, and on the rule-14 shape of a hub over half a big clique."""
+    vertices, on the rule-14 shape of a hub over half a big clique, and
+    on planted-interval instances whose planted vertex closes 172 nets."""
     rng = random.Random(1414)
     cases = []
     for _ in range(400):
@@ -206,14 +217,18 @@ def test_net_tent_pruning_keeps_the_unpruned_output():
         edges += [(body + i, rng.randrange(body)) for i in range(hang)]
         cases.append((adj_from_edges(body + hang, edges), mask_of(body + hang)))
     cases += [(rule14_adj(size), mask_of(size + 2)) for size in (55, 60)]
+    planted = [whole_view(planted_interval_graph(random.Random(52), body)[0])
+               for body in (60, 120)]
     kinds = set()
-    for adj, mask in cases:
+    for adj, mask in cases + planted:
         every = P.net_tent_witnesses(adj, mask, True)
         assert every == net_tent_witnesses_unpruned(adj, mask, True)
         assert (P.net_tent_witnesses(adj, mask, False)
                 == net_tent_witnesses_unpruned(adj, mask, False))
         kinds.update(kind for kind, _ in every)
     assert kinds == {"net", "tent"}
+    assert [len(P.net_tent_witnesses(adj, mask, True))
+            for adj, mask in planted] == [172, 172]
 
 
 def test_anchored_net_tent_scan_keeps_the_nets_and_tents_that_meet_it():
@@ -245,13 +260,8 @@ def test_anchored_net_tent_scan_keeps_the_nets_and_tents_that_meet_it():
     assert met and missed
 
 
-def test_net_tent_scan_skips_the_clique_edges_of_the_rule14_shape(
-        monkeypatch):
-    """On a hub over every other vertex of a 56-clique, only the edges at
-    the hub have a private neighbour on each side, so the full scan asks
-    for independent triples at most n^2 times, not once per triangle."""
-    adj = rule14_adj(56)
-    n = len(adj)
+def count_triple_searches(monkeypatch) -> list:
+    """Record the arguments of every ``_independent_triples`` call."""
     triples = P._independent_triples
     calls = []
 
@@ -260,8 +270,84 @@ def test_net_tent_scan_skips_the_clique_edges_of_the_rule14_shape(
         return triples(*args)
 
     monkeypatch.setattr(P, "_independent_triples", counted)
+    return calls
+
+
+def test_net_tent_scan_skips_the_clique_edges_of_the_rule14_shape(
+        monkeypatch):
+    """On a hub over every other vertex of a 56-clique, only the edges at
+    the hub have a private neighbour on each side, so the full scan asks
+    for independent triples at most n^2 times, not once per triangle.
+    With a pendant vertex planted at two odd clique vertices, the hub
+    triangle (0, 1, 3) becomes the one net, and the scan searches its
+    triples to find it."""
+    calls = count_triple_searches(monkeypatch)
+    adj = rule14_adj(56)
+    n = len(adj)
     assert P.net_tent_witnesses(adj, mask_of(n), True) == []
+    assert len(calls) <= n * n
+    adj += [1 << 1, 1 << 3]
+    adj[1] |= 1 << n
+    adj[3] |= 1 << (n + 1)
+    assert (P.net_tent_witnesses(adj, mask_of(n + 2), True)
+            == [("net", (0, 1, 3, n - 1, n, n + 1))])
     assert 0 < len(calls) <= n * n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_net_tent_scan_searches_no_triples_on_a_planted_interval_body(
+        monkeypatch, seed):
+    """The bad component of a planted-interval instance (the planted
+    vertex on its unit-interval body) holds no net or tent, and no
+    triangle of it has nonempty sets for both outer vertices a net's or
+    a tent's search starts from, so neither mode searches a triple."""
+    g, _ = planted_interval_graph(random.Random(seed))
+    ids, index, adj = g.view()
+    comp = P.reach(adj, 1 << index[0], (1 << len(ids)) - 1)
+    calls = count_triple_searches(monkeypatch)
+    assert P.net_tent_witnesses(adj, comp, True) == []
+    assert P.net_tent_witnesses(adj, comp, False) == []
+    assert comp.bit_count() > 20 and calls == []
+
+
+def small_cycle_cases():
+    """Graphs for the hole DFS against its unpruned form: seeded random
+    graphs, planted-interval instances of three body sizes, planted-tree
+    instances, graphs with a planted 4..9 cycle, and all of them again
+    at positions shifted past one machine word."""
+    rng = random.Random(2323)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(4, 13)
+        adj = random_adj(rng, n, rng.choice([0.2, 0.35, 0.5, 0.7]))
+        mask = mask_of(n) & (rng.getrandbits(n) if rng.random() < 0.3 else -1)
+        cases.append((adj, mask))
+    for seed in range(2):
+        for body in (28, 60, 120):
+            g, _ = planted_interval_graph(random.Random(seed), body)
+            cases.append(whole_view(g))
+        cases.append(whole_view(planted_tree_graph(random.Random(seed))[0]))
+    for length in range(4, 10):
+        adj = random_adj(rng, 10, 0.3)
+        plant_cycle(adj, rng.randrange(10), length)
+        cases.append((adj, mask_of(len(adj))))
+    return cases + [(shift_adj(adj, 61), mask << 61) for adj, mask in cases]
+
+
+def test_small_cycles_keeps_the_unpruned_output():
+    """Bounding the hole DFS by the vertices that can still close a hole
+    changes neither the list nor its order, nor the first hole without
+    ``find_all``, with every vertex as an anchor and with random ones."""
+    rng = random.Random(2424)
+    found = 0
+    for adj, mask in small_cycle_cases():
+        for anchors in (mask, rng.getrandbits(len(adj)) & mask):
+            for find_all in (True, False):
+                got = P.small_cycles(adj, mask, anchors, find_all)
+                assert got == small_cycles_unpruned(adj, mask, anchors,
+                                                    find_all)
+                found += len(got)
+    assert found
 
 
 def test_umbrella_ok_basic():
