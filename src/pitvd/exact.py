@@ -21,6 +21,23 @@ leave the branching order as it is, so the search returns the first
 solution that the unpruned depth-first search finds; a no-instance with
 more bad components than k is decided at the root.
 
+A node is tight when its bad components number exactly its deletions
+left, kk.  Below it every solution deletes exactly one vertex of each bad
+component, so a child for v in the first one, C, survives its visit only
+if C - v is clean; any other child keeps kk bad components with
+kk - 1 deletions and is closed at once.  Every surviving child faces
+the same search on the other bad components, under the same bans there,
+so the node returns the least unbanned v of Sol = {v : C - v is clean},
+then that search, whatever obstruction it branched on, as long as the
+obstruction holds Sol; and every net, tent and hole of C does, since one
+that missed v would survive in C - v.  A tight node therefore asks
+``witness`` for a short hole first (``tight=True``): its 4-6 vertices
+are no more candidates than a net's or a tent's 6, so a failing node
+does not grow, and the net and tent scan, which walks every triangle of
+the component, runs only where no short hole is found.  A long hole
+keeps its place after the net and the tent, since it could give a
+failing node more candidates.  The first solution is unchanged.
+
 The search reads the graph's kept bitmask view (``MultiGraph.view``),
 built at most once per graph state: its closing validation reads the
 same view, and so does the base-set stage after it.  A node's state is
@@ -95,7 +112,7 @@ def decide(g: MultiGraph, k: int,
         if live:
             cands = bits(live[0])
         else:
-            obs = rec.witness(adjm, bad[0])
+            obs = rec.witness(adjm, bad[0], tight=len(bad) == kk)
             # a claw plus a triangle: some vertex of the component must go
             cands = (bits(bad[0]) if obs.kind == "claw+triangle"
                      else sorted(obs.vertices))

@@ -38,6 +38,15 @@ sweep in reverse as an elimination order, and only a non-chordal
 component is searched for holes.  The net, tent, short-hole and claw
 scans stay independent of the sweeps.
 
+``witness`` has two preference orders.  The plain one (net, tent, short
+hole, any hole, claw+triangle) serves ``is_pitg``, and through it the
+greedy modulator and the closing validation of the exact search, and
+the exact search's nodes that have deletions to spare.  A tight node of
+the exact search (as many bad components as deletions left) asks for a
+short hole first, then net, tent, any hole and claw+triangle: there any
+net, tent or hole leads to the same first solution (see ``exact``), and
+a short hole spares the net and tent scan over every triangle.
+
 ``is_pitg`` and ``obstruction_sets`` read the graph's kept bitmask view
 (``MultiGraph.view``) and take a vertex subset as a mask over it, so the
 exact search, its closing validation and the obstruction scan of one
@@ -147,19 +156,30 @@ def find_hole(adjm: list[int], comp: int, seed=None):
     return None
 
 
-def witness(adjm: list[int], comp: int) -> Obstruction | None:
+def witness(adjm: list[int], comp: int,
+            tight: bool = False) -> Obstruction | None:
     """Preferred obstruction of one component in positions, or None when
     the component is clean.
 
-    Preference: net, tent, short hole (<= 6), any hole, claw+triangle.
+    Preference: net, tent, short hole (<= 6), any hole, claw+triangle;
+    ``is_pitg``, and through it the greedy modulator and the exact
+    search's closing validation, keep this order.  With ``tight`` (an
+    exact-search node with as many bad components as deletions left) a
+    short hole goes first: net, tent, any hole and claw+triangle follow
+    in that order.  The chordality check and the short-hole DFS run once
+    either way.
     """
-    for kind, t in bk.net_tent_witnesses(adjm, comp, False):
-        return Obstruction(kind, t)
+    found = [] if tight else bk.net_tent_witnesses(adjm, comp, False)
+    if found:
+        return Obstruction(*found[0])
     fail = bk.chordal_fail(adjm, comp)
-    if fail is not None:  # only a non-chordal component has a hole
-        short = bk.small_cycles(adjm, comp, comp, False)
-        if short:
-            return Obstruction("hole", short[0])
+    # only a non-chordal component has a hole
+    short = [] if fail is None else bk.small_cycles(adjm, comp, comp, False)
+    if short:
+        return Obstruction("hole", short[0])
+    if tight and (found := bk.net_tent_witnesses(adjm, comp, False)):
+        return Obstruction(*found[0])
+    if fail is not None:
         hole = find_hole(adjm, comp, seed=fail)
         if hole is None:  # pragma: no cover - contradicts chordality failure
             raise AssertionError("non-chordal component without a hole")

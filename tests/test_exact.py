@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pitvd import backend as bk
 from pitvd import recognition as rec
 from pitvd.audit import audit_violations
 from pitvd.driver import kernelize
@@ -14,7 +15,8 @@ from pitvd.multigraph import MultiGraph
 from pitvd.rules import apply_ops, rule1_drop_clean_component
 
 from conftest import (decide_unpruned, minimum_deletion, pitg_ok,
-                      random_multigraph)
+                      planted_interval_graph, random_multigraph,
+                      tree_with_triangles)
 
 
 def mg(edges, vertices=()):
@@ -248,9 +250,9 @@ def test_search_size_beside_a_second_bad_component(monkeypatch):
     witnesses = []
     orig = rec.witness
 
-    def spy(adjm, comp):
+    def spy(adjm, comp, **kw):
         witnesses.append(comp)
-        return orig(adjm, comp)
+        return orig(adjm, comp, **kw)
 
     monkeypatch.setattr(rec, "witness", spy)
     assert decide(g, 1) is None
@@ -473,3 +475,115 @@ def test_search_recognizes_no_judged_component(monkeypatch):
     calls.clear()
     assert decide(g, 2) is None
     assert compacted == [] and calls == []
+
+
+def gadget_with_cycle(rng) -> MultiGraph:
+    """A net or a tent with a 4-6 cycle through one of its vertices and
+    0-3 random chords, labels shuffled: holes and a net or tent that
+    share a vertex, so the two witness orders pick different ones."""
+    size, gadget_edges, _ = GADGETS[rng.choice(["net", "tent"])]
+    edges = {(u, v) for u, v in gadget_edges}
+    length = rng.randint(4, 6)
+    cycle = [rng.randrange(size), *range(size, size + length - 1)]
+    n = size + length - 1
+    edges |= {tuple(sorted((u, cycle[(i + 1) % length])))
+              for i, u in enumerate(cycle)}
+    chords = [(u, v) for u, v in itertools.combinations(range(n), 2)
+              if (u, v) not in edges]
+    edges.update(rng.sample(chords, rng.randint(0, 3)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return mg([(perm[u], perm[v]) for u, v in edges], range(n))
+
+
+def counting_visits(monkeypatch) -> list[int]:
+    """Count search nodes as ``bad_components`` calls: one per visit,
+    plus one for a yes-instance's closing validation."""
+    visits = [0]
+    orig = rec.bad_components
+
+    def counted(*args):
+        visits[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(rec, "bad_components", counted)
+    return visits
+
+
+def test_tight_nodes_keep_the_unpruned_first_solution(monkeypatch):
+    """A node with as many bad components as deletions left branches on a
+    short hole before any net or tent.  Below it each bad component loses
+    exactly one vertex, so only the v whose removal cleans the first one
+    survive, and every net, tent or hole of it holds all of them: the
+    search returns the plain order's first solution, and a node with one
+    short hole of 4-6 candidates does not grow."""
+    differ = [0]
+    orig = rec.witness
+
+    def spy(adjm, comp, **kw):
+        if kw.get("tight"):
+            differ[0] += orig(adjm, comp, tight=True) != orig(adjm, comp)
+        return orig(adjm, comp, **kw)
+
+    rng = random.Random(24)
+    graphs = []
+    for _ in range(400):
+        parts = rng.randint(1, 3)
+        graphs.append((side_by_side(*(gadget_with_cycle(rng)
+                                      for _ in range(parts))), parts))
+    wants = [[decide_unpruned(g, k) for k in (p - 1, p, p + 1)]
+             for g, p in graphs]
+    monkeypatch.setattr(rec, "witness", spy)
+    visits = counting_visits(monkeypatch)
+    for (g, parts), want in zip(graphs, wants):
+        got = [decide(g, k) for k in (parts - 1, parts, parts + 1)]
+        assert got == want, sorted(g.edges())
+    assert differ[0] >= 1000
+    # 19,410 visits in the plain order, 17,493 with short holes first
+    assert visits[0] <= 18_000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_interval_search_scans_no_net_or_tent(monkeypatch, seed):
+    """The planted-interval root is tight and its witness is a short hole
+    through the planted vertex, so no witness-mode scan walks the
+    triangles of the unit-interval body."""
+    g, k = planted_interval_graph(random.Random(seed))
+    scans = []
+    orig = bk.net_tent_witnesses
+
+    def spy(adj, mask, find_all, anchors=None):
+        scans.append(anchors)
+        return orig(adj, mask, find_all, anchors)
+
+    monkeypatch.setattr(bk, "net_tent_witnesses", spy)
+    assert decide(g, k) is not None
+    assert None not in scans
+
+
+#: search visits of ``decide(ring_of_gadgets(h, gadget), h - 1)`` in the
+#: plain witness order; a short hole first must not raise them (a long
+#: hole first would: 6,752 in place of 5,306 for tents at h = 6)
+RING_VISITS = {"hole": (43, 259, 1555), "tent": (38, 198, 1024),
+               "net": (40, 205, 984)}
+
+
+@pytest.mark.parametrize("gadget", sorted(RING_VISITS))
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_tight_nodes_do_not_grow_the_rings(monkeypatch, gadget, h):
+    visits = counting_visits(monkeypatch)
+    assert decide(ring_of_gadgets(h, gadget), h - 1) is None
+    assert visits[0] <= RING_VISITS[gadget][h - 3]
+
+
+def test_tree_with_triangles_matches_the_unpruned_search():
+    """The tree-plus-triangles family, where the search branches over a
+    whole claw+triangle component, at sizes the unpruned oracle finishes:
+    both searches give the same first solution at k = t - 1 and k = t."""
+    for tree_size in (8, 12, 16, 20):
+        for t in (2, 3):
+            for seed in range(3):
+                g, k = tree_with_triangles(random.Random(seed), tree_size, t)
+                for kk in (k, k + 1):
+                    assert decide(g, kk) == decide_unpruned(g, kk), (
+                        tree_size, t, seed, kk)
