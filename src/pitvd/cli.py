@@ -98,10 +98,15 @@ def parse(text: str) -> tuple[MultiGraph, int]:
                 raise ParseError(f"line {lineno}: edge before problem line")
             if len(fields) != 4:
                 raise ParseError(f"line {lineno}: expected 'e u v mult'")
-            try:
-                u, v, mult = _integers(fields[1:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer edge field")
+            _, a, b, c = fields
+            # the common record, in ASCII digits, skips ``_integers``
+            if raw.isascii() and a.isdigit() and b.isdigit() and c.isdigit():
+                u, v, mult = int(a), int(b), int(c)
+            else:
+                try:
+                    u, v, mult = _integers(fields[1:])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: non-integer edge field")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: label out of range 1..{n}")
             if u == v:
@@ -123,7 +128,8 @@ def serialize(g: MultiGraph, k: int) -> str:
     """Graph + budget -> instance file text, vertices relabeled to 1..n."""
     ids = sorted(g.vertices)
     label = {v: i + 1 for i, v in enumerate(ids)}
-    rows = sorted((label[u], label[v], m) for u, v, m in g.edges())
+    # labels ascend with ids, so the sorted edges give sorted rows
+    rows = [(label[u], label[v], m) for u, v, m in g.edges()]
     lines = [f"p pitvd {len(ids)} {len(rows)} {k}"]
     lines.extend(f"e {u} {v} {m}" for u, v, m in rows)
     return "\n".join(lines) + "\n"

@@ -25,18 +25,20 @@ A component that is not a tree first gets one linear scan that tries,
 at each vertex of degree >= 3, one greedy independent triple of its
 neighbours; such a triple is an induced claw, which no proper interval
 graph has (Roberts 1969), so most bad components are rejected there.
-The rest are recognized by three lexicographic BFS sweeps (the second
-and third tie-break toward the vertex placed latest in the previous
-sweep, found on its prefix masks) followed by an umbrella-ordering
-verification of the final sweep, also on its prefix masks; a component
-passes the verification exactly when it is a proper interval graph
-(Corneil 2004).  The claw scan only ever answers "no" with an induced
-claw in hand, so every verdict is the sweeps' verdict.
-The witness search on a failed component shares
-``backend.lbfs`` with the sweeps: its chordality check reads one more
-sweep in reverse as an elimination order, and only a non-chordal
-component is searched for holes.  The net, tent, short-hole and claw
-scans stay independent of the sweeps.
+The rest get one lexicographic BFS sweep and an umbrella-ordering
+check of it on its prefix masks; a sweep that passes proves a proper
+interval graph (Looges and Olariu 1993), and it is the order the full
+three sweeps would return (see ``pig_order``).  Only a component whose
+first sweep fails gets the second and third sweeps (each tie-breaking
+toward the vertex placed latest in the previous sweep, found on its
+prefix masks) and the check of the final sweep; a component passes that
+check exactly when it is a proper interval graph (Corneil 2004).  The
+claw scan only ever answers "no" with an induced claw in hand, so every
+verdict is the sweeps' verdict.  The witness search on a failed
+component shares ``backend.lbfs`` with the sweeps: its chordality check
+reads one more sweep in reverse as an elimination order, and only a
+non-chordal component is searched for holes.  The net, tent, short-hole
+and claw scans stay independent of the sweeps.
 
 ``witness`` has two preference orders.  The plain one (net, tent, short
 hole, any hole, claw+triangle) serves ``is_pitg``, and through it the
@@ -92,9 +94,24 @@ def pig_order(adjm: list[int], comp: int):
     """Umbrella ordering of one connected component, or None.
 
     Three-sweep LBFS; the final sweep is an umbrella ordering iff the
-    component is a proper interval graph, which the last step verifies.
+    component is a proper interval graph, which the last step verifies
+    (Corneil 2004).  A first sweep that is already an umbrella ordering
+    proves the answer by itself (Looges and Olariu 1993) and is returned
+    at once: it is the order the other two sweeps would end on.  Write
+    sigma_1..sigma_n for it and r(j) for the last position in the closed
+    neighbourhood of sigma_j.  Every closed neighbourhood is a run of
+    sigma, so r is nondecreasing.  Once the tie-breaking sweep has
+    visited sigma_n, ..., sigma_(n-t+1), each unvisited sigma_j is
+    labelled with the visit times n-r(j)+1..t, or with nothing, so the
+    first slice holds the unvisited vertices of largest r; sigma_(n-t) is
+    among them and wins the tie as the latest in sigma.  The second
+    sweep is sigma reversed, and by the same argument the third is
+    sigma.  Only a component whose first sweep fails the check pays for
+    the second and third.
     """
     s1 = bk.lbfs(adjm, comp)
+    if bk.umbrella_ok(adjm, s1):
+        return tuple(s1)
     s2 = bk.lbfs(adjm, comp, s1)
     s3 = bk.lbfs(adjm, comp, s2)
     return tuple(s3) if bk.umbrella_ok(adjm, s3) else None

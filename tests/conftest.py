@@ -15,6 +15,7 @@ import networkx as nx
 from pitvd import backend
 from pitvd.backend import bits
 from pitvd import recognition as rec
+from pitvd.cli import MAX_VERTICES, ParseError, _integers
 from pitvd.exact import DEFAULT_NODE_LIMIT, SearchLimitExceeded, decide
 from pitvd.combinatorics import sunflower_reduce
 from pitvd.modulator import (classify_tree_side, compute_base_set,
@@ -216,6 +217,16 @@ def lbfs_by_lists(adjm: list[int], verts: list[int], prev_pos=None):
                 refined.append(outs)
         slices = refined
     return order
+
+
+def pig_order_three_sweeps(adjm: list[int], comp: int):
+    """``recognition.pig_order`` as it swept before it stopped at a first
+    sweep that is already an umbrella ordering: always three LBFS sweeps,
+    then the umbrella check of the last.  Kept as its oracle."""
+    s1 = backend.lbfs(adjm, comp)
+    s2 = backend.lbfs(adjm, comp, s1)
+    s3 = backend.lbfs(adjm, comp, s2)
+    return tuple(s3) if backend.umbrella_ok(adjm, s3) else None
 
 
 def umbrella_ok_by_positions(adj: list[int], order) -> bool:
@@ -856,3 +867,58 @@ def rule14_adj(clique: int) -> list[int]:
     edges += [(0, v) for v in range(1, clique + 1, 2)]
     edges.append((0, clique + 1))
     return adj_from_edges(clique + 2, edges)
+
+
+# ---------------------------------------------------------------------------
+# instance files
+# ---------------------------------------------------------------------------
+
+def parse_by_fields(text: str) -> tuple[MultiGraph, int]:
+    """``cli.parse`` as it read every record before the common edge record
+    skipped ``cli._integers``: each field of every record goes through
+    it.  Kept as its oracle."""
+    edges: list[tuple[int, int, int]] = []
+    n = m = k = None
+    records = 0
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        fields = raw.split()
+        if not fields or fields[0] == "c":
+            continue
+        if fields[0] == "p":
+            if n is not None:
+                raise ParseError(f"line {lineno}: second problem line")
+            if len(fields) != 5 or fields[1] != "pitvd":
+                raise ParseError(f"line {lineno}: expected 'p pitvd n m k'")
+            try:
+                n, m, k = _integers(fields[2:])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer header field")
+            if n < 0 or m < 0 or k < 0:
+                raise ParseError(f"line {lineno}: negative header field")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: {n} vertices exceed the "
+                                 f"limit of {MAX_VERTICES}")
+        elif fields[0] == "e":
+            if n is None:
+                raise ParseError(f"line {lineno}: edge before problem line")
+            if len(fields) != 4:
+                raise ParseError(f"line {lineno}: expected 'e u v mult'")
+            try:
+                u, v, mult = _integers(fields[1:])
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer edge field")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(f"line {lineno}: label out of range 1..{n}")
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop at {u}")
+            if mult < 1:
+                raise ParseError(f"line {lineno}: multiplicity {mult} < 1")
+            edges.append((u, v, mult))
+            records += 1
+        else:
+            raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
+    if n is None:
+        raise ParseError("missing problem line")
+    if records != m:
+        raise ParseError(f"header announces {m} edge records, found {records}")
+    return MultiGraph.from_edges(edges, range(1, n + 1)), k

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
-from conftest import (planted_interval_graph, random_multigraph,
-                      tree_with_triangles)
+from conftest import (parse_by_fields, planted_interval_graph,
+                      random_multigraph, tree_with_triangles)
 
 from pitvd import cli
 from pitvd.audit import audit_violations
@@ -91,25 +94,103 @@ def test_parse_comments_and_blanks_ignored():
     assert g.multiplicity(1, 2) == 3
 
 
-@pytest.mark.parametrize("text", [
-    "e 1 2 1\n",                          # edge before header
-    "p pitvd 2 2 0\ne 1 2 1\n",           # record count mismatch
-    "p pitvd 2 1 0\np pitvd 2 1 0\ne 1 2 1\n",
-    "p pitvd 2 1 -1\ne 1 2 1\n",
-    "p pitvd 2 1 0\ne 1 2 0\n",           # zero multiplicity
-    "p pitvd 2 1 0\nq 1 2 1\n",
-    "p pitvd two 1 0\ne 1 2 1\n",
+#: malformed instance texts, each with the whole message it must raise
+MALFORMED = {
+    "e 1 2 1\n": "line 1: edge before problem line",
+    "p pitvd 2 2 0\ne 1 2 1\n": "header announces 2 edge records, found 1",
+    "p pitvd 2 1 0\np pitvd 2 1 0\ne 1 2 1\n": "line 2: second problem line",
+    "p pitvd 2 1 -1\ne 1 2 1\n": "line 1: negative header field",
+    "p pitvd 2 1 0\ne 1 2 0\n": "line 2: multiplicity 0 < 1",
+    "p pitvd 2 1 0\nq 1 2 1\n": "line 2: unknown record 'q'",
+    "p pitvd two 1 0\ne 1 2 1\n": "line 1: non-integer header field",
+    "p pitvd 2 1 0\ne 1 2 1 1\n": "line 2: expected 'e u v mult'",
     # spellings that int() reads but an instance file may not hold
-    "p pitvd 2 1 1_0\ne 1 2 1\n",
-    "p pitvd +2 1 0\ne 1 2 1\n",
-    "p pitvd \u0662 1 0\ne 1 2 1\n",       # Arabic-Indic digit two
-    "p pitvd 2 1 0\ne 1 2 1_0\n",
-    "p pitvd 2 1 0\ne +1 2 1\n",
-    "p pitvd 2 1 0\ne 1 \u0662 1\n",
-])
+    "p pitvd 2 1 1_0\ne 1 2 1\n": "line 1: non-integer header field",
+    "p pitvd +2 1 0\ne 1 2 1\n": "line 1: non-integer header field",
+    # Arabic-Indic digit two
+    "p pitvd \u0662 1 0\ne 1 2 1\n": "line 1: non-integer header field",
+    "p pitvd 2 1 0\ne 1 2 1_0\n": "line 2: non-integer edge field",
+    "p pitvd 2 1 0\ne +1 2 1\n": "line 2: non-integer edge field",
+    "p pitvd 2 1 0\ne 1 \u0662 1\n": "line 2: non-integer edge field",
+    # a digit to str.isdigit() that int() does not read
+    "p pitvd 2 1 0\ne 1 \u00b2 1\n": "line 2: non-integer edge field",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_rejects_malformed(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=f"^{re.escape(MALFORMED[text])}$"):
         parse(text)
+
+
+_ODD_TOKENS = ("+3", "1_0", "-0", "-2", "\u0662", "\u00b2", "\uff10")
+_ODD_SEPARATORS = ("\t", "\u00a0", "\u2003")
+
+
+def _mutated(rng, text: str) -> str:
+    """``text`` with up to three random edits, each on one random line: a
+    token replaced by an odd spelling, a separator by other whitespace, a
+    field added or dropped, a form feed put in, or a comment line of
+    non-ASCII text put before it; then LF or CRLF line endings."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(lines))
+        fields = lines[i].split(" ")
+        edit = rng.randrange(6)
+        if edit == 0:
+            fields[rng.randrange(len(fields))] = rng.choice(_ODD_TOKENS)
+        elif edit == 1:
+            at = rng.randrange(len(fields) + 1)
+            fields.insert(at, str(rng.randrange(10)))
+        elif edit == 2 and len(fields) > 1:
+            del fields[rng.randrange(len(fields))]
+        elif edit == 3:
+            fields.insert(rng.randrange(len(fields) + 1), "\f")
+        elif edit == 4:
+            lines.insert(i, "c h\u00e9 \u2211 \u65e5\u672c")
+            continue
+        if edit == 5 and len(fields) > 1:
+            j = rng.randrange(1, len(fields))
+            lines[i] = (" ".join(fields[:j]) + rng.choice(_ODD_SEPARATORS)
+                        + " ".join(fields[j:]))
+        else:
+            lines[i] = " ".join(fields)
+    return rng.choice(("\n", "\r\n")).join(lines) + "\n"
+
+
+def _outcome(read, text: str):
+    """What ``read`` makes of ``text``: the graph's vertices and edges with
+    the budget, or the message of its ``ParseError``."""
+    try:
+        g, k = read(text)
+    except ParseError as exc:
+        return str(exc)
+    return g.vertices, list(g.edges()), k
+
+
+def test_parse_matches_the_field_by_field_oracle():
+    """Seeded valid instance texts, and the same texts with odd tokens,
+    odd whitespace, extra or missing fields, form feeds, CRLF endings
+    and non-ASCII comment lines: ``parse`` gives the same graph and
+    budget as ``conftest.parse_by_fields``, or a ``ParseError`` with the
+    same message."""
+    rng = random.Random(2526)
+    outcomes = Counter()
+    for trial in range(1500):
+        g = random_multigraph(rng, rng.randint(1, 10), 0.5, 0.2)
+        text = serialize(g, rng.randint(0, 4))
+        if trial % 5:
+            text = _mutated(rng, text)
+        want = _outcome(parse_by_fields, text)
+        assert _outcome(parse, text) == want, repr(text)
+        if isinstance(want, str):
+            outcomes[want.split(": ")[-1]] += 1
+        else:
+            outcomes["parsed" if text.isascii() else "parsed, not ASCII"] += 1
+    assert outcomes["parsed"] >= 300, outcomes
+    assert outcomes["parsed, not ASCII"] >= 20, outcomes
+    assert outcomes["non-integer edge field"] >= 50, outcomes
+    assert outcomes["expected 'e u v mult'"] >= 50, outcomes
 
 
 def test_serialize_relabels_to_dense_range():
@@ -119,6 +200,23 @@ def test_serialize_relabels_to_dense_range():
     g.add_edge(5, 12, 2)
     text = serialize(g, 3)
     assert text == "p pitvd 3 1 3\ne 1 3 2\n"
+
+
+def test_serialize_rows_ascend():
+    """The edge rows come out sorted by label pair, whatever the ids."""
+    rng = random.Random(405)
+    for _ in range(25):
+        g = MultiGraph()
+        ids = rng.sample(range(1, 100), rng.randint(2, 12))
+        for v in ids:
+            g.ensure_vertex(v)
+        for u, v in itertools.combinations(ids, 2):
+            if rng.random() < 0.4:
+                g.add_edge(u, v, rng.randint(1, 3))
+        rows = [tuple(map(int, line.split()[1:]))
+                for line in serialize(g, 0).splitlines()[1:]]
+        assert rows == sorted(rows)
+        assert all(u < v for u, v, _ in rows)
 
 
 def test_round_trip_random_instances():

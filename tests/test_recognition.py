@@ -20,12 +20,15 @@ from conftest import (
     lbfs_by_lists,
     mask_of,
     pig_order_bruteforce,
+    pig_order_three_sweeps,
     pitg_ok,
     plant_cycle,
+    planted_interval_graph,
     planted_tree_graph,
     random_adj,
     random_interval_adj,
     random_multigraph,
+    shift_adj,
     unit_interval_graph,
     validate_obstruction,
     witness_in_searched_order,
@@ -76,6 +79,84 @@ def test_pig_order_known_graphs():
             adj2[i] |= 1 << j
             adj2[j] |= 1 << i
     assert R.pig_order(adj2, mask_of(n)) is not None
+
+
+# -- the one-sweep exit against the three sweeps ------------------------------
+
+def _relabelled(rng, adj: list[int]) -> list[int]:
+    """``adj`` with its positions permuted at random."""
+    n = len(adj)
+    perm = rng.sample(range(n), n)
+    return adj_from_edges(n, [(perm[u], perm[v]) for u in range(n)
+                              for v in bk.bits(adj[u]) if u < v])
+
+
+def _sweep_corpus():
+    """Every graph of the networkx atlas (1-7 vertices), as given and
+    relabelled at random; 400 seeded random graphs; interval graphs and
+    ``planted-interval``-shaped instances with bodies of 22-60 vertices,
+    relabelled at random."""
+    rng = random.Random(2525)
+    for h in nx.graph_atlas_g()[1:]:
+        adj = adj_from_edges(h.number_of_nodes(), h.edges)
+        yield adj
+        yield _relabelled(rng, adj)
+    for _ in range(400):
+        yield random_adj(rng, rng.randint(1, 30), rng.uniform(0.05, 0.9))
+    for _ in range(40):
+        yield _relabelled(rng, random_interval_adj(rng, rng.randint(1, 60)))
+        g, _ = planted_interval_graph(rng, rng.randint(22, 60))
+        yield _relabelled(rng, g.compact()[2])
+
+
+def test_pig_order_matches_the_three_sweeps():
+    """``pig_order`` returns the order the three sweeps return, or None
+    with them, on every component of the corpus, also at high positions
+    (``shift_adj``): the one-sweep exit moves no order.  The corpus has
+    components answered by their first sweep, proper interval components
+    whose first sweep is not an umbrella ordering, and rejected ones."""
+    seen = {"one sweep": 0, "three sweeps": 0, "rejected": 0}
+    for adj in _sweep_corpus():
+        for a in (adj, shift_adj(adj, 61)):
+            for comp in bk.comp_masks(a, (1 << len(a)) - 1):
+                got = R.pig_order(a, comp)
+                assert got == pig_order_three_sweeps(a, comp), (a, comp)
+                if got is None:
+                    seen["rejected"] += 1
+                elif bk.umbrella_ok(a, bk.lbfs(a, comp)):
+                    seen["one sweep"] += 1
+                else:
+                    seen["three sweeps"] += 1
+    assert all(seen.values()), seen
+
+
+def test_one_sweep_per_recognition_on_planted_interval_graphs(monkeypatch):
+    """On ``planted-interval``-shaped instances (seeds 0-3), every
+    ``pig_order`` call of ``kernelize`` and then of ``audit_violations``
+    makes exactly one LBFS sweep: each first sweep is already an umbrella
+    ordering."""
+    sweeps = [0]
+    per_call: list[int] = []
+    orig_lbfs, orig_pig_order = bk.lbfs, R.pig_order
+
+    def lbfs_spy(*args):
+        sweeps[0] += 1
+        return orig_lbfs(*args)
+
+    def pig_order_spy(adjm, comp):
+        before = sweeps[0]
+        order = orig_pig_order(adjm, comp)
+        per_call.append(sweeps[0] - before)
+        return order
+
+    monkeypatch.setattr(bk, "lbfs", lbfs_spy)
+    monkeypatch.setattr(R, "pig_order", pig_order_spy)
+    for s in range(4):
+        g, k = planted_interval_graph(random.Random(s))
+        ker = kernelize(g, k)
+        assert not ker.decided_no
+        assert audit_violations(ker.graph, ker.k) == []
+    assert per_call and set(per_call) == {1}, per_call
 
 
 def test_lbfs_masks_match_the_list_oracle():
