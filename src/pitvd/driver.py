@@ -1,7 +1,9 @@
 """Fixpoint driver for the reduction rules.
 
 Applies the rules in order, restarting from the first after every hit, so
-a rule only ever fires with all earlier ones exhausted.  The later rules
+a rule only ever fires with all earlier ones exhausted; after a pendant
+trim (rule 4, 6 or 7) the pass resumes at rule 4, since such an edit
+cannot make rule 1, 2 or 3 applicable (proof below).  The later rules
 need a base set (vertices whose removal leaves every component a proper
 interval graph or a tree); the driver computes one lazily when a pass
 first reaches those rules, prunes it after deletions, and recomputes it
@@ -17,8 +19,33 @@ the check costs O(1).
 The restart is cheap for the first three rules: the graph keeps its
 heavy edges, its doubled-neighbour counts and rule 1's "not clean"
 verdicts current under every edit, so rules 1-3 read what changed
-instead of rescanning the whole graph.  The kernel is returned as a
+instead of rescanning the whole graph, and rules 4 and 5 read degree-2
+paths that it repairs around each edit.  The kernel is returned as a
 copy of the working graph, so it carries a fresh index and no verdicts.
+
+Rules 4, 6 and 7 delete only vertices D of a pendant path or pendant
+tree of some component C, and keep k; rules 1-3 found nothing before
+the edit.  After it they still find nothing:
+
+- Rules 2 and 3.  Only vertices go, so no edge gets heavier, the counts
+  of doubled neighbours only fall, and k is unchanged.
+- Rule 1.  Every other component is untouched.  C was not clean: it
+  has a parallel edge, or it is simple, holds a cycle and is no proper
+  interval graph.  Pendant parts are simple, hang by plain edges and lie
+  on no cycle, so C - D keeps C's parallel edges and cycles and stays
+  connected.  Rules 6 and 7 keep an induced claw too: rule 6 the one at
+  the nearest branch vertex (its path neighbour and two children), rule
+  7 x with the roots of the three trees it keeps; so C - D is no tree
+  and no proper interval graph.  Rule 4 keeps the tail's first edge
+  v0 v1, so v1 is a leaf of C - D.  Were C - D clean, it would be a
+  tree, or a connected proper interval graph, whose umbrella order
+  holds the leaf v1 at one end; growing the tail back from v1 keeps
+  either kind, so C would be clean.
+
+So the pass after such a firing skips rules 1-3.  A skipped rule 1
+leaves the trimmed component without a verdict; the exact search's
+root recognizes it itself, and its first solution is that of a search
+with every verdict in place (see ``exact``).
 
 The full run is recorded as a trace of rule applications; replaying a
 trace against the original graph reproduces the kernel bit for bit.
@@ -89,10 +116,13 @@ def kernelize(g: MultiGraph, k: int,
     def done(decided_no: bool) -> KernelInstance:
         return KernelInstance(g.copy(), k, tuple(trace), decided_no, fallback)
 
+    trimmed = False  # the last firing was a pendant trim
     while True:
         mod = None
         fired = False
-        for _rule_id, needs_mod, fn in rules:
+        for rule_id, needs_mod, fn in rules:
+            if trimmed and rule_id in ("1", "2", "3"):
+                continue
             if needs_mod:
                 if mod is None and s is not None:
                     s = {v for v in s if g.has_vertex(v)}
@@ -123,6 +153,7 @@ def kernelize(g: MultiGraph, k: int,
             if k < 0:
                 return done(True)
             fired = True
+            trimmed = app.rule in ("4", "6", "7")
             break
         if not fired:
             return done(False)

@@ -16,12 +16,15 @@ cheapest rules read it instead of rescanning the graph:
   edit touches one of their vertices, so the scan for a clean component
   re-checks only the components without one, and the exact search
   starts from them;
-- the maximal degree-2 paths, the map of maximal pendant trees and the
-  whole-graph bitmask view (:meth:`view`), once asked for, are kept
-  until the next edit, so the readers between two edits share one walk.
-  The trees come from one leaf-stripping pass that records only each
-  stripped vertex's parent, so they are disjoint and the map is linear
-  in the graph.
+- the maximal degree-2 paths, once asked for, are kept with an index
+  from each chain vertex to its path; an edit records the vertices it
+  touched, and the next ask repairs the list around them, so the cost
+  of keeping the paths current follows the edits, not the graph;
+- the map of maximal pendant trees and the whole-graph bitmask view
+  (:meth:`view`), once asked for, are kept until the next edit, so the
+  readers between two edits share one walk.  The trees come from one
+  leaf-stripping pass that records only each stripped vertex's parent,
+  so they are disjoint and the map is linear in the graph.
 
 The bookkeeping exists from construction on.  ``from_edges`` fills the
 adjacency first and builds the index once.  Copies and induced subgraphs
@@ -32,6 +35,7 @@ what its source remembers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from heapq import heappop, heappush
 from typing import Iterable, Iterator, NamedTuple
@@ -50,7 +54,8 @@ class Deg2Path(NamedTuple):
 
 class MultiGraph:
     __slots__ = ("_adj", "_next_id", "_m", "_heavy", "_doubled", "_judged",
-                 "_pending", "_paths", "_pendant", "_view")
+                 "_pending", "_paths", "_path_of", "_touched", "_pendant",
+                 "_view")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
@@ -67,10 +72,14 @@ class MultiGraph:
         # verdict (and stale ones)
         self._judged: dict[int, list[int]] = {}
         self._pending: list[int] = []
-        # the degree-2 paths, the pendant-tree map and the bitmask view of
-        # this graph state, built when first asked for and dropped by the
-        # next edit
+        # the degree-2 paths, built when first asked for, each chain
+        # vertex's path, and the vertices edited since the last repair
+        # (the last two made with the paths: a graph is copied often)
         self._paths: list[Deg2Path] | None = None
+        self._path_of: dict[int, Deg2Path] | None = None
+        self._touched: set[int] | None = None
+        # the pendant-tree map and the bitmask view of this graph state,
+        # built when first asked for and dropped by the next edit
         self._pendant: dict[int, list[list[int]]] | None = None
         self._view: tuple[list[int], dict[int, int], list[int]] | None = None
 
@@ -142,7 +151,10 @@ class MultiGraph:
 
     def delete_vertex(self, v: int) -> None:
         self._touch(v)
-        for u, m in self._adj.pop(v).items():
+        nbrs = self._adj.pop(v)
+        if self._paths is not None:
+            self._touched.update(nbrs)
+        for u, m in nbrs.items():
             del self._adj[u][v]
             self._m -= m
             if m >= 2:
@@ -208,8 +220,10 @@ class MultiGraph:
 
     def _touch(self, v: int) -> None:
         """Drop the verdict of v's component, if it has one, and the kept
-        paths, trees and view of the graph."""
-        self._paths = self._pendant = self._view = None
+        trees and view of the graph, and record v for the paths' repair."""
+        self._pendant = self._view = None
+        if self._paths is not None:
+            self._touched.add(v)
         comp = self._judged.get(v)
         if comp is not None:
             for u in comp:
@@ -446,17 +460,71 @@ class MultiGraph:
         anchor; both then follow s by its lesser chain neighbour.  A
         ``tail`` starts at a vertex of degree > 2 and ends in a pendant
         vertex; any other path starts at its lesser end.  A vertex is
-        internal to at most one returned path.  The list is kept until the
-        next edit, so callers must not change it.
-        """
-        if self._paths is None:
-            self._paths = self._walk_degree2_paths()
-        return self._paths
+        internal to at most one returned path.
 
-    def _walk_degree2_paths(self) -> list[Deg2Path]:
+        The first ask walks every chain; a later one repairs the list
+        around the vertices touched since (the ends of a changed edge, a
+        deleted vertex and its neighbours).  A path that holds no touched
+        vertex keeps its chain vertices' neighbourhoods and its ends'
+        degrees, so it stands with its kind and orientation.  A path that
+        holds one is found through the index from chain vertices to
+        paths, at the touched vertex or at a neighbour of it: a touched
+        end's neighbour in the path is a chain vertex, itself touched if
+        the edge between them changed or the end went.  Every new or
+        changed path holds a touched vertex t too, so its chain holds t
+        or a chain neighbour of t, and re-walking the chains through the
+        touched vertices and their neighbours, each from its least
+        vertex, gives the list a full walk would.  The list is repaired
+        in place, so callers must not change it or hold it across an
+        edit.
+        """
+        paths = self._paths
+        if paths is None:
+            self._touched = set()
+            paths = self._paths = self._walk_degree2_paths()
+        elif self._touched:
+            self._repair_degree2_paths()
+        return paths
+
+    def _repair_degree2_paths(self) -> None:
+        """Drop the kept paths through the touched vertices and put in
+        the paths of the chains through them and their neighbours."""
+        adj, path_of, paths = self._adj, self._path_of, self._paths
+        touched, self._touched = self._touched, set()
+        near = set(touched)
+        for t in touched:
+            near.update(adj.get(t, ()))
+        for p in {path_of[v] for v in near if v in path_of}:
+            del paths[bisect_left(paths, p)]
+            for v in p.vertices:
+                if path_of.get(v) is p:
+                    del path_of[v]
+        chain: set[int] = set()
+        stack = [v for v in near if self._chain_vertex(v)]
+        while stack:
+            v = stack.pop()
+            if v not in chain:
+                chain.add(v)
+                stack.extend(u for u in adj[v] if self._chain_vertex(u))
+        for p in self._walk_degree2_paths(chain):
+            insort(paths, p)
+
+    def _chain_vertex(self, v: int) -> bool:
+        """Is v a vertex with two neighbours, each by a single edge?"""
+        nbrs = self._adj.get(v)
+        return nbrs is not None and len(nbrs) == 2 and sum(nbrs.values()) == 2
+
+    def _walk_degree2_paths(self, chain: set[int] | None = None
+                            ) -> list[Deg2Path]:
+        """The sorted paths of the chains whose vertices make up
+        ``chain`` (default: every chain of the graph, with a fresh
+        index), each chain vertex indexed to its path."""
         adj = self._adj
-        chain = {v for v, nbrs in adj.items()
-                 if len(nbrs) == 2 and all(m == 1 for m in nbrs.values())}
+        if chain is None:
+            self._path_of = {}
+            chain = {v for v, nbrs in adj.items()
+                     if len(nbrs) == 2 and sum(nbrs.values()) == 2}
+        path_of = self._path_of
 
         def walk(prev: int, cur: int) -> list[int]:
             # from cur away from prev to the first vertex off the chain,
@@ -472,23 +540,24 @@ class MultiGraph:
             return self.degree(v) == 1, v
 
         paths: list[Deg2Path] = []
-        done: set[int] = set()
         for s in sorted(chain):
-            if s in done:
+            if s in path_of:
                 continue
             lo, hi = sorted(adj[s], key=lambda y: (y not in chain, y))
             ahead = walk(s, lo)
             if ahead[-1] == s:  # the chain is a chordless cycle
-                verts = [s, *ahead[:-1]]
+                verts = inner = [s, *ahead[:-1]]
             else:
                 verts = walk(s, hi)[::-1] + [s] + ahead
+                inner = verts[1:-1]
                 if verts[0] == verts[-1]:  # a cycle hanging at one anchor
                     verts.pop()
                 elif rank(verts[0]) > rank(verts[-1]):
                     verts.reverse()
-            done.update(verts)
             tail = self.degree(verts[0]) > 2 and self.degree(verts[-1]) == 1
-            paths.append(Deg2Path(tuple(verts), "tail" if tail else "other"))
+            p = Deg2Path(tuple(verts), "tail" if tail else "other")
+            paths.append(p)
+            path_of.update(dict.fromkeys(inner, p))
         paths.sort(key=lambda p: p.vertices)
         return paths
 

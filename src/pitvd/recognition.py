@@ -278,8 +278,10 @@ def is_pitg(g: MultiGraph, vs: Collection[int] | None = None
 def component_clean(g: MultiGraph, comp: list[int]) -> bool:
     """Is the induced component simple and a proper interval graph or tree?
 
-    Rule 1 asks after every edit, so the component is compacted on its
-    own rather than read from the whole-graph view, which each edit drops.
+    Rule 1 asks after every edit but a pendant trim (rules 4, 6 and 7,
+    after which the driver resumes at rule 4), so the component is
+    compacted on its own rather than read from the whole-graph view,
+    which each edit drops.
     """
     if g.double_edges(comp):
         return False

@@ -8,14 +8,18 @@ the rules side-effect free is what makes traces replayable and the
 per-rule safety tests honest.  Rules 1-3 read the bookkeeping that the
 graph keeps current under every edit instead of rescanning it; rule 1
 leaves its "not clean" verdicts there, which changes no later answer.
-Rules 4 and 5 read the degree-2 paths and rules 6 and 7 the pendant-tree
-map that the graph keeps until its next edit, so a sweep of rules 4-7
-that fires nothing walks the chains once and the pendant trees once.
+Rules 4 and 5 read the degree-2 paths, which the graph repairs around
+the vertices each edit touched, and rules 6 and 7 the pendant-tree map,
+which it keeps until its next edit: a sweep of rules 4-7 that fires
+nothing walks the pendant trees once, and the chains only as far as
+the edits since the last sweep reach.  After a firing of rule 4, 6 or
+7 the driver resumes at rule 4, since such a trim leaves rules 1-3
+with nothing to do.
 The map holds the maximal pendant trees only, which loses no firing: a
 maximal tree that rule 6 leaves alone is a path, or a path ending at a
 vertex with exactly two leaf children, and no tree nested in it can
 trigger rule 6 or rule 7.  A simple tree component is clean, so rule 1
-deletes it before rules 6 and 7 look at it.
+deletes it before rules 6 and 7 look at it, and no trim makes one.
 
 Edits are encoded as small op tuples:
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pitvd import driver, flows
+from pitvd import cli, driver, flows
 from pitvd.audit import audit_violations
 from pitvd.driver import kernelize, replay
 from pitvd.exact import decide
@@ -12,8 +12,10 @@ from pitvd.multigraph import MultiGraph
 from pitvd.rules import RULES, RuleApplication
 
 from conftest import (planted_interval_graph, planted_tree_graph,
-                      random_multigraph, tree_with_triangles,
-                      unit_interval_graph)
+                      random_multigraph, random_near_tree, rule1_by_rescan,
+                      rule2_by_rescan, rule3_by_rescan, tree_and_cyclic,
+                      tree_with_triangles, unit_interval_graph)
+from test_trace_hashes import load_corpus
 
 
 def same_graph(a: MultiGraph, b: MultiGraph) -> bool:
@@ -209,6 +211,53 @@ def test_trace_records_budget_spending_rules():
     assert res.k == 0 and res.graph.n == 0
 
 
+def test_pendant_trims_leave_rules_1_to_3_exhausted():
+    """After every firing of rule 4, 6 or 7, the rescanning oracles of
+    rules 1-3 find nothing on the graph the next rule reads: the lemma
+    that lets the driver resume at rule 4 (proof in the ``driver``
+    docstring).  Any other firing restarts the battery at rule 1.
+    Checked on two seeds of the ``planted-tree`` and ``small-mixed``
+    corpora and on three random families; each of the three rules fires
+    somewhere."""
+    fired: dict[str, int] = {}
+    last = []  # the rule that fired last, until the next rule runs
+
+    def checked(rule_id, fn):
+        def run(g, k, *mod):
+            if last:
+                trim = last.pop() in ("4", "6", "7")
+                assert rule_id == ("4" if trim else "1")
+                if trim:
+                    for oracle in (rule1_by_rescan, rule2_by_rescan,
+                                   rule3_by_rescan):
+                        assert oracle(g, k) is None, oracle.__name__
+            app = fn(g, k, *mod)
+            if app is not None:
+                fired[app.rule] = fired.get(app.rule, 0) + 1
+                last.append(app.rule)
+            return app
+        return run
+
+    battery = tuple((rule_id, needs_mod, checked(rule_id, fn))
+                    for rule_id, needs_mod, fn in RULES)
+    corpus = load_corpus()
+    instances = [cli.parse(inst.text) for seed in (101, 201)
+                 for workload in ("planted-tree", "small-mixed")
+                 for inst in corpus.build(workload, seed, cli)]
+    rng = random.Random(26)
+    for n in range(4, 40):
+        instances.append((random_near_tree(rng, n), 1 + n % 3))
+        instances.append((tree_and_cyclic(rng, n), 1 + n % 3))
+    instances += [planted_tree_graph(random.Random(seed), 8 + seed)
+                  for seed in range(12)]
+    for g, k in instances:
+        res = kernelize(g, k, rules=battery)
+        # the last firing was checked too, unless it sent k below 0
+        assert not last or res.decided_no
+        last.clear()
+    assert {"1", "4", "6", "7"} <= fired.keys(), fired
+
+
 class WalkCountingDict(dict):
     """An adjacency map that counts the keys read by walks over all of
     it."""
@@ -343,22 +392,37 @@ def caterpillar(n: int) -> tuple[MultiGraph, int]:
     return MultiGraph.from_edges(edges), 1
 
 
-@pytest.mark.parametrize("family",
-                         [isolated_vertices, doubled_matching, caterpillar])
+def comb(n: int) -> tuple[MultiGraph, int]:
+    """A triangle with a spine of n/4 vertices hung from one corner, a
+    3-vertex tail on each spine vertex: rule 4 fires n/4 times, each
+    time on one tail of the same component."""
+    spine = [3 + 4 * i for i in range(n // 4)]
+    edges = [(0, 1), (1, 2), (0, 2), (0, spine[0])]
+    edges += [(a, b) for a, b in zip(spine, spine[1:])]
+    edges += [(v + i, v + i + 1) for v in spine for i in range(3)]
+    return MultiGraph.from_edges(edges), 1
+
+
+@pytest.mark.parametrize("family", [isolated_vertices, doubled_matching,
+                                    caterpillar, comb])
 def test_fixpoint_work_grows_linearly(monkeypatch, family):
-    """Each firing restarts the battery at rule 1, so a fixpoint that
-    rescanned the graph per firing would do quadratic work on the first
-    two families, and listing every pendant tree at every vertex would
-    on the caterpillar; doubling n may at most about double each
-    count."""
+    """Each firing restarts the battery, so a fixpoint that rescanned the
+    graph per firing would do quadratic work on the first two families
+    and on the comb, whose trims would each re-walk every chain and
+    re-judge the component, and listing every pendant tree at every
+    vertex would on the caterpillar; doubling n may at most about double
+    each count.  A trim resumes the battery at rule 4, so rule 1 judges
+    the comb a constant number of times."""
     small, large = (fixpoint_work(monkeypatch, *family(n))
                     for n in (500, 1000))
-    if family is not caterpillar:
+    if family in (isolated_vertices, doubled_matching):
         assert small["component_clean"] >= 250
+    if family is comb:
+        assert large["component_clean"] <= 3, large
     for name, count in small.items():
         assert large[name] <= 2.2 * count, (name, small, large)
-    # rule 1 runs after every edit, which drops the view; it compacts
-    # each component on its own instead
+    # rule 1 runs after every edit but a trim, and each edit drops the
+    # view; it compacts each component on its own instead
     assert small["view"] == large["view"] == 0
     if family is doubled_matching:
         # rule 1 judged all n/2 components, more than k: the search says

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
@@ -335,6 +336,87 @@ def test_deg2_isolated_and_k2_skipped():
     assert g.find_degree2_paths() == []
 
 
+def test_deg2_paths_are_repaired_after_every_edit():
+    """Seeded random vertex deletions, added edges and multiplicities
+    (0 and 2 among them), one or two between asks: the kept list,
+    repaired around the touched vertices, equals a fresh walk's."""
+    rng = random.Random(2626)
+    seen = set()
+    for g in itertools.islice(_deg2_families(rng), 1500):
+        assert g.find_degree2_paths() == degree2_paths_reference(g)
+        for _ in range(6):
+            for _ in range(rng.randint(1, 2)):
+                vs = g.vertices
+                if len(vs) < 2:
+                    break
+                u, v = rng.sample(vs, 2)
+                op = rng.randrange(3)
+                if op == 0:
+                    g.delete_vertex(u)
+                elif op == 1:
+                    g.add_edge(u, v)
+                else:
+                    g.set_multiplicity(u, v, rng.choice((0, 0, 1, 2)))
+            got = g.find_degree2_paths()
+            assert got == degree2_paths_reference(g), list(g.edges())
+            seen.update(p.kind for p in got)
+    assert seen == {"tail", "other"}
+
+
+def repaired_paths(g: MultiGraph, *edits) -> list[tuple[tuple[int, ...], str]]:
+    """Ask for the paths, then make each edit and ask again, checking
+    each repaired list against a fresh walk; the last list."""
+    g.find_degree2_paths()
+    for edit in edits:
+        edit(g)
+        assert g.find_degree2_paths() == degree2_paths_reference(g)
+    return [tuple(p) for p in g.find_degree2_paths()]
+
+
+# two triangles, at 0 and at 4, for ends of degree 3
+TRIANGLES = [(0, 10), (10, 11), (11, 0), (4, 12), (12, 13), (13, 4)]
+
+
+def test_deg2_repair_merges_two_chains():
+    g = build(TRIANGLES + [(0, 1), (1, 2), (2, 3), (3, 4), (2, 9)])
+    assert ((0, 1, 2), "other") in repaired_paths(g)
+    assert ((0, 1, 2, 3, 4), "other") in repaired_paths(
+        g, lambda g: g.delete_vertex(9))
+
+
+def test_deg2_repair_opens_a_chordless_cycle():
+    g = build([(i, (i + 1) % 6) for i in range(6)])
+    assert repaired_paths(g) == [((0, 1, 2, 3, 4, 5), "other")]
+    assert repaired_paths(g, lambda g: g.delete_vertex(0)) == [
+        ((1, 2, 3, 4, 5), "other")]
+
+
+def test_deg2_repair_flips_a_path_to_a_tail():
+    # 5 has degree 3 through its doubled edge to 6, then becomes a leaf
+    g = build(TRIANGLES + [(0, 3), (3, 5), (5, 6, 2)])
+    assert ((0, 3, 5), "other") in repaired_paths(g)
+    assert ((0, 3, 5), "tail") in repaired_paths(
+        g, lambda g: g.set_multiplicity(5, 6, 0))
+
+
+def test_deg2_repair_after_rule5_closes_the_gap():
+    g = build(TRIANGLES + [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6), (6, 4)])
+    app = R.rule5_shrink_degree2_path(g, 1)
+    assert app.ops[-1] == ("edge", 1, 6, 1)
+    edits = [lambda g, op=op: R.apply_ops(g, [op]) for op in app.ops]
+    assert ((0, 1, 6, 4), "other") in repaired_paths(g, *edits)
+
+
+def test_deg2_repair_after_a_doubled_edge():
+    g = build(TRIANGLES + [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert ((0, 1, 2, 3, 4), "other") in repaired_paths(g)
+    paths = repaired_paths(g, lambda g: g.set_multiplicity(2, 3, 2))
+    # 2 and 3 left the chains: only 1 is internal to a path off the
+    # triangles
+    assert [p for p in paths if 10 not in p[0] and 12 not in p[0]] == [
+        ((0, 1, 2), "other")]
+
+
 @given(st.integers(0, 2 ** 15 - 1))
 def test_deg2_paths_cover_each_chain_vertex_once(code):
     # random simple graph on 6 vertices; every degree-2 chain vertex must
@@ -368,7 +450,7 @@ def assert_bookkeeping_is_current(g: MultiGraph) -> None:
     unclean component in the verdict map or waits on the pending heap,
     and the degree-2 paths, pendant trees and view equal a fresh copy's.
     Each check asks for the kept structures, so the next edit must drop
-    them."""
+    or repair them."""
     fresh = g.copy()
     assert g.find_degree2_paths() == fresh.find_degree2_paths()
     assert g.pendant_trees() == fresh.pendant_trees()

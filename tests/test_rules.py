@@ -25,9 +25,9 @@ from pitvd.modulator import classify_tree_side
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
-from conftest import (nx_multigraph, pendant_trees_by_copy, random_forest,
-                      random_multigraph, random_near_tree, tree_and_cyclic,
-                      unit_interval_graph)
+from conftest import (degree2_paths_reference, nx_multigraph,
+                      pendant_trees_by_copy, random_forest, random_multigraph,
+                      random_near_tree, tree_and_cyclic, unit_interval_graph)
 
 
 def strip(n):
@@ -289,18 +289,20 @@ def test_pendant_tree_readers_walk_the_components_once(monkeypatch):
 def test_rules_4_to_7_walk_the_chains_and_pendant_trees_once(monkeypatch):
     """Between two edits the graph keeps its degree-2 paths and pendant
     trees: a sweep of rules 4-7 that fires nothing, and the audit's
-    sweep plus its pendant-tree bound, each walk the chains once and the
-    pendant trees once, and the next edit makes the next sweep walk them
-    again."""
+    sweep plus its pendant-tree bound, each walk the pendant trees once,
+    and the next edit makes the next sweep walk them again.  The chains
+    are walked whole only while no list is kept, on the copy's first
+    sweep and in the audit's copy; after an edit the list is repaired,
+    and equals a fresh walk's."""
     from pitvd.audit import audit_violations
 
     walks = {"chains": 0, "trees": 0}
     walk_paths, hanging_trees = (MultiGraph._walk_degree2_paths,
                                  MultiGraph.hanging_trees)
 
-    def counted_paths(self):
-        walks["chains"] += 1
-        return walk_paths(self)
+    def counted_paths(self, chain=None):
+        walks["chains"] += chain is None
+        return walk_paths(self, chain)
 
     def counted_trees(self, vs=None, keep=()):
         # the strata strip only the tree side; count whole-graph passes
@@ -317,12 +319,14 @@ def test_rules_4_to_7_walk_the_chains_and_pendant_trees_once(monkeypatch):
     assert g.find_degree2_paths() and g.pendant_trees()
     walks.update(chains=0, trees=0)
     g = g.copy()
-    for _ in range(2):
+    for sweep in range(2):
         for _, _, rule in R.RULES[3:7]:
             assert rule(g, 1) is None
-        assert walks == {"chains": 1, "trees": 1}
+        assert walks == {"chains": 1 - sweep, "trees": 1}
+        assert g.find_degree2_paths() == degree2_paths_reference(g)
         walks.update(chains=0, trees=0)
         g.add_edge(8, 9)
+        assert g.find_degree2_paths() == degree2_paths_reference(g)
         g.set_multiplicity(8, 9, 0)
     assert audit_violations(g, 1) == []
     assert walks == {"chains": 1, "trees": 1}
