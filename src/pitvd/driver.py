@@ -2,14 +2,19 @@
 
 Applies the rules in order, restarting from the first after every hit, so
 a rule only ever fires with all earlier ones exhausted; after a pendant
-trim (rule 4, 6 or 7) the pass resumes at rule 4, since such an edit
-cannot make rule 1, 2 or 3 applicable (proof below).  The later rules
-need a base set (vertices whose removal leaves every component a proper
-interval graph or a tree); the driver computes one lazily when a pass
-first reaches those rules, prunes it after deletions, and recomputes it
-only when an edit broke it.  Whether G - S is still clean is decided by
+trim (rule 4, 6 or 7, or rule 8 deleting exactly the hangers of the bad
+hooks) the pass resumes at rule 4, since such an edit cannot make rule
+1, 2 or 3 applicable (proof below).  The later rules need a base set
+(vertices whose removal leaves every component a proper interval graph
+or a tree); the driver computes one lazily when a pass first reaches
+those rules, prunes it after deletions, and recomputes it only when an
+edit broke it.  Whether G - S is still clean is decided by
 ``classify_tree_side`` alone: it raises ``ValueError`` on a broken S,
 which on a reused S means "recompute" and on a fresh one propagates.
+After such a rule-8 firing the strata are not classified again: if
+rules 4-7 then fire nothing, the base-set rules read the strata rule 8
+read, less the deleted hangers (``Modulator.without_bad_hangers``).  Any
+other rule-8 edit restarts at rule 1 and classifies afresh.
 
 Every application strictly shrinks the triple (budget, vertex count,
 edge count) in lexicographic order, which is checked and is what
@@ -19,9 +24,11 @@ the check costs O(1).
 The restart is cheap for the first three rules: the graph keeps its
 heavy edges, its doubled-neighbour counts and rule 1's "not clean"
 verdicts current under every edit, so rules 1-3 read what changed
-instead of rescanning the whole graph, and rules 4 and 5 read degree-2
-paths that it repairs around each edit.  The kernel is returned as a
-copy of the working graph, so it carries a fresh index and no verdicts.
+instead of rescanning the whole graph, rules 4 and 5 read degree-2
+paths that it repairs around each edit, and rules 6 and 7 a pendant-tree
+map that it patches after the deletions of rules 4, 6, 7 and 8.  The
+kernel is returned as a copy of the working graph, so it carries a
+fresh index and no verdicts.
 
 Rules 4, 6 and 7 delete only vertices D of a pendant path or pendant
 tree of some component C, and keep k; rules 1-3 found nothing before
@@ -41,6 +48,16 @@ the edit.  After it they still find nothing:
   tree, or a connected proper interval graph, whose umbrella order
   holds the leaf v1 at one end; growing the tail back from v1 keeps
   either kind, so C would be clean.
+
+Rule 8 deletes the hangers D of the bad hooks and keeps k.  A hanger
+is a tree stripped off the tree side of G - S; the S-neighbours F1 are
+never stripped and G - S separates the tree side from V1, so each
+hanger is a pendant tree of G, hung from its hook by one plain edge.
+So C - D stays connected and keeps C's cycles and parallel edges, as
+above.  Every chain with a bad hook keeps its two good hooks, with
+their hangers; a good hook with its hanger's root and its two chain
+neighbours is an induced claw of the tree side, so C - D is no tree and
+no proper interval graph, and is not clean.
 
 So the pass after such a firing skips rules 1-3.  A skipped rule 1
 leaves the trimmed component without a verdict; the exact search's
@@ -117,8 +134,9 @@ def kernelize(g: MultiGraph, k: int,
         return KernelInstance(g.copy(), k, tuple(trace), decided_no, fallback)
 
     trimmed = False  # the last firing was a pendant trim
+    carried = None  # the strata after the last firing, if it was rule 8's
     while True:
-        mod = None
+        mod = carried
         fired = False
         for rule_id, needs_mod, fn in rules:
             if trimmed and rule_id in ("1", "2", "3"):
@@ -153,7 +171,11 @@ def kernelize(g: MultiGraph, k: int,
             if k < 0:
                 return done(True)
             fired = True
-            trimmed = app.rule in ("4", "6", "7")
+            carried = None
+            if app.rule == "8" and app.ops == tuple(
+                    ("del", u) for u in sorted(mod.bad_hangers)):
+                carried = mod.without_bad_hangers(g)
+            trimmed = app.rule in ("4", "6", "7") or carried is not None
             break
         if not fired:
             return done(False)

@@ -26,16 +26,17 @@ of the remaining *bad* hooks are deletable.
 
 G - S is analysed once, without copying it, and the result holds
 everything the base-set rules read: the clique path of each cyclic
-component (``paths``), the flower of each base vertex into the tree side
-with its cover Z_v (``flowers``), and the strata.  G - S is read as a
-mask over the graph's kept bitmask view (:meth:`MultiGraph.view`), the
-one the exact bootstrap and the obstruction scan read before it.  Its
-positions ascend with vertex id, so the view lists the components in
-min-id order, tells the trees (n - 1 edges) from the cyclic components
-and finds a triangle in each cyclic one; only the clique path of a
-cyclic component compacts that component again, on its own.  Two
-leaf-stripping passes (:meth:`MultiGraph.hanging_trees`) over the whole
-tree side, whatever the number of trees, give the rest.  Each returns one map from the
+component (``paths``), the flower of each base vertex into the tree
+side with its cover Z_v (``flowers``, walked on first read), and the
+strata.  G - S is read as a mask over the graph's kept bitmask view
+(:meth:`MultiGraph.view`), the one the exact bootstrap and the
+obstruction scan read before it.  Its positions ascend with vertex id,
+so the view lists the components in min-id order, tells the trees
+(n - 1 edges) from the cyclic components and finds a triangle in each
+cyclic one; only the clique path of a cyclic component compacts that
+component again, on its own.  Two leaf-stripping passes
+(:meth:`MultiGraph.hanging_trees`) over the whole tree side, whatever
+the number of trees, give the rest.  Each returns one map from the
 vertices it leaves to the maximal trees hung from them.  The first
 keeps the S-neighbors: its keys are the survivors, whose degrees among
 themselves give the connectors, and the trees at the degree-2
@@ -44,13 +45,22 @@ non-critical connectors down to their hooks, and its keys, the stretch
 between each chain's outermost hooks, tell the good hooks from the bad.
 Each base vertex's flower walks only the trees that hold one of its
 neighbours, found from that neighbourhood in the view; the other trees
-hold no petal and no vertex of its cover.
+hold no petal and no vertex of its cover.  The flowers are walked when
+first read, for the graph state the strata describe, so strata that
+rule 8 fires on never walk them; a read after an edit raises
+``AssertionError``.
+
+Rule 8 deletes the hangers of the bad hooks and nothing else.  The
+strata after it are the ones it read, less those hangers
+(:meth:`Modulator.without_bad_hangers`), so the driver carries them
+instead of classifying G - S again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Collection
 
 from . import backend
@@ -132,7 +142,8 @@ def compute_base_set(g: MultiGraph, k: int,
 
 @dataclass(frozen=True)
 class Modulator:
-    """Base set plus the derived strata of the current graph."""
+    """Base set plus the derived strata of ``graph`` as it stood when
+    they were made."""
 
     s: frozenset[int]
     v1: frozenset[int]
@@ -146,12 +157,67 @@ class Modulator:
     hangers: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
     #: clique path of each cyclic component, ordered by minimum id
     paths: tuple[CliquePath, ...] = ()
-    #: base vertex -> its flower into the tree side, cover Z_v included
-    flowers: dict[int, Flower] = field(default_factory=dict)
+    #: the graph the strata describe, and its version when they were made
+    graph: MultiGraph = field(kw_only=True, compare=False, repr=False)
+    version: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "version", self.graph.version)
 
     @property
     def hooks(self) -> frozenset[int]:
         return self.good_hooks | self.bad_hooks
+
+    @property
+    def bad_hangers(self) -> frozenset[int]:
+        """The vertices of the hangers of every bad hook: rule 8's drop."""
+        return frozenset(u for w in self.bad_hooks
+                         for c in self.hangers[w] for u in c)
+
+    @cached_property
+    def flowers(self) -> dict[int, Flower]:
+        """Base vertex -> its flower into the tree side, cover Z_v
+        included, in ascending order of base vertex.
+
+        Walked on first read, over the trees that hold a neighbour of
+        the base vertex, and kept as a plain dict.  The graph must not
+        have changed since the strata were made.
+        """
+        g = self.graph
+        if g.version != self.version:
+            raise AssertionError("the graph changed since its strata "
+                                 "were made")
+        ids, index, adjm = g.view()
+        trees = backend.id_mask(index, self.v2)
+        flowers = {}
+        for v in sorted(self.s):
+            touched = backend.reach(adjm, adjm[index[v]] & trees, trees)
+            flowers[v] = flower_in_forest(
+                g, v, [ids[p] for p in backend.bits(touched)])
+        return flowers
+
+    def without_bad_hangers(self, g: MultiGraph) -> "Modulator":
+        """The strata of ``g`` after rule 8 deleted :attr:`bad_hangers`
+        from the graph these describe, and nothing else.
+
+        Each hanger is a tree stripped off the tree side, never one of
+        the kept S-neighbours, so it is a pendant tree of G hung from its
+        hook; none holds a vertex of S, V1, F1 or F3.  Deleting them
+        keeps every survivor of the first stripping pass and its degree
+        among them, so the connectors, branch points and chains stand.
+        The good hooks keep their hangers, and in each chain they were
+        the outermost hooks, so the stretch between them stands and no
+        hook is bad any more.  So V2 loses the hangers, the bad hooks
+        drop out of ``hangers``, and nothing else changes but the
+        flowers.  Those are walked afresh on the new graph, not carried:
+        a walk starts at the least vertex of a tree, which may have been
+        in a hanger.
+        """
+        return replace(self, v2=self.v2 - self.bad_hangers,
+                       bad_hooks=frozenset(),
+                       hangers={w: h for w, h in self.hangers.items()
+                                if w not in self.bad_hooks},
+                       graph=g)
 
 
 def classify_tree_side(g: MultiGraph, s) -> Modulator:
@@ -217,15 +283,9 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     bad = {w for w in hangers
            if sum(1 for u in g.neighbors(w) if u in stretch) == 2}
     good = set(hangers) - bad
-
-    flowers = {}
-    for v in sorted(s):
-        touched = backend.reach(adjm, adjm[index[v]] & trees, trees)
-        flowers[v] = flower_in_forest(
-            g, v, [ids[p] for p in backend.bits(touched)])
     return Modulator(s=s, v1=frozenset(v1), v2=frozenset(v2),
                      f1=frozenset(f1), f3=frozenset(f3),
                      f3_critical=frozenset(f3c),
                      good_hooks=frozenset(good), bad_hooks=frozenset(bad),
-                     hangers=hangers, paths=tuple(paths), flowers=flowers)
+                     hangers=hangers, paths=tuple(paths), graph=g)
 

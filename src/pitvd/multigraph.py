@@ -20,17 +20,22 @@ cheapest rules read it instead of rescanning the graph:
   from each chain vertex to its path; an edit records the vertices it
   touched, and the next ask repairs the list around them, so the cost
   of keeping the paths current follows the edits, not the graph;
-- the map of maximal pendant trees and the whole-graph bitmask view
-  (:meth:`view`), once asked for, are kept until the next edit, so the
-  readers between two edits share one walk.  The trees come from one
-  leaf-stripping pass that records only each stripped vertex's parent,
-  so they are disjoint and the map is linear in the graph.
+- the map of maximal pendant trees, once asked for, is kept with each
+  stripped vertex's parent from the leaf-stripping pass that made it;
+  deletions that take vertices out of pendant trees, or whole
+  components, are patched into it on the next ask, and any other edit
+  drops it (see :meth:`pendant_trees`).  The trees are disjoint and
+  the map is linear in the graph;
+- the whole-graph bitmask view (:meth:`view`), once asked for, is kept
+  until the next edit, so the readers between two edits share one walk;
+- a version number changes with every edit, so a reader can tell
+  whether the graph changed since it last looked.
 
 The bookkeeping exists from construction on.  ``from_edges`` fills the
 adjacency first and builds the index once.  Copies and induced subgraphs
 rebuild the index from their own adjacency in one walk and start with
-no verdicts and no kept paths, trees or view, so a copy never trusts
-what its source remembers.
+no verdicts and no kept paths, trees, parents or view, so a copy never
+trusts what its source remembers.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class Deg2Path(NamedTuple):
 class MultiGraph:
     __slots__ = ("_adj", "_next_id", "_m", "_heavy", "_doubled", "_judged",
                  "_pending", "_paths", "_path_of", "_touched", "_pendant",
-                 "_view")
+                 "_parent", "_dead", "_view", "_version")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
@@ -78,10 +83,16 @@ class MultiGraph:
         self._paths: list[Deg2Path] | None = None
         self._path_of: dict[int, Deg2Path] | None = None
         self._touched: set[int] | None = None
-        # the pendant-tree map and the bitmask view of this graph state,
-        # built when first asked for and dropped by the next edit
+        # the pendant-tree map, built when first asked for, each stripped
+        # vertex's parent, and the vertices deleted since the last build
+        # or patch with their neighbours (the last two made with the map)
         self._pendant: dict[int, list[list[int]]] | None = None
+        self._parent: dict[int, int] | None = None
+        self._dead: list[tuple[int, dict[int, int]]] | None = None
+        # the bitmask view of this graph state, built when first asked for
+        # and dropped by the next edit
         self._view: tuple[list[int], dict[int, int], list[int]] | None = None
+        self._version = 0
 
     # -- construction ---------------------------------------------------
 
@@ -140,6 +151,7 @@ class MultiGraph:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         if v not in self._adj:
             self._adj[v] = {}
+            self._pendant = None
             self._touch(v)
             heappush(self._pending, v)
             if v >= self._next_id:
@@ -154,6 +166,8 @@ class MultiGraph:
         nbrs = self._adj.pop(v)
         if self._paths is not None:
             self._touched.update(nbrs)
+        if self._pendant is not None:
+            self._dead.append((v, nbrs))
         for u, m in nbrs.items():
             del self._adj[u][v]
             self._m -= m
@@ -208,6 +222,7 @@ class MultiGraph:
             self._count_doubled(v, step)
         if old <= 2 < m:
             heappush(self._heavy, (u, v) if u < v else (v, u))
+        self._pendant = None
         self._touch(u)
         self._touch(v)
 
@@ -220,8 +235,10 @@ class MultiGraph:
 
     def _touch(self, v: int) -> None:
         """Drop the verdict of v's component, if it has one, and the kept
-        trees and view of the graph, and record v for the paths' repair."""
-        self._pendant = self._view = None
+        view of the graph, record v for the paths' repair, and move the
+        version on."""
+        self._view = None
+        self._version += 1
         if self._paths is not None:
             self._touched.add(v)
         comp = self._judged.get(v)
@@ -250,6 +267,12 @@ class MultiGraph:
             for v in sorted(self._adj[u]):
                 if u < v:
                     yield (u, v, self._adj[u][v])
+
+    @property
+    def version(self) -> int:
+        """A number that every edit changes: equal readings bracket a
+        stretch in which the graph stood still."""
+        return self._version
 
     @property
     def edge_count(self) -> int:
@@ -377,7 +400,8 @@ class MultiGraph:
         comps = {id(comp): comp for comp in self._judged.values()}
         return sorted(comps.values())
 
-    def hanging_trees(self, vs: Iterable[int] | None = None, keep=()
+    def hanging_trees(self, vs: Iterable[int] | None = None, keep=(),
+                      parent: dict[int, int] | None = None
                       ) -> dict[int, list[list[int]]]:
         """Strip leaves from the subgraph induced on ``vs`` (default: the
         whole graph) until none is left, and map each vertex left
@@ -385,17 +409,18 @@ class MultiGraph:
 
         A leaf is a vertex outside ``keep`` with one neighbour left, joined
         to it by a single plain edge.  Each stripped vertex records only
-        the vertex it hung from.  A tree lists its root u first; u hangs
-        from the key w by the plain edge wu, the tree's only edge to the
-        rest of ``vs``.  The trees are simple and pairwise disjoint, so the
-        map holds each vertex of ``vs`` once, as a key or in one tree.  The
-        keys hold no leaf; a component stripped down to one vertex was a
-        simple tree.
+        the vertex it hung from, in ``parent`` when a dict is passed.  A
+        tree lists its root u first; u hangs from the key w by the plain
+        edge wu, the tree's only edge to the rest of ``vs``.  The trees
+        are simple and pairwise disjoint, so the map holds each vertex of
+        ``vs`` once, as a key or in one tree.  The keys hold no leaf; a
+        component stripped down to one vertex was a simple tree.
         """
         alive = set(self._adj if vs is None else vs)
         left = {v: sum(1 for u in self._adj[v] if u in alive) for v in alive}
         queue = deque(v for v in sorted(alive) if left[v] == 1 and v not in keep)
-        parent: dict[int, int] = {}
+        if parent is None:
+            parent = {}
         while queue:
             u = queue.popleft()
             ws = [w for w in self._adj[u] if w in alive]
@@ -429,13 +454,67 @@ class MultiGraph:
         ascend, and each x maps to its trees as sorted lists ordered by
         minimum id.  A simple tree component keeps its last vertex as a
         key, with the branches around it; rule 1 deletes such a component
-        before any reader of this map runs.  The map is kept until the
-        next edit, so callers must not change it.
+        before any reader of this map runs.
+
+        The map is kept with each stripped vertex's parent.  When only
+        vertices were deleted since, each a stripped vertex that left no
+        surviving neighbour but its parent, or a core (unstripped) vertex
+        that left none, the next ask patches the map: it takes them out
+        of their trees and drops the emptied trees and keys.  In a
+        component that is not a simple tree the stripped set, the core
+        and every parent are unique, and such deletions keep the core and
+        the parents of the rest, so the patch equals a rebuild.  A
+        surviving vertex that lost part of its trees and has no core
+        neighbour roots a simple tree component, whose last vertex hangs
+        on the stripping order, so the map is rebuilt then, as after an
+        edge change, a new vertex, or any other deletion.  The map is
+        patched in place, so callers must not change it or hold it across
+        an edit.
         """
-        if self._pendant is None:
+        if self._pendant is None or (self._dead and not self._patch_pendant()):
+            parent: dict[int, int] = {}
             self._pendant = {x: sorted(map(sorted, trees)) for x, trees
-                             in sorted(self.hanging_trees().items()) if trees}
+                             in sorted(self.hanging_trees(parent=parent).items())
+                             if trees}
+            self._parent, self._dead = parent, []
         return self._pendant
+
+    def _patch_pendant(self) -> bool:
+        """Take the vertices deleted since the last build or patch out of
+        the pendant-tree map, or return False if a rebuild is due (see
+        :meth:`pendant_trees`)."""
+        adj, parent, pendant = self._adj, self._parent, self._pendant
+        dead, self._dead = self._dead, []
+        for v, nbrs in dead:
+            up = parent.get(v)
+            if any(w != up and w in adj for w in nbrs):
+                return False
+        key: dict[int, int] = {}  # stripped vertex -> the key it hangs from
+        hit: set[int] = set()
+        for v, _ in dead:
+            if v not in parent:
+                continue
+            x, climbed = v, []
+            while x in parent and x not in key:
+                climbed.append(x)
+                x = parent[x]
+            x = key.get(x, x)
+            key.update(dict.fromkeys(climbed, x))
+            hit.add(x)
+        if any(x in adj and all(w in parent for w in adj[x]) for x in hit):
+            return False  # a simple tree component lost part of its trees
+        gone = {v for v, _ in dead}
+        for x in hit:
+            trees = [t for t in ([u for u in t if u not in gone]
+                                 for t in pendant[x]) if t]
+            if trees:
+                pendant[x] = sorted(trees)
+            else:
+                del pendant[x]
+        for v in gone:
+            parent.pop(v, None)
+            pendant.pop(v, None)
+        return True
 
     def _subset(self, vs: Iterable[int] | None):
         """``vs`` as a container with fast membership (the graph if None).

@@ -10,11 +10,13 @@ graph keeps current under every edit instead of rescanning it; rule 1
 leaves its "not clean" verdicts there, which changes no later answer.
 Rules 4 and 5 read the degree-2 paths, which the graph repairs around
 the vertices each edit touched, and rules 6 and 7 the pendant-tree map,
-which it keeps until its next edit: a sweep of rules 4-7 that fires
-nothing walks the pendant trees once, and the chains only as far as
-the edits since the last sweep reach.  After a firing of rule 4, 6 or
-7 the driver resumes at rule 4, since such a trim leaves rules 1-3
-with nothing to do.
+which it patches after deletions inside pendant trees, such as those of
+rules 4, 6, 7 and 8, and rebuilds after any other edit: a sweep of
+rules 4-7 that fires nothing walks the pendant trees at most once, and
+the chains only as far as the edits since the last sweep reach.  After
+a firing of rule 4, 6 or 7, or one of rule 8 that deleted exactly the
+hangers of the bad hooks, the driver resumes at rule 4, since such a
+trim leaves rules 1-3 with nothing to do.
 The map holds the maximal pendant trees only, which loses no firing: a
 maximal tree that rule 6 leaves alone is a path, or a path ending at a
 vertex with exactly two leaf children, and no tree nested in it can
@@ -197,8 +199,7 @@ def rule7_limit_pendant_trees(g: MultiGraph, k: int):
 
 def rule8_remove_bad_hangers(g: MultiGraph, k: int, mod: Modulator):
     """Delete every hanger of every bad hook."""
-    drop = sorted({u for w in mod.bad_hooks
-                   for c in mod.hangers[w] for u in c})
+    drop = sorted(mod.bad_hangers)
     if not drop:
         return None
     return deletion("8", drop, affected=sorted(mod.bad_hooks) + drop)

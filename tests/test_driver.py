@@ -212,12 +212,12 @@ def test_trace_records_budget_spending_rules():
 
 
 def test_pendant_trims_leave_rules_1_to_3_exhausted():
-    """After every firing of rule 4, 6 or 7, the rescanning oracles of
+    """After every firing of rule 4, 6, 7 or 8, the rescanning oracles of
     rules 1-3 find nothing on the graph the next rule reads: the lemma
     that lets the driver resume at rule 4 (proof in the ``driver``
     docstring).  Any other firing restarts the battery at rule 1.
     Checked on two seeds of the ``planted-tree`` and ``small-mixed``
-    corpora and on three random families; each of the three rules fires
+    corpora and on three random families; each of the four rules fires
     somewhere."""
     fired: dict[str, int] = {}
     last = []  # the rule that fired last, until the next rule runs
@@ -225,7 +225,7 @@ def test_pendant_trims_leave_rules_1_to_3_exhausted():
     def checked(rule_id, fn):
         def run(g, k, *mod):
             if last:
-                trim = last.pop() in ("4", "6", "7")
+                trim = last.pop() in ("4", "6", "7", "8")
                 assert rule_id == ("4" if trim else "1")
                 if trim:
                     for oracle in (rule1_by_rescan, rule2_by_rescan,
@@ -255,7 +255,167 @@ def test_pendant_trims_leave_rules_1_to_3_exhausted():
         # the last firing was checked too, unless it sent k below 0
         assert not last or res.decided_no
         last.clear()
-    assert {"1", "4", "6", "7"} <= fired.keys(), fired
+    assert {"1", "4", "6", "7", "8"} <= fired.keys(), fired
+
+
+def traced_battery(battery, events: list) -> tuple:
+    """``battery`` with each rule run logged in ``events`` as its id,
+    followed by "!" when it fired."""
+    def logged(rule_id, fn):
+        def run(g, k, *mod):
+            app = fn(g, k, *mod)
+            events.append(rule_id + ("!" if app is not None else ""))
+            return app
+        return run
+
+    return tuple((rule_id, needs_mod, logged(rule_id, fn))
+                 for rule_id, needs_mod, fn in battery)
+
+
+def hooked_holes() -> MultiGraph:
+    """Three 8-holes through the hub 0, each 0 p x h h h y q 0 with a
+    leaf at each of its three hooks h: the middle hook is bad, and once
+    its leaf is gone no degree-2 path has five vertices."""
+    edges, nxt = [], 1
+    for _ in range(3):
+        hole = list(range(nxt, nxt + 7))
+        edges += [(0, hole[0]), (0, hole[-1])] + list(zip(hole, hole[1:]))
+        edges += [(h, nxt + 7 + i) for i, h in enumerate(hole[2:5])]
+        nxt += 10
+    return MultiGraph.from_edges(edges)
+
+
+def hooked_spider() -> MultiGraph:
+    """The hub 0 over a spider with three legs f v w to its centre 1, a
+    leaf at each f and one at the first leg's v, its only hook."""
+    edges, nxt = [], 2
+    for leg in range(3):
+        f, v, w, leaf = range(nxt, nxt + 4)
+        edges += [(0, f), (f, v), (v, w), (w, 1), (f, leaf)]
+        nxt += 4
+    return MultiGraph.from_edges(edges + [(3, nxt)])
+
+
+def test_rule8_strata_are_carried_only_after_an_exact_firing(monkeypatch):
+    """When rule 8 deletes exactly the hangers of the bad hooks, the pass
+    resumes at rule 4 and, rules 4-7 firing nothing, the base-set rules
+    read the carried strata without a second classification; they equal
+    a fresh one.  Mutant 8 deletes the hangers of a good hook too, so
+    the pass after it restarts at rule 1 and classifies afresh."""
+    from pitvd.modulator import classify_tree_side
+    from pitvd.mutation import mutated_rules
+
+    events: list[str] = []
+    strata = []
+    rule9 = next(fn for rule_id, _, fn in RULES if rule_id == "9")
+
+    def classify(g, s):
+        events.append("classify")
+        return classify_tree_side(g, s)
+
+    def rule9_checked(g, k, mod):
+        strata.append((mod, classify_tree_side(g, mod.s)))
+        return rule9(g, k, mod)
+
+    monkeypatch.setattr(driver, "classify_tree_side", classify)
+    battery = tuple((rule_id, needs_mod, rule9_checked if rule_id == "9"
+                     else fn) for rule_id, needs_mod, fn in RULES)
+    res = kernelize(hooked_holes(), 1, rules=traced_battery(battery, events))
+    assert [app.rule for app in res.trace] == ["base-set", "8"]
+    fired = events.index("8!")
+    assert events[fired + 1:] == ["4", "5", "6", "7", "8", "9", "10", "11",
+                                  "12", "13", "14"]
+    (carried, fresh), = strata
+    assert carried == fresh and carried.flowers == fresh.flowers
+
+    events.clear()
+    res = kernelize(hooked_spider(), 1,
+                    rules=traced_battery(mutated_rules("8"), events))
+    assert [app.rule for app in res.trace] == ["base-set", "8"]
+    fired = events.index("8!")
+    assert events[fired + 1:fired + 9] == ["1", "2", "3", "4", "5", "6", "7",
+                                           "classify"]
+
+
+def test_carried_strata_equal_a_fresh_classification():
+    """Every strata the driver carries past a rule-8 firing equal
+    ``classify_tree_side`` on the graph they are read on, field by field
+    and flowers included, over four seeds of the ``planted-tree`` and
+    ``small-mixed`` corpora."""
+    from pitvd.modulator import classify_tree_side
+
+    since: list[str] = []  # the firings since the last one of rule 8
+    compared = 0
+
+    def checked(fn):
+        def run(g, k, mod):
+            nonlocal compared
+            if since == ["8"]:
+                fresh = classify_tree_side(g, mod.s)
+                assert mod == fresh and mod.flowers == fresh.flowers
+                compared += 1
+            since.clear()
+            app = fn(g, k, mod)
+            if app is not None:
+                since.append(app.rule)
+            return app
+        return run
+
+    def reset(fn):
+        def run(g, k):
+            app = fn(g, k)
+            if app is not None:
+                since[:] = [app.rule]
+            return app
+        return run
+
+    battery = tuple((rule_id, needs_mod,
+                     checked(fn) if needs_mod else reset(fn))
+                    for rule_id, needs_mod, fn in RULES)
+    corpus = load_corpus()
+    for seed in (101, 201, 202, 203):
+        for workload in ("planted-tree", "small-mixed"):
+            for inst in corpus.build(workload, seed, cli):
+                kernelize(*cli.parse(inst.text), rules=battery)
+                since.clear()
+    assert compared >= 100, compared
+
+
+def brush(length: int) -> tuple[MultiGraph, int]:
+    """A chordless cycle on 0..L-1, a vertex joined to 0 and 1, and at
+    each cycle vertex x a tree x a b with three 2-vertex legs at b: rule
+    4 cuts each leg to one vertex and rule 6 then drops one leg of each
+    tree, 4L deletions inside the pendant trees."""
+    edges = [(x, (x + 1) % length) for x in range(length)]
+    edges += [(length, 0), (length, 1)]
+    nxt = length + 1
+    for x in range(length):
+        a, b = nxt, nxt + 1
+        edges += [(x, a), (a, b)]
+        edges += [e for leg in (nxt + 2, nxt + 4, nxt + 6)
+                  for e in ((b, leg), (leg, leg + 1))]
+        nxt += 8
+    return MultiGraph.from_edges(edges), 1
+
+
+@pytest.mark.parametrize("length", [125, 250])
+def test_pendant_deletions_patch_the_pendant_tree_map(monkeypatch, length):
+    """The brush's trims delete vertices of pendant trees only, so the
+    pendant-tree map is patched after each one instead of rebuilt: one
+    ``kernelize`` strips the whole graph at most twice (a rebuild after
+    every trim strips it L + 2 times)."""
+    strips = []
+    hanging_trees = MultiGraph.hanging_trees
+
+    def counted(self, vs=None, *args, **kwargs):
+        strips.append(vs is None)
+        return hanging_trees(self, vs, *args, **kwargs)
+
+    monkeypatch.setattr(MultiGraph, "hanging_trees", counted)
+    res = kernelize(*brush(length))
+    rules = [app.rule for app in res.trace]
+    assert rules.count("4") == 3 * length and rules.count("6") == length
+    assert sum(strips) <= 2, sum(strips)
 
 
 class WalkCountingDict(dict):

@@ -1,11 +1,15 @@
 """Tests for the base set and the tree-side strata."""
 
+import os
 import random
+import subprocess
 import sys
+import textwrap
 
 import networkx as nx
 import pytest
 
+import pitvd
 from pitvd import backend, recognition
 from pitvd.cli import random_instance
 from pitvd.cliques import clique_path
@@ -392,8 +396,9 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def test_base_set_rules_reuse_the_paths_and_flowers(monkeypatch):
-    """One classification plus one scan of each of rules 9-14 builds each
-    clique path and each flower exactly once."""
+    """One classification, its first read of the flowers and one scan of
+    each of rules 9-14 build each clique path and each flower exactly
+    once."""
     strip = [(u, v) for u in range(20, 25) for v in (u + 1, u + 2) if v < 25]
     g = MultiGraph.from_edges(
         [(0, 1), (10, 11), (11, 12), (10, 12), (0, 10)]         # triangle
@@ -404,6 +409,7 @@ def test_base_set_rules_reuse_the_paths_and_flowers(monkeypatch):
     paths = count_calls(monkeypatch, clique_path)
     flowers = count_calls(monkeypatch, flower_in_forest)
     mod = classify_tree_side(g, s)
+    assert sorted(mod.flowers) == s
     for rule_id, needs_mod, fn in RULES:
         if needs_mod and int(rule_id) >= 9:
             fn(g, 1, mod)
@@ -508,9 +514,10 @@ def test_base_set_and_strata_share_one_view(monkeypatch):
 
 
 def test_flowers_walk_only_the_trees_their_hub_touches(monkeypatch):
-    """Each hub's flower is built over the trees of G - S that hold one
-    of its neighbours, and it equals the flower over the whole tree side,
-    on random forests under hubs with single and doubled edges."""
+    """Each hub's flower is built, on the first read of the flowers, over
+    the trees of G - S that hold one of its neighbours, and it equals the
+    flower over the whole tree side, on random forests under hubs with
+    single and doubled edges."""
     regions = count_calls(monkeypatch, flower_in_forest)
     seen = dict.fromkeys(["doubled petal", "untouched tree", "path petal"], 0)
     for seed in range(200):
@@ -521,6 +528,7 @@ def test_flowers_walk_only_the_trees_their_hub_touches(monkeypatch):
             g.set_multiplicity(rng.choice(sorted(hubs)), u, 2)
         regions.clear()
         m = classify_tree_side(g, hubs)
+        assert sorted(m.flowers) == sorted(hubs)
         trees = g.components(m.v2)
         for _g, hub, region in regions:
             touched = [t for t in trees
@@ -532,3 +540,63 @@ def test_flowers_walk_only_the_trees_their_hub_touches(monkeypatch):
             seen["doubled petal"] += any(len(p) == 1 for p in whole.petals)
             seen["path petal"] += any(len(p) > 1 for p in whole.petals)
     assert all(seen.values()), seen
+
+
+def test_strata_without_bad_hangers_equal_a_fresh_classification():
+    """Deleting the hangers of the bad hooks leaves the strata
+    ``without_bad_hangers`` gives: equal to a fresh classification field
+    by field, flowers included, on random forests under hubs and on
+    paths with hangers at every spacing."""
+    shapes = [random_forest_with_hubs(random.Random(9500 + seed))
+              for seed in range(300)]
+    rng = random.Random(9501)
+    for _ in range(100):
+        length = rng.randint(5, 14)
+        spots = rng.sample(range(1, length + 1), rng.randint(3, length))
+        shapes.append((path_with_hangers(spots, length)[0], {0}))
+    carried = 0
+    for g, hubs in shapes:
+        mod = classify_tree_side(g, hubs)
+        if not mod.bad_hooks:
+            continue
+        assert mod.bad_hangers == {u for w in mod.bad_hooks
+                                   for c in mod.hangers[w] for u in c}
+        for v in sorted(mod.bad_hangers):
+            g.delete_vertex(v)
+        got, want = mod.without_bad_hangers(g), classify_tree_side(g, hubs)
+        assert got == want and not got.bad_hooks
+        assert got.flowers == want.flowers
+        carried += 1
+    assert carried >= 80, carried
+
+
+def test_flowers_are_walked_on_first_read_and_kept():
+    """Classifying walks no flower; the first read walks each base
+    vertex's flower once and keeps them as a plain dict."""
+    g, _ = path_with_hangers([3, 5, 7])
+    mod = classify_tree_side(g, [0])
+    assert "flowers" not in vars(mod)
+    first = mod.flowers
+    assert type(first) is dict and vars(mod)["flowers"] is first
+    assert mod.flowers is first and list(first) == [0]
+
+
+def test_flowers_read_after_an_edit_raise_under_python_O():
+    """A first read of the flowers after the graph changed raises an
+    explicit ``AssertionError``, which ``python -O`` keeps."""
+    script = textwrap.dedent("""
+        from pitvd.modulator import classify_tree_side
+        from pitvd.multigraph import MultiGraph
+        assert False, "asserts must be stripped"
+        g = MultiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (2, 4)])
+        mod = classify_tree_side(g, [0])
+        g.delete_vertex(4)
+        mod.flowers
+    """)
+    src = os.path.dirname(os.path.dirname(pitvd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert ("AssertionError: the graph changed since its strata were made"
+            in done.stderr), done.stderr

@@ -483,15 +483,25 @@ def assert_bookkeeping_is_current(g: MultiGraph) -> None:
 
 EDITS = st.lists(st.tuples(
     st.sampled_from(["vertex", "edge", "mult", "delete", "copy", "induced",
-                     "fire"]),
+                     "fire", "prune"]),
     st.integers(0, 20), st.integers(0, 20), st.integers(0, 3)), max_size=40)
+
+
+def pendant_subtree(g: MultiGraph, x: int, tree, u: int) -> set[int]:
+    """The vertices of the pendant tree ``tree`` hung from x that u
+    separates from x, u included."""
+    root, = (v for v in tree if g.has_edge(x, v))
+    above = [] if u == root else g.component_of(root, set(tree) - {u})
+    return set(tree) - set(above)
 
 
 @settings(max_examples=150, deadline=None)
 @given(EDITS)
 def test_bookkeeping_survives_every_edit(edits):
     """Random edit sequences, checked after every step; "fire" applies
-    the first of rules 1-7 that fires at k = 1, as the driver would."""
+    the first of rules 1-7 that fires at k = 1, as the driver would, and
+    "prune" deletes a pendant subtree, in id order, which is patched into
+    the kept pendant-tree map unless its component is a simple tree."""
     g = MultiGraph.from_edges([(0, 1, 3), (1, 2, 2), (2, 3)],
                               vertices=range(6))
     assert_bookkeeping_is_current(g)
@@ -516,6 +526,15 @@ def test_bookkeeping_survives_every_edit(edits):
                 if app is not None:
                     R.apply_ops(g, app.ops)
                     break
+        elif op == "prune" and g.pendant_trees():
+            pendant = g.pendant_trees()
+            trees = [(x, t) for x, ts in pendant.items() for t in ts]
+            x, tree = trees[a % len(trees)]
+            hung = {v for ts in pendant.values() for t in ts for v in t}
+            in_tree_component = set(g.neighbors(x)) <= hung
+            for v in sorted(pendant_subtree(g, x, tree, tree[b % len(tree)])):
+                g.delete_vertex(v)
+            assert (g.pendant_trees() is pendant) != in_tree_component
         assert_bookkeeping_is_current(g)
 
 
@@ -565,6 +584,42 @@ def count_views(monkeypatch) -> list:
 
     monkeypatch.setattr(MultiGraph, "compact", counted)
     return views
+
+
+@pytest.mark.parametrize("edit,patched", [
+    (lambda g: [g.delete_vertex(v) for v in (3, 4, 5, 6)], True),
+    (lambda g: g.delete_vertex(6), True),
+    (lambda g: [g.delete_vertex(v) for v in (7, 23)], True),
+    (lambda g: [g.delete_vertex(v) for v in (10, 11, 12, 13)], True),
+    (lambda g: [g.delete_vertex(v) for v in (20, 21, 22, 23)], True),
+    (lambda g: g.delete_vertex(33), True),
+    (lambda g: g.delete_vertex(5), False),
+    (lambda g: g.delete_vertex(0), False),
+    (lambda g: g.delete_vertex(13), False),
+    (lambda g: [g.delete_vertex(v) for v in (20, 23)], False),
+    (lambda g: g.add_edge(4, 7), False),
+    (lambda g: g.set_multiplicity(3, 4, 0), False),
+    (lambda g: g.add_vertex(), False),
+], ids=["whole-tree-root-first", "leaf", "leaves-of-two-components",
+        "whole-tree-component", "whole-cyclic-component",
+        "least-vertex-of-a-tree", "vertex-with-a-child-left", "core-vertex", "in-a-tree-component",
+        "core-vertex-and-its-tree", "new-edge", "dropped-edge",
+        "new-vertex"])
+def test_pendant_tree_map_is_patched_or_rebuilt(edit, patched):
+    """Deleting vertices of pendant trees whose subtrees go too, or whole
+    components, patches the kept map in place; any other edit rebuilds
+    it.  Either way it equals a fresh copy's."""
+    g = MultiGraph.from_edges(
+        [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (3, 5), (5, 6), (1, 7)]
+        + [(10, 11), (11, 12), (11, 13)]
+        + [(20, 21), (21, 22), (20, 22), (20, 23)]
+        + [(30, 31), (31, 32), (30, 32), (30, 36), (36, 33), (30, 34)])
+    before = g.pendant_trees()
+    assert before[0] == [[3, 4, 5, 6]] and before[20] == [[23]]
+    assert before[30] == [[33, 36], [34]]
+    edit(g)
+    assert (g.pendant_trees() is before) == patched
+    assert g.pendant_trees() == g.copy().pendant_trees()
 
 
 def test_view_is_kept_until_the_next_edit(monkeypatch):

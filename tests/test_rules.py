@@ -287,13 +287,14 @@ def test_pendant_tree_readers_walk_the_components_once(monkeypatch):
 
 
 def test_rules_4_to_7_walk_the_chains_and_pendant_trees_once(monkeypatch):
-    """Between two edits the graph keeps its degree-2 paths and pendant
-    trees: a sweep of rules 4-7 that fires nothing, and the audit's
-    sweep plus its pendant-tree bound, each walk the pendant trees once,
-    and the next edit makes the next sweep walk them again.  The chains
-    are walked whole only while no list is kept, on the copy's first
-    sweep and in the audit's copy; after an edit the list is repaired,
-    and equals a fresh walk's."""
+    """The graph keeps its degree-2 paths and pendant trees across
+    edits: a sweep of rules 4-7 that fires nothing, and the audit's
+    sweep plus its pendant-tree bound, each walk the pendant trees at
+    most once.  A deletion inside the pendant trees is patched into the
+    map without a whole-graph pass, and an edge edit makes the next sweep
+    strip the whole graph again.  The chains are walked whole only while
+    no list is kept, on the copy's first sweep and in the audit's copy;
+    after an edit the list is repaired, and equals a fresh walk's."""
     from pitvd.audit import audit_violations
 
     walks = {"chains": 0, "trees": 0}
@@ -304,30 +305,37 @@ def test_rules_4_to_7_walk_the_chains_and_pendant_trees_once(monkeypatch):
         walks["chains"] += chain is None
         return walk_paths(self, chain)
 
-    def counted_trees(self, vs=None, keep=()):
+    def counted_trees(self, vs=None, keep=(), parent=None):
         # the strata strip only the tree side; count whole-graph passes
         walks["trees"] += vs is None
-        return hanging_trees(self, vs, keep)
+        return hanging_trees(self, vs, keep, parent)
 
     monkeypatch.setattr(MultiGraph, "_walk_degree2_paths", counted_paths)
     monkeypatch.setattr(MultiGraph, "hanging_trees", counted_trees)
+
+    def sweep(chains: int, trees: int) -> None:
+        for _, _, rule in R.RULES[3:7]:
+            assert rule(g, 1) is None
+        assert walks == {"chains": chains, "trees": trees}
+        assert g.find_degree2_paths() == degree2_paths_reference(g)
+        assert g.pendant_trees() == g.copy().pendant_trees()
+        walks.update(chains=0, trees=0)
 
     # a 4-cycle through one triangle corner, two pendant vertices at
     # another and one at the third
     g = MultiGraph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
                                (4, 5), (5, 0), (1, 8), (1, 9), (2, 11)])
     assert g.find_degree2_paths() and g.pendant_trees()
-    walks.update(chains=0, trees=0)
     g = g.copy()
-    for sweep in range(2):
-        for _, _, rule in R.RULES[3:7]:
-            assert rule(g, 1) is None
-        assert walks == {"chains": 1 - sweep, "trees": 1}
-        assert g.find_degree2_paths() == degree2_paths_reference(g)
-        walks.update(chains=0, trees=0)
-        g.add_edge(8, 9)
-        assert g.find_degree2_paths() == degree2_paths_reference(g)
-        g.set_multiplicity(8, 9, 0)
+    walks.update(chains=0, trees=0)
+    sweep(chains=1, trees=1)
+    sweep(chains=0, trees=0)
+    g.delete_vertex(9)
+    sweep(chains=0, trees=0)
+    g.add_edge(8, 11)
+    assert g.find_degree2_paths() == degree2_paths_reference(g)
+    g.set_multiplicity(8, 11, 0)
+    sweep(chains=0, trees=1)
     assert audit_violations(g, 1) == []
     assert walks == {"chains": 1, "trees": 1}
 
