@@ -74,7 +74,6 @@ def parse(text: str) -> tuple[MultiGraph, int]:
     """
     edges: list[tuple[int, int, int]] = []
     n = m = k = None
-    records = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         fields = raw.split()
         if not fields or fields[0] == "c":
@@ -114,19 +113,18 @@ def parse(text: str) -> tuple[MultiGraph, int]:
             if mult < 1:
                 raise ParseError(f"line {lineno}: multiplicity {mult} < 1")
             edges.append((u, v, mult))
-            records += 1
         else:
             raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
     if n is None:
         raise ParseError("missing problem line")
-    if records != m:
-        raise ParseError(f"header announces {m} edge records, found {records}")
+    if len(edges) != m:
+        raise ParseError(f"header announces {m} edge records, found {len(edges)}")
     return MultiGraph.from_edges(edges, range(1, n + 1)), k
 
 
 def serialize(g: MultiGraph, k: int) -> str:
     """Graph + budget -> instance file text, vertices relabeled to 1..n."""
-    ids = sorted(g.vertices)
+    ids = g.vertices
     label = {v: i + 1 for i, v in enumerate(ids)}
     # labels ascend with ids, so the sorted edges give sorted rows
     rows = [(label[u], label[v], m) for u, v, m in g.edges()]

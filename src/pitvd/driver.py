@@ -1,20 +1,25 @@
 """Fixpoint driver for the reduction rules.
 
-Applies the rules in order, restarting from the first after every hit, so
-a rule only ever fires with all earlier ones exhausted; after a pendant
-trim (rule 4, 6 or 7, or rule 8 deleting exactly the hangers of the bad
-hooks) the pass resumes at rule 4, since such an edit cannot make rule
-1, 2 or 3 applicable (proof below).  The later rules need a base set
-(vertices whose removal leaves every component a proper interval graph
-or a tree); the driver computes one lazily when a pass first reaches
-those rules, prunes it after deletions, and recomputes it only when an
-edit broke it.  Whether G - S is still clean is decided by
+Applies the rules in order, restarting from the first after every hit,
+so a rule only ever fires with all earlier ones exhausted; after a
+pendant trim (rule 4, 6 or 7, or rule 8 deleting exactly the hangers of
+the bad hooks) the pass resumes at rule 4, since such an edit cannot
+make rule 1, 2 or 3 applicable (proof below).  The later rules need a
+base set (vertices whose removal leaves every component a proper
+interval graph or a tree) and its strata.  The driver keeps one
+``Modulator``, the latest base set S with its strata, stamped with the
+graph version they describe.  A pass first reaching those rules
+computes one if there is none; while the version matches, the rules
+read it as it is; after an edit, S less the deleted vertices is
+classified again.  Whether G - S is still clean is decided by
 ``classify_tree_side`` alone: it raises ``ValueError`` on a broken S,
-which on a reused S means "recompute" and on a fresh one propagates.
-After such a rule-8 firing the strata are not classified again: if
-rules 4-7 then fire nothing, the base-set rules read the strata rule 8
-read, less the deleted hangers (``Modulator.without_bad_hangers``).  Any
-other rule-8 edit restarts at rule 1 and classifies afresh.
+which on a kept S means "recompute" and on a fresh one propagates.
+Every edit moves the version on, so of the firings that edit the graph
+only the rule-8 firing above keeps its strata: it replaces them by
+``Modulator.without_bad_hangers()``, the strata rule 8 read less the
+deleted hangers, stamped anew, and if rules 4-7 then fire nothing the
+base-set rules read those.  Any other rule-8 edit restarts at rule 1
+and classifies afresh.
 
 Every application strictly shrinks the triple (budget, vertex count,
 edge count) in lexicographic order, which is checked and is what
@@ -127,35 +132,32 @@ def kernelize(g: MultiGraph, k: int,
         raise ValueError("budget must be non-negative")
     g = g.copy()
     trace: list[RuleApplication] = []
-    s: set[int] | None = None
     fallback = False
 
     def done(decided_no: bool) -> KernelInstance:
         return KernelInstance(g.copy(), k, tuple(trace), decided_no, fallback)
 
     trimmed = False  # the last firing was a pendant trim
-    carried = None  # the strata after the last firing, if it was rule 8's
+    mod = None  # the latest base set and its strata
     while True:
-        mod = carried
-        fired = False
         for rule_id, needs_mod, fn in rules:
             if trimmed and rule_id in ("1", "2", "3"):
                 continue
             if needs_mod:
-                if mod is None and s is not None:
-                    s = {v for v in s if g.has_vertex(v)}
+                if mod is not None and mod.version != g.version:
                     try:
-                        mod = classify_tree_side(g, s)
+                        mod = classify_tree_side(
+                            g, [v for v in mod.s if g.has_vertex(v)])
                     except ValueError:  # an edit left G - S unclean
-                        s = None
+                        mod = None
                 if mod is None:
-                    s, greedy = compute_base_set(g, k, node_limit)
+                    base, greedy = compute_base_set(g, k, node_limit)
                     fallback |= greedy
-                    if s is None:
+                    if base is None:
                         return done(True)
                     trace.append(RuleApplication(
-                        rule="base-set", ops=(), affected=tuple(sorted(s))))
-                    mod = classify_tree_side(g, s)
+                        rule="base-set", ops=(), affected=tuple(sorted(base))))
+                    mod = classify_tree_side(g, base)
                 app = fn(g, k, mod)
             else:
                 app = fn(g, k)
@@ -170,12 +172,13 @@ def kernelize(g: MultiGraph, k: int,
                     "every application must shrink the instance")
             if k < 0:
                 return done(True)
-            fired = True
-            carried = None
+            # read off the firing, not the version: a firing that lowered
+            # only k would leave rule 3 something to do
+            trimmed = app.rule in ("4", "6", "7")
             if app.rule == "8" and app.ops == tuple(
                     ("del", u) for u in sorted(mod.bad_hangers)):
-                carried = mod.without_bad_hangers(g)
-            trimmed = app.rule in ("4", "6", "7") or carried is not None
+                mod = mod.without_bad_hangers()
+                trimmed = True
             break
-        if not fired:
+        else:
             return done(False)

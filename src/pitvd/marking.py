@@ -50,14 +50,6 @@ def eta(k: int, s_size: int) -> int:
     return 2 * (k + 3) * signatures + 6 * s_size * (k + 1) * (k + 3) + 4 * s_size
 
 
-def _first(pool, width):
-    return pool[:width]
-
-
-def _last(pool, width):
-    return pool[-width:] if width else []
-
-
 def mark_clique(g: MultiGraph, k: int, s, path: CliquePath, idx: int) -> set[int]:
     """Marked vertices of clique ``idx`` of the partition ``path``."""
     kq = path.cliques[idx]
@@ -89,27 +81,27 @@ def mark_clique(g: MultiGraph, k: int, s, path: CliquePath, idx: int) -> set[int
         if prv is not None:
             out_pv = [y for y in prv if not adj(x, y)]
             in_pv = [y for y in prv if adj(x, y)]
-            for y in _last(out_pv, k + 1):
-                marked.update(_last([v for v in kq if adj(v, x) and adj(v, y)],
-                                    k + 3))
-            for y in _last(in_pv, k + 1):
-                marked.update(_last([v for v in kq if adj(v, y) and not adj(v, x)],
-                                    k + 3))
-            for y in _first(in_pv, k + 1):
-                marked.update(_first([v for v in kq if adj(v, x) and not adj(v, y)],
-                                     k + 1))
+            for y in out_pv[-(k + 1):]:
+                marked.update([v for v in kq
+                               if adj(v, x) and adj(v, y)][-(k + 3):])
+            for y in in_pv[-(k + 1):]:
+                marked.update([v for v in kq
+                               if adj(v, y) and not adj(v, x)][-(k + 3):])
+            for y in in_pv[:k + 1]:
+                marked.update([v for v in kq
+                               if adj(v, x) and not adj(v, y)][:k + 1])
         if nxt is not None:
             out_nt = [z for z in nxt if not adj(x, z)]
             in_nt = [z for z in nxt if adj(x, z)]
-            for z in _first(out_nt, k + 1):
-                marked.update(_first([v for v in kq if adj(v, x) and adj(v, z)],
-                                     k + 3))
-            for z in _first(in_nt, k + 3):
-                marked.update(_first([v for v in kq if adj(v, z) and not adj(v, x)],
-                                     k + 3))
-            for z in _last(in_nt, k + 1):
-                marked.update(_last([v for v in kq if adj(v, x) and not adj(v, z)],
-                                    k + 3))
+            for z in out_nt[:k + 1]:
+                marked.update([v for v in kq
+                               if adj(v, x) and adj(v, z)][:k + 3])
+            for z in in_nt[:k + 3]:
+                marked.update([v for v in kq
+                               if adj(v, z) and not adj(v, x)][:k + 3])
+            for z in in_nt[-(k + 1):]:
+                marked.update([v for v in kq
+                               if adj(v, x) and not adj(v, z)][-(k + 3):])
 
     if len(marked) > eta(k, len(s_list)):
         raise AssertionError("mark budget exceeded")

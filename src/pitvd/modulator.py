@@ -50,10 +50,12 @@ first read, for the graph state the strata describe, so strata that
 rule 8 fires on never walk them; a read after an edit raises
 ``AssertionError``.
 
-Rule 8 deletes the hangers of the bad hooks and nothing else.  The
-strata after it are the ones it read, less those hangers
-(:meth:`Modulator.without_bad_hangers`), so the driver carries them
-instead of classifying G - S again.
+A ``Modulator`` holds its base set and the graph version its strata
+describe, which is all the driver needs to decide whether to reuse
+them.  Rule 8 deletes the hangers of the bad hooks and nothing else.
+The strata after it are the ones it read, less those hangers, stamped
+with the new version (:meth:`Modulator.without_bad_hangers`), so the
+driver keeps them instead of classifying G - S again.
 """
 
 from __future__ import annotations
@@ -196,9 +198,10 @@ class Modulator:
                 g, v, [ids[p] for p in backend.bits(touched)])
         return flowers
 
-    def without_bad_hangers(self, g: MultiGraph) -> "Modulator":
-        """The strata of ``g`` after rule 8 deleted :attr:`bad_hangers`
-        from the graph these describe, and nothing else.
+    def without_bad_hangers(self) -> "Modulator":
+        """The strata of :attr:`graph` after rule 8 deleted
+        :attr:`bad_hangers` from it in place, and nothing else; stamped
+        with the graph's new version.
 
         Each hanger is a tree stripped off the tree side, never one of
         the kept S-neighbours, so it is a pendant tree of G hung from its
@@ -216,8 +219,7 @@ class Modulator:
         return replace(self, v2=self.v2 - self.bad_hangers,
                        bad_hooks=frozenset(),
                        hangers={w: h for w, h in self.hangers.items()
-                                if w not in self.bad_hooks},
-                       graph=g)
+                                if w not in self.bad_hooks})
 
 
 def classify_tree_side(g: MultiGraph, s) -> Modulator:

@@ -36,9 +36,10 @@ check exactly when it is a proper interval graph (Corneil 2004).  The
 claw scan only ever answers "no" with an induced claw in hand, so every
 verdict is the sweeps' verdict.  The witness search on a failed
 component shares ``backend.lbfs`` with the sweeps: its chordality check
-reads one more sweep in reverse as an elimination order, and only a
-non-chordal component is searched for holes.  The net, tent, short-hole
-and claw scans stay independent of the sweeps.
+reads one more sweep in reverse as an elimination order, only a
+non-chordal component is searched for holes, and the triple that fails
+the check closes a hole by itself (``find_hole``).  The net, tent,
+short-hole and claw scans stay independent of the sweeps.
 
 ``witness`` has two preference orders.  The plain one (net, tent, short
 hole, any hole, claw+triangle) serves ``is_pitg``, and through it the
@@ -121,19 +122,38 @@ def pig_order(adjm: list[int], comp: int):
 # witnesses
 # ---------------------------------------------------------------------------
 
-def _bfs_path(adjm, allowed: int, x: int, y: int):
-    """Shortest x-y path inside ``allowed`` as a vertex list, or None."""
-    if not ((allowed >> x) & 1 and (allowed >> y) & 1):
-        return None
+def find_hole(adjm: list[int], comp: int, seed):
+    """The chordless cycle that ``seed`` closes, or None.
+
+    ``seed`` is the triple (v, x, y) of ``backend.chordal_fail``: x and y
+    are nonadjacent neighbours of v, both before v in an LBFS order
+    sigma of ``comp``, and y before x.  A shortest x-y path avoiding the
+    rest of N[v] is induced and its interior misses N[v], so with v it
+    closes a hole, found by one BFS from x.
+
+    Such a path exists.  Let a < b < c in sigma, with ac an edge and ab
+    not, and let d be the first vertex before b that sees exactly one of
+    b and c.  As b was chosen while c waited, b's label was at least
+    c's, and a is in c's label only, so d comes before a and sees b, not
+    c (the 4-point property of LBFS).  By induction on a's position, a
+    and b are joined by a path whose interior lies before a and outside
+    N(c): if da is an edge, take a, d, b.  If not, (d, a, b) is such a
+    triple with an earlier first vertex, so d and a are joined by a path
+    whose interior lies before d and outside N(b), hence outside N(c),
+    since the vertices before d see b exactly when they see c; d closes
+    it to b.  The triple (y, x, v) gives the x-y path outside N[v], so a
+    seed from a failed chordality check always closes a hole.
+    """
+    v, x, y = seed
+    allowed = (comp & ~adjm[v] & ~(1 << v)) | (1 << x) | (1 << y)
     parent = {x: -1}
-    frontier = 1 << x
-    seen = 1 << x
+    frontier = seen = 1 << x
     while frontier and not (seen >> y) & 1:
         nxt = 0
-        for v in bits(frontier):
-            new = adjm[v] & allowed & ~seen & ~nxt
-            for u in bits(new):
-                parent[u] = v
+        for u in bits(frontier):
+            new = adjm[u] & allowed & ~seen & ~nxt
+            for w in bits(new):
+                parent[w] = u
             nxt |= new
         seen |= nxt
         frontier = nxt
@@ -142,35 +162,7 @@ def _bfs_path(adjm, allowed: int, x: int, y: int):
     path = [y]
     while path[-1] != x:
         path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def find_hole(adjm: list[int], comp: int, seed=None):
-    """A chordless cycle through some vertex of ``comp``, or None.
-
-    For each candidate (v, x, y) with x, y nonadjacent neighbors of v, a
-    shortest x-y path avoiding the rest of N[v] closes into a hole through
-    v; every hole of the graph is discoverable this way, so a non-chordal
-    component always yields one.  ``seed`` is an optional (v, x, y) triple
-    tried first (e.g. from the chordality check).
-    """
-
-    def candidates():
-        if seed is not None:
-            yield seed
-        for v in bits(comp):
-            nbv = adjm[v] & comp
-            for x in bits(nbv):
-                for y in bits(nbv & ~adjm[x] & ~((1 << (x + 1)) - 1)):
-                    yield (v, x, y)
-
-    for v, x, y in candidates():
-        avoid = (adjm[v] | (1 << v)) & ~(1 << x) & ~(1 << y)
-        path = _bfs_path(adjm, comp & ~avoid, x, y)
-        if path is not None:
-            return (v, *path)
-    return None
+    return (v, *reversed(path))
 
 
 def witness(adjm: list[int], comp: int,
@@ -197,9 +189,9 @@ def witness(adjm: list[int], comp: int,
     if tight and (found := bk.net_tent_witnesses(adjm, comp, False)):
         return Obstruction(*found[0])
     if fail is not None:
-        hole = find_hole(adjm, comp, seed=fail)
-        if hole is None:  # pragma: no cover - contradicts chordality failure
-            raise AssertionError("non-chordal component without a hole")
+        hole = find_hole(adjm, comp, fail)
+        if hole is None:  # pragma: no cover - contradicts the LBFS proof
+            raise AssertionError("a chordality failure closed no hole")
         return Obstruction("hole", hole)
     claw = bk.find_claw(adjm, comp)
     tri = bk.find_triangle(adjm, comp)

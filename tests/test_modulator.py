@@ -563,7 +563,7 @@ def test_strata_without_bad_hangers_equal_a_fresh_classification():
                                    for c in mod.hangers[w] for u in c}
         for v in sorted(mod.bad_hangers):
             g.delete_vertex(v)
-        got, want = mod.without_bad_hangers(g), classify_tree_side(g, hubs)
+        got, want = mod.without_bad_hangers(), classify_tree_side(g, hubs)
         assert got == want and not got.bad_hooks
         assert got.flowers == want.flowers
         carried += 1

@@ -510,7 +510,8 @@ def test_find_hole_on_c7_with_chords_elsewhere():
     edges += [(7, 0), (7, 1)]  # extra triangle off the hole
     g = mg(edges)
     ids, _, adjm = g.compact()
-    hole = R.find_hole(adjm, (1 << len(ids)) - 1)
+    full = (1 << len(ids)) - 1
+    hole = R.find_hole(adjm, full, bk.chordal_fail(adjm, full))
     assert hole is not None
     k = len(hole)
     assert k >= 4
@@ -519,9 +520,42 @@ def test_find_hole_on_c7_with_chords_elsewhere():
 
 
 def test_find_hole_none_on_chordal():
+    """A chordal graph gives ``find_hole`` no seed to start from."""
     g = mg([(0, 1), (1, 2), (0, 2), (2, 3)])
     ids, _, adjm = g.compact()
-    assert R.find_hole(adjm, (1 << len(ids)) - 1) is None
+    assert bk.chordal_fail(adjm, (1 << len(ids)) - 1) is None
+
+
+def test_chordality_failure_seeds_a_hole():
+    """The triple of a failed chordality check closes a hole by itself,
+    on every non-chordal component of every labelled graph on 4-6
+    vertices and of every atlas graph on at most 7 under relabellings."""
+
+    def graphs():
+        for n in range(4, 7):
+            yield from all_graphs(n)
+        rng = random.Random(470)
+        for h in nx.graph_atlas_g()[1:]:
+            adj = adj_from_edges(h.number_of_nodes(), h.edges)
+            for _ in range(20):
+                yield _relabelled(rng, adj)
+
+    seeded = 0
+    for adj in graphs():
+        for comp in bk.comp_masks(adj, mask_of(len(adj))):
+            fail = bk.chordal_fail(adj, comp)
+            if fail is None:
+                continue
+            hole = R.find_hole(adj, comp, fail)
+            assert hole is not None and hole[0] == fail[0], (adj, fail)
+            k = len(hole)
+            cyc = sum(1 << u for u in hole)
+            assert k >= 4 and cyc.bit_count() == k
+            for i, u in enumerate(hole):
+                assert adj[u] & cyc == (1 << hole[i - 1]) | (
+                    1 << hole[(i + 1) % k]), (adj, hole)
+            seeded += 1
+    assert seeded > 25000, seeded
 
 
 def test_component_clean():
