@@ -6,7 +6,8 @@ tree, or proves none exists.  Branching is driven by the certifying
 recognizer: parallel edges, nets, tents and holes must each lose one of
 their own vertices, giving a bounded branch; a component rejected only for
 hosting both a claw and a triangle must lose *some* vertex, so the branch
-ranges over that component.
+ranges over that component, or at a tight node (below) over a connected
+claw-and-triangle span of it.
 
 Failed candidates are banned.  The branching is exhaustive, so once the
 subtree of a candidate v fails, no solution of its node contains v, and
@@ -24,19 +25,26 @@ more bad components than k is decided at the root.
 A node is tight when its bad components number exactly its deletions
 left, kk.  Below it every solution deletes exactly one vertex of each bad
 component, so a child for v in the first one, C, survives its visit only
-if C - v is clean; any other child keeps kk bad components with
-kk - 1 deletions and is closed at once.  Every surviving child faces
-the same search on the other bad components, under the same bans there,
-so the node returns the least unbanned v of Sol = {v : C - v is clean},
-then that search, whatever obstruction it branched on, as long as the
-obstruction holds Sol; and every net, tent and hole of C does, since one
-that missed v would survive in C - v.  A tight node therefore asks
-``witness`` for a short hole first (``tight=True``): its 4-6 vertices
-are no more candidates than a net's or a tent's 6, so a failing node
-does not grow, and the net and tent scan, which walks every triangle of
-the component, runs only where no short hole is found.  A long hole
-keeps its place after the net and the tent, since it could give a
-failing node more candidates.  The first solution is unchanged.
+if v is in Sol = {v : C - v is clean}; any other child keeps kk bad
+components with kk - 1 deletions and is closed at once.  Every surviving
+child faces the same search on the other bad components, under the same
+bans there: the bans of its closed siblings are vertices of C, and once
+C - v is clean no vertex of C is a candidate again.  So the node returns
+the least unbanned v of Sol, then that search, for any candidate set
+that holds Sol, taken in ascending order.  Sol lies inside every net,
+tent and hole of C, since one that missed v would survive in C - v.  It
+also lies inside H, an induced claw, a triangle and a shortest path
+between them: a deletion set that misses H leaves H connected in one
+component, which keeps an induced claw and a triangle and so is neither
+a proper interval graph (Roberts 1969) nor a tree.  A tight node without
+parallel edges therefore branches on ``recognition.tight_candidates``:
+the hole that C's chordality check closes, whole when it has at most 6
+vertices and cut down to H when it is longer, or on a chordal C its
+first net or tent, else V(H) rather than all of C.  Only a long hole with
+no claw-and-triangle span is left to ``witness``.  This is the
+bounded-search-tree argument of Cygan et al., *Parameterized Algorithms*
+(2015), ch. 3; the first solution is unchanged, and a node with spare
+deletions still branches over the whole of a claw+triangle component.
 
 The search reads the graph's kept bitmask view (``MultiGraph.view``),
 built at most once per graph state: its closing validation reads the
@@ -111,8 +119,9 @@ def decide(g: MultiGraph, k: int,
         bad.sort(key=lambda c: c & -c)
         if live:
             cands = bits(live[0])
-        else:
-            obs = rec.witness(adjm, bad[0], tight=len(bad) == kk)
+        elif (len(bad) < kk
+              or (cands := rec.tight_candidates(adjm, bad[0])) is None):
+            obs = rec.witness(adjm, bad[0])
             # a claw plus a triangle: some vertex of the component must go
             cands = (bits(bad[0]) if obs.kind == "claw+triangle"
                      else sorted(obs.vertices))

@@ -41,14 +41,17 @@ non-chordal component is searched for holes, and the triple that fails
 the check closes a hole by itself (``find_hole``).  The net, tent,
 short-hole and claw scans stay independent of the sweeps.
 
-``witness`` has two preference orders.  The plain one (net, tent, short
-hole, any hole, claw+triangle) serves ``is_pitg``, and through it the
-greedy modulator and the closing validation of the exact search, and
-the exact search's nodes that have deletions to spare.  A tight node of
-the exact search (as many bad components as deletions left) asks for a
-short hole first, then net, tent, any hole and claw+triangle: there any
-net, tent or hole leads to the same first solution (see ``exact``), and
-a short hole spares the net and tent scan over every triangle.
+``witness`` has one preference order: net, tent, short hole, any hole,
+claw+triangle.  It serves ``is_pitg``, and through it the greedy
+modulator and the closing validation of the exact search, and the exact
+search's nodes that have deletions to spare.  A tight node of the exact
+search (as many bad components as deletions left) asks
+``tight_candidates`` for its branching set instead: the hole the
+chordality check closes, cut down to a connected claw-and-triangle span
+H (``claw_triangle_span``) when it is longer than 6, or on a chordal
+component the first net or tent, else V(H).  Any such set leads to the
+same first solution (see ``exact``), and it skips the short-hole DFS
+everywhere and the net and tent scan on every non-chordal component.
 
 ``is_pitg`` and ``obstruction_sets`` read the graph's kept bitmask view
 (``MultiGraph.view``) and take a vertex subset as a mask over it, so the
@@ -122,8 +125,8 @@ def pig_order(adjm: list[int], comp: int):
 # witnesses
 # ---------------------------------------------------------------------------
 
-def find_hole(adjm: list[int], comp: int, seed):
-    """The chordless cycle that ``seed`` closes, or None.
+def find_hole(adjm: list[int], comp: int, seed) -> tuple[int, ...]:
+    """The chordless cycle that ``seed`` closes.
 
     ``seed`` is the triple (v, x, y) of ``backend.chordal_fail``: x and y
     are nonadjacent neighbours of v, both before v in an LBFS order
@@ -157,47 +160,109 @@ def find_hole(adjm: list[int], comp: int, seed):
             nxt |= new
         seen |= nxt
         frontier = nxt
-    if not (seen >> y) & 1:
-        return None
+    if not (seen >> y) & 1:  # pragma: no cover - contradicts the proof above
+        raise AssertionError("a chordality failure closed no hole")
     path = [y]
     while path[-1] != x:
         path.append(parent[path[-1]])
     return (v, *reversed(path))
 
 
-def witness(adjm: list[int], comp: int,
-            tight: bool = False) -> Obstruction | None:
+def witness(adjm: list[int], comp: int) -> Obstruction | None:
     """Preferred obstruction of one component in positions, or None when
     the component is clean.
 
-    Preference: net, tent, short hole (<= 6), any hole, claw+triangle;
+    Preference: net, tent, short hole (<= 6), any hole, claw+triangle.
     ``is_pitg``, and through it the greedy modulator and the exact
-    search's closing validation, keep this order.  With ``tight`` (an
-    exact-search node with as many bad components as deletions left) a
-    short hole goes first: net, tent, any hole and claw+triangle follow
-    in that order.  The chordality check and the short-hole DFS run once
-    either way.
+    search's closing validation, keep this order, and so do the exact
+    search's nodes that have deletions to spare or where
+    ``tight_candidates`` gives no answer.
     """
-    found = [] if tight else bk.net_tent_witnesses(adjm, comp, False)
+    found = bk.net_tent_witnesses(adjm, comp, False)
     if found:
         return Obstruction(*found[0])
     fail = bk.chordal_fail(adjm, comp)
+    if fail is None:
+        claw = bk.find_claw(adjm, comp)
+        tri = bk.find_triangle(adjm, comp)
+        if claw is None or tri is None:
+            return None
+        return Obstruction("claw+triangle", claw + tri)
     # only a non-chordal component has a hole
-    short = [] if fail is None else bk.small_cycles(adjm, comp, comp, False)
-    if short:
-        return Obstruction("hole", short[0])
-    if tight and (found := bk.net_tent_witnesses(adjm, comp, False)):
-        return Obstruction(*found[0])
-    if fail is not None:
-        hole = find_hole(adjm, comp, fail)
-        if hole is None:  # pragma: no cover - contradicts the LBFS proof
-            raise AssertionError("a chordality failure closed no hole")
-        return Obstruction("hole", hole)
+    short = bk.small_cycles(adjm, comp, comp, False)
+    return Obstruction("hole", short[0] if short
+                       else find_hole(adjm, comp, fail))
+
+
+def claw_triangle_span(adjm: list[int], comp: int) -> int:
+    """H as a mask: the first induced claw of the connected ``comp``, its
+    first triangle and a shortest path from the claw to the triangle; 0
+    when ``comp`` has no induced claw or no triangle.
+
+    H is connected and holds an induced claw and a triangle, so every
+    graph that keeps all of H has a component that is neither a proper
+    interval graph (Roberts 1969: those are claw-free) nor a tree: every
+    deletion set that cleans ``comp`` meets H.  The path comes from one
+    BFS out of the claw's four vertices, walked back from the first
+    layer that reaches the triangle.
+    """
     claw = bk.find_claw(adjm, comp)
-    tri = bk.find_triangle(adjm, comp)
-    if claw is None or tri is None:
-        return None
-    return Obstruction("claw+triangle", claw + tri)
+    tri = claw and bk.find_triangle(adjm, comp)
+    if not tri:
+        return 0
+    span = sum(1 << v for v in claw)
+    ends = sum(1 << v for v in tri)
+    layers = [span]
+    seen = span
+    while not seen & ends:
+        nxt = 0
+        for u in bits(layers[-1]):
+            nxt |= adjm[u]
+        nxt &= comp & ~seen
+        layers.append(nxt)
+        seen |= nxt
+    step = layers.pop() & ends
+    span |= ends
+    for layer in reversed(layers):
+        step = step & -step
+        span |= step
+        step = adjm[step.bit_length() - 1] & layer
+    return span
+
+
+def tight_candidates(adjm: list[int], comp: int) -> list[int] | None:
+    """The vertices, ascending, that a tight exact-search node branches
+    on in its first bad component ``comp`` (simple, connected, neither
+    a tree nor a proper interval graph), or None when the node should
+    branch on ``witness`` instead.
+
+    Each answer holds every v for which ``comp`` - v is clean (see
+    ``exact``): such a v lies on every net, tent and hole of ``comp``,
+    and on H (``claw_triangle_span``).  A non-chordal component gives
+    the hole that the failing triple of its chordality check closes
+    (``find_hole``), whole when it has at most 6 vertices and otherwise
+    cut down to H; with no claw-and-triangle span the long hole is left
+    to ``witness``, which may find a shorter one.  A chordal component
+    gives its first net or tent, or else V(H): chordal, {net,
+    tent}-free and not a proper interval graph means an induced claw,
+    and chordal and not a tree means a triangle.  The whole-component
+    short-hole DFS runs nowhere here, and the net and tent scan only on
+    a chordal component.
+    """
+    fail = bk.chordal_fail(adjm, comp)
+    if fail is not None:
+        hole = sorted(find_hole(adjm, comp, fail))
+        if len(hole) <= 6:
+            return hole
+        span = claw_triangle_span(adjm, comp)
+        return [v for v in hole if (span >> v) & 1] if span else None
+    found = bk.net_tent_witnesses(adjm, comp, False)
+    if found:
+        return sorted(found[0][1])
+    span = claw_triangle_span(adjm, comp)
+    if not span:  # pragma: no cover - contradicts the characterization
+        raise AssertionError("a bad chordal component without an obstruction")
+    return list(bits(span))
 
 
 def _tree_or_pig(adjm: list[int], comp: int) -> bool:

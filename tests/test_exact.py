@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from pitvd import backend as bk
@@ -14,8 +16,10 @@ from pitvd.modulator import compute_base_set, greedy_modulator
 from pitvd.multigraph import MultiGraph
 from pitvd.rules import apply_ops, rule1_drop_clean_component
 
-from conftest import (decide_unpruned, minimum_deletion, pitg_ok,
-                      planted_interval_graph, random_multigraph,
+from conftest import (adj_from_edges, brute_claws, brute_triangles,
+                      component_ok, decide_unpruned, mask_of,
+                      minimum_deletion, pitg_ok, planted_interval_graph,
+                      planted_tree_graph, random_multigraph,
                       tree_with_triangles)
 
 
@@ -510,20 +514,28 @@ def counting_visits(monkeypatch) -> list[int]:
     return visits
 
 
-def test_tight_nodes_keep_the_unpruned_first_solution(monkeypatch):
-    """A node with as many bad components as deletions left branches on a
-    short hole before any net or tent.  Below it each bad component loses
-    exactly one vertex, so only the v whose removal cleans the first one
-    survive, and every net, tent or hole of it holds all of them: the
-    search returns the plain order's first solution, and a node with one
-    short hole of 4-6 candidates does not grow."""
-    differ = [0]
-    orig = rec.witness
+def plain_candidates(adjm, comp) -> list[int]:
+    """What a node branches on through the plain ``witness``."""
+    obs = rec.witness(adjm, comp)
+    return (list(bk.bits(comp)) if obs.kind == "claw+triangle"
+            else sorted(obs.vertices))
 
-    def spy(adjm, comp, **kw):
-        if kw.get("tight"):
-            differ[0] += orig(adjm, comp, tight=True) != orig(adjm, comp)
-        return orig(adjm, comp, **kw)
+
+def test_tight_nodes_keep_the_unpruned_first_solution(monkeypatch):
+    """A node with as many bad components as deletions left branches on
+    ``tight_candidates``: a hole of at most 6 vertices, a longer one cut
+    down to a claw-and-triangle span, a net or a tent.  Below it each bad
+    component loses exactly one vertex, so only the v whose removal
+    cleans the first one survive, and every such set holds all of them:
+    the search returns the plain order's first solution, though most
+    tight nodes branch on another set, and the search does not grow."""
+    differ = [0]
+    orig = rec.tight_candidates
+
+    def spy(adjm, comp):
+        got = orig(adjm, comp)
+        differ[0] += got is not None and got != plain_candidates(adjm, comp)
+        return got
 
     rng = random.Random(24)
     graphs = []
@@ -533,21 +545,84 @@ def test_tight_nodes_keep_the_unpruned_first_solution(monkeypatch):
                                       for _ in range(parts))), parts))
     wants = [[decide_unpruned(g, k) for k in (p - 1, p, p + 1)]
              for g, p in graphs]
-    monkeypatch.setattr(rec, "witness", spy)
+    monkeypatch.setattr(rec, "tight_candidates", spy)
     visits = counting_visits(monkeypatch)
     for (g, parts), want in zip(graphs, wants):
         got = [decide(g, k) for k in (parts - 1, parts, parts + 1)]
         assert got == want, sorted(g.edges())
+    # 2,519 of the 3,438 tight nodes branch on a set of their own
     assert differ[0] >= 1000
-    # 19,410 visits in the plain order, 17,493 with short holes first
+    # 19,410 visits in the plain order, 17,493 with short holes first,
+    # 17,269 on the tight candidates
     assert visits[0] <= 18_000
+
+
+def bad_components_brute():
+    """(adjm, component) for every bad component of every atlas graph on
+    at most 7 vertices, of 400 ``gadget_with_cycle`` graphs and of ten
+    ``planted-tree`` instances, whose 7-holes carry claws and triangles."""
+    graphs = [adj_from_edges(h.number_of_nodes(), h.edges)
+              for h in nx.graph_atlas_g()[1:]]
+    rng = random.Random(24)
+    graphs += [gadget_with_cycle(rng).compact()[2] for _ in range(400)]
+    graphs += [planted_tree_graph(random.Random(seed))[0].compact()[2]
+               for seed in range(10)]
+    for adj in graphs:
+        for comp in bk.comp_masks(adj, mask_of(len(adj))):
+            if not component_ok(adj, comp):
+                yield adj, comp
+
+
+def test_tight_candidates_hold_every_cleaning_vertex():
+    """The lemma behind tight nodes, by brute force.  For a bad component
+    C, Sol (every v with C - v clean) lies inside the candidates, or the
+    plain witness's where ``tight_candidates`` leaves C to it.  A
+    claw-and-triangle span H is a connected part of C with an induced
+    claw and a triangle, and it holds Sol; a candidate set longer than 6,
+    a long hole cut down, lies inside H."""
+    seen = collections.Counter()
+    for adj, comp in bad_components_brute():
+        sol = [v for v in bk.bits(comp) if pitg_ok(adj, comp & ~(1 << v))]
+        got = rec.tight_candidates(adj, comp)
+        cands = plain_candidates(adj, comp) if got is None else got
+        assert set(sol) <= set(cands), (adj, comp)
+        span = rec.claw_triangle_span(adj, comp)
+        if span:
+            assert span & ~comp == 0
+            assert bk.reach(adj, span & -span, span) == span, (adj, span)
+            assert brute_claws(adj, span) and brute_triangles(adj, span)
+            assert all((span >> v) & 1 for v in sol)
+        if got is not None and len(got) > 6:
+            assert set(got) <= set(bk.bits(span)), (adj, comp)
+        fail = bk.chordal_fail(adj, comp)
+        hole = () if fail is None else rec.find_hole(adj, comp, fail)
+        seen["long hole" if len(hole) > 6 else "hole" if hole else "chordal",
+             got is None, bool(span)] += 1
+    assert set(seen) >= {("hole", False, True), ("hole", False, False),
+                         ("long hole", False, True), ("long hole", True, False),
+                         ("chordal", False, True)}, seen
+
+
+def test_tight_nodes_branch_on_a_claw_and_triangle_span(monkeypatch):
+    """On the tree-plus-triangles family a tight node branches on a
+    claw-and-triangle span, not on the whole component: 1,185 visits
+    where branching over every vertex takes 3,100."""
+    visits = counting_visits(monkeypatch)
+    for tree_size in (8, 12, 16, 20, 30):
+        for t in (2, 3):
+            for seed in range(3):
+                g, k = tree_with_triangles(random.Random(seed), tree_size, t)
+                for kk in (k, k + 1):
+                    decide(g, kk)
+    assert visits[0] <= 1_600
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_planted_interval_search_scans_no_net_or_tent(monkeypatch, seed):
-    """The planted-interval root is tight and its witness is a short hole
-    through the planted vertex, so no witness-mode scan walks the
-    triangles of the unit-interval body."""
+    """The planted-interval root is tight and the hole its chordality
+    check closes is a short one through the planted vertex, so no scan
+    outside the base-set stage walks the triangles of the unit-interval
+    body."""
     g, k = planted_interval_graph(random.Random(seed))
     scans = []
     orig = bk.net_tent_witnesses
@@ -562,8 +637,10 @@ def test_planted_interval_search_scans_no_net_or_tent(monkeypatch, seed):
 
 
 #: search visits of ``decide(ring_of_gadgets(h, gadget), h - 1)`` in the
-#: plain witness order; a short hole first must not raise them (a long
-#: hole first would: 6,752 in place of 5,306 for tents at h = 6)
+#: plain witness order; the tight candidates must not raise them, so a
+#: long hole with no claw-and-triangle span is left to the plain witness
+#: (branching on it would give 6,752 visits in place of 5,306 for tents
+#: at h = 6)
 RING_VISITS = {"hole": (43, 259, 1555), "tent": (38, 198, 1024),
                "net": (40, 205, 984)}
 
