@@ -69,7 +69,7 @@ neighbour the other lacks.  Both scans also stop where a mask shows
 that nothing can be found: the hole DFS leaves a branch once no vertex
 can close its cycle, and the net and tent scan starts a triple search
 only on a triangle whose three candidate sets are all nonempty.  The
-same cuts serve ``witness`` at every node of the exact search.
+same cuts serve ``witness`` and ``tight_candidates`` in the exact search.
 """
 
 from __future__ import annotations
