@@ -15,10 +15,11 @@ Next to the rules, the audit checks the size bounds that no rule states
 as a trigger: branching pendant trees of at most five vertices,
 marked-size cliques, bounded base-set-free clique runs, and the stratum
 cardinality bounds.  The pendant-tree bound is checked on the maximal
-pendant trees only; a tree nested in one is a subtree of it, so it
-branches only if the maximal tree does and has no more vertices.  Every
-finding is a human-readable violation string; an irreducible kernel
-reports none.
+branching pendant trees only, the ones rule 6 reads
+(``rules.branching_trees``); a tree nested in one is a subtree of it, so
+it branches only if the maximal tree does and has no more vertices.
+Every finding is a human-readable violation string; an irreducible
+kernel reports none.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import marking
 from .exact import DEFAULT_NODE_LIMIT
 from .modulator import classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
-from .rules import RULES
+from .rules import RULES, branching_trees
 
 
 def audit_violations(g: MultiGraph, k: int,
@@ -43,11 +44,10 @@ def audit_violations(g: MultiGraph, k: int,
     if bad:
         return bad
 
-    for x, trees in g.pendant_trees().items():
-        for piece in trees:
-            if any(g.degree(v) >= 3 for v in piece) and len(piece) > 5:
-                bad.append(f"branching pendant tree at {x} keeps "
-                           f"{len(piece)} > 5 vertices")
+    for x, piece in branching_trees(g):
+        if len(piece) > 5:
+            bad.append(f"branching pendant tree at {x} keeps "
+                       f"{len(piece)} > 5 vertices")
 
     if g.n == 0:
         return bad

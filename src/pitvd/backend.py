@@ -18,6 +18,11 @@ the chordality check.  A neighbourhood is a contiguous run of the order
 when it fills the gap between two prefixes, one comparison; that is the
 umbrella check, and ``cliques.clique_path`` cuts its blocks the same way.
 
+One BFS walk (``shortest_path``) serves every shortest path the
+recognizer needs: the hole that a failed chordality check closes and
+the claw-to-triangle path of a claw-and-triangle span.  Its ties go to
+the lowest position at every step.
+
 The two scans for small obstructions (nets, tents and 4-6 holes) stop
 wherever a mask shows that nothing more can be found.  The hole DFS
 carries the vertices that can still close its cycle and cuts a branch
@@ -77,6 +82,35 @@ def reach(adj: list[int], seeds: int, mask: int) -> int:
         comp |= nxt
         frontier = nxt
     return comp
+
+
+def shortest_path(adj: list[int], sources: int, targets: int,
+                  mask: int) -> list[int]:
+    """A shortest path inside ``mask`` from a target back to a source
+    (``sources`` a subset of ``mask``), or ``[]`` when no target is
+    reached.
+
+    BFS layers grow from ``sources`` until one meets ``targets``; the
+    path starts at the lowest target of that layer and steps each time
+    to the lowest-position neighbour in the layer before.
+    """
+    layers = [sources]
+    seen = sources
+    while not layers[-1] & targets:
+        nxt = 0
+        for u in bits(layers[-1]):
+            nxt |= adj[u]
+        nxt &= mask & ~seen
+        if not nxt:
+            return []
+        layers.append(nxt)
+        seen |= nxt
+    step = layers.pop() & targets
+    path = [(step & -step).bit_length() - 1]
+    for layer in reversed(layers):
+        step = adj[path[-1]] & layer
+        path.append((step & -step).bit_length() - 1)
+    return path
 
 
 def count_edges(adj: list[int], mask: int) -> int:

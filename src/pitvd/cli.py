@@ -98,14 +98,16 @@ def parse(text: str) -> tuple[MultiGraph, int]:
             if len(fields) != 4:
                 raise ParseError(f"line {lineno}: expected 'e u v mult'")
             _, a, b, c = fields
-            # the common record, in ASCII digits, skips ``_integers``
-            if raw.isascii() and a.isdigit() and b.isdigit() and c.isdigit():
-                u, v, mult = int(a), int(b), int(c)
-            else:
-                try:
+            try:
+                # the common record, in ASCII digits, skips ``_integers``;
+                # ``int`` still refuses a field too long to convert
+                if (raw.isascii() and a.isdigit() and b.isdigit()
+                        and c.isdigit()):
+                    u, v, mult = int(a), int(b), int(c)
+                else:
                     u, v, mult = _integers(fields[1:])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: non-integer edge field")
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer edge field")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: label out of range 1..{n}")
             if u == v:

@@ -11,9 +11,14 @@ Mutants 2, 3, 4, 5 and 8 call their rule and plant the bug in its input
 or its output: rule 2's cap written as one, rule 3 run at budget
 max(1, k) - 1, rule 4's deletion widened to the whole tail, rule 5's
 closing edge dropped, rule 8 run with every hook counted bad.  A change
-to one of those rules therefore reaches its mutant too.  The others
-change a trigger or an edit that the rule's output cannot express, so
-they restate their rule with the change in place.
+to one of those rules therefore reaches its mutant too.  Mutants 6, 12
+and 13 change a trigger or an edit that the rule's output cannot
+express, so they share the rule's scan or edit instead and keep only
+the change: mutant 6 walks rule 6's ``branching_trees`` but keeps only
+the branch path, mutant 12 reads rule 12's ``clique_hits`` at a
+threshold of two, and mutant 13 doubles the joins of rule 13's
+``bypass``.  Mutants 1, 7, 9, 10 and 11 restate their rule with the
+change in place, and mutant 14 never fires.
 
 The mutants for the structural rules fire on much smaller triggers than
 their hosts, otherwise they would never execute on test-sized graphs and
@@ -25,13 +30,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .cliques import attachment
 from .modulator import Modulator
 from .multigraph import MultiGraph
-from .rules import (RULES, RuleApplication, branch_path, deletion,
-                    rule2_cap_multiplicity, rule3_many_double_edges,
-                    rule4_trim_tail, rule5_shrink_degree2_path,
-                    rule8_remove_bad_hangers)
+from .rules import (RULES, RuleApplication, branch_path, branching_trees,
+                    bypass, clique_hits, deletion, rule2_cap_multiplicity,
+                    rule3_many_double_edges, rule4_trim_tail,
+                    rule5_shrink_degree2_path, rule8_remove_bad_hangers)
 
 
 def mutant1_drop_any_component(g: MultiGraph, k: int):
@@ -68,15 +72,13 @@ def mutant5_forget_reconnect(g: MultiGraph, k: int):
 
 
 def mutant6_bare_path(g: MultiGraph, k: int):
-    """Keeps only the path to the branch vertex, losing its two children."""
-    for x, trees in g.pendant_trees().items():
-        for piece in trees:
-            if all(g.degree(v) < 3 for v in piece):
-                continue
-            keep = set(branch_path(g, x, piece))
-            drop = [u for u in piece if u not in keep]
-            if drop:
-                return deletion("6", drop, affected=[x] + sorted(piece))
+    """Rule 6, keeping only the path to the branch vertex and losing its
+    two children."""
+    for x, piece in branching_trees(g):
+        keep = set(branch_path(g, x, piece))
+        drop = [u for u in piece if u not in keep]
+        if drop:
+            return deletion("6", drop, affected=[x] + sorted(piece))
     return None
 
 
@@ -124,31 +126,22 @@ def mutant11_delete_wrong_side(g: MultiGraph, k: int, mod: Modulator):
 
 
 def mutant12_delete_clique_vertex(g: MultiGraph, k: int, mod: Modulator):
-    """Fires at two touched cliques and deletes from the clique instead of
-    deleting the base vertex."""
-    for v in sorted(mod.s):
-        nbr = set(g.neighbors(v))
-        for path in mod.paths:
-            hit = sum(1 for kq in path.cliques if nbr.intersection(kq))
-            if hit >= 2:
-                return deletion("12", [min(path.cliques[0])], k_delta=-1)
+    """Rule 12, firing at two touched cliques and deleting from the clique
+    instead of deleting the base vertex."""
+    for _, path, hits in clique_hits(g, mod):
+        if hits >= 2:
+            return deletion("12", [min(path.cliques[0])], k_delta=-1)
     return None
 
 
 def mutant13_doubled_joins(g: MultiGraph, k: int, mod: Modulator):
-    """Bypasses the middle clique of any three-clique run, without the
-    separator check, and joins the flanks with doubled edges."""
+    """Rule 13's edit on the middle clique of any three-clique run, without
+    the separator check, joining the flanks with doubled edges."""
     for path in mod.paths:
-        if len(path.cliques) < 3:
-            continue
-        ell = len(path.cliques) // 2
-        mid = path.cliques[ell]
-        flank_a = attachment(g, path.cliques[ell - 1], mid)
-        flank_b = attachment(g, path.cliques[ell + 1], mid)
-        ops = [("del", v) for v in sorted(mid)]
-        ops += [("edge", a, b, 2) for a in flank_a for b in flank_b]
-        return RuleApplication(rule="13", ops=tuple(ops),
-                               affected=tuple(sorted(mid)))
+        if len(path.cliques) >= 3:
+            app = bypass(g, path, len(path.cliques) // 2)
+            return replace(app, ops=tuple(
+                op[:3] + (2,) if op[0] == "edge" else op for op in app.ops))
     return None
 
 

@@ -39,7 +39,10 @@ component shares ``backend.lbfs`` with the sweeps: its chordality check
 reads one more sweep in reverse as an elimination order, only a
 non-chordal component is searched for holes, and the triple that fails
 the check closes a hole by itself (``find_hole``).  The net, tent,
-short-hole and claw scans stay independent of the sweeps.
+short-hole and claw scans stay independent of the sweeps.  Both
+shortest paths, the one that closes that hole and the one from a claw
+to a triangle (``claw_triangle_span``), come from one walk,
+``backend.shortest_path``.
 
 ``witness`` has one preference order: net, tent, short hole, any hole,
 claw+triangle.  It serves ``is_pitg``, and through it the greedy
@@ -132,7 +135,7 @@ def find_hole(adjm: list[int], comp: int, seed) -> tuple[int, ...]:
     are nonadjacent neighbours of v, both before v in an LBFS order
     sigma of ``comp``, and y before x.  A shortest x-y path avoiding the
     rest of N[v] is induced and its interior misses N[v], so with v it
-    closes a hole, found by one BFS from x.
+    closes a hole, found by ``backend.shortest_path`` from x.
 
     Such a path exists.  Let a < b < c in sigma, with ac an edge and ab
     not, and let d be the first vertex before b that sees exactly one of
@@ -149,22 +152,9 @@ def find_hole(adjm: list[int], comp: int, seed) -> tuple[int, ...]:
     """
     v, x, y = seed
     allowed = (comp & ~adjm[v] & ~(1 << v)) | (1 << x) | (1 << y)
-    parent = {x: -1}
-    frontier = seen = 1 << x
-    while frontier and not (seen >> y) & 1:
-        nxt = 0
-        for u in bits(frontier):
-            new = adjm[u] & allowed & ~seen & ~nxt
-            for w in bits(new):
-                parent[w] = u
-            nxt |= new
-        seen |= nxt
-        frontier = nxt
-    if not (seen >> y) & 1:  # pragma: no cover - contradicts the proof above
+    path = bk.shortest_path(adjm, 1 << x, 1 << y, allowed)
+    if not path:  # pragma: no cover - contradicts the proof above
         raise AssertionError("a chordality failure closed no hole")
-    path = [y]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
     return (v, *reversed(path))
 
 
@@ -202,32 +192,18 @@ def claw_triangle_span(adjm: list[int], comp: int) -> int:
     H is connected and holds an induced claw and a triangle, so every
     graph that keeps all of H has a component that is neither a proper
     interval graph (Roberts 1969: those are claw-free) nor a tree: every
-    deletion set that cleans ``comp`` meets H.  The path comes from one
-    BFS out of the claw's four vertices, walked back from the first
-    layer that reaches the triangle.
+    deletion set that cleans ``comp`` meets H.  The path is
+    ``backend.shortest_path`` from the claw's four vertices to the
+    triangle.
     """
     claw = bk.find_claw(adjm, comp)
     tri = claw and bk.find_triangle(adjm, comp)
     if not tri:
         return 0
-    span = sum(1 << v for v in claw)
+    legs = sum(1 << v for v in claw)
     ends = sum(1 << v for v in tri)
-    layers = [span]
-    seen = span
-    while not seen & ends:
-        nxt = 0
-        for u in bits(layers[-1]):
-            nxt |= adjm[u]
-        nxt &= comp & ~seen
-        layers.append(nxt)
-        seen |= nxt
-    step = layers.pop() & ends
-    span |= ends
-    for layer in reversed(layers):
-        step = step & -step
-        span |= step
-        step = adjm[step.bit_length() - 1] & layer
-    return span
+    path = bk.shortest_path(adjm, legs, ends, comp)
+    return legs | ends | sum(1 << v for v in path)
 
 
 def tight_candidates(adjm: list[int], comp: int) -> list[int] | None:

@@ -32,6 +32,10 @@ Edits are encoded as small op tuples:
 Rules fire on their first trigger in a deterministic scan order (smallest
 vertex / component ids first); only the hanger and marking rules batch,
 since their edits are computed from a whole stratification at once.
+
+Rules 6, 12 and 13 read their scan or edit from a helper that their
+mutants share (``branching_trees``, ``clique_hits``, ``bypass``), and
+the audit's pendant-tree bound walks ``branching_trees`` too.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import marking
-from .cliques import attachment
+from .cliques import CliquePath, attachment
 from .combinatorics import q_expansion
 from .flows import min_vertex_separator
 from .modulator import Modulator
@@ -154,6 +158,15 @@ def branch_path(g: MultiGraph, x: int, piece) -> list[int]:
     return path
 
 
+def branching_trees(g: MultiGraph):
+    """Each maximal pendant tree with a vertex of degree >= 3, as
+    (attachment vertex, tree), in the pendant-tree map's order."""
+    for x, trees in g.pendant_trees().items():
+        for piece in trees:
+            if any(g.degree(v) >= 3 for v in piece):
+                yield x, piece
+
+
 def rule6_prune_pendant_tree(g: MultiGraph, k: int):
     """Replace a branching pendant tree by its nearest claw.
 
@@ -164,18 +177,15 @@ def rule6_prune_pendant_tree(g: MultiGraph, k: int):
     every firing is one the rule allows.  Tree components belong to
     rule 1.
     """
-    for x, trees in g.pendant_trees().items():
-        for piece in trees:
-            if all(g.degree(v) < 3 for v in piece):
-                continue
-            path = branch_path(g, x, piece)
-            keep = set(path)
-            extra = [w for w in g.neighbors(path[-1])
-                     if w in piece and w not in keep]
-            keep.update(extra[:2])
-            drop = [u for u in piece if u not in keep]
-            if drop:
-                return deletion("6", drop, affected=[x] + sorted(piece))
+    for x, piece in branching_trees(g):
+        path = branch_path(g, x, piece)
+        keep = set(path)
+        extra = [w for w in g.neighbors(path[-1])
+                 if w in piece and w not in keep]
+        keep.update(extra[:2])
+        drop = [u for u in piece if u not in keep]
+        if drop:
+            return deletion("6", drop, affected=[x] + sorted(piece))
     return None
 
 
@@ -296,15 +306,37 @@ def rule11_delete_expansion_side(g: MultiGraph, k: int, mod: Modulator):
     return deletion("11", sorted(s_hat), k_delta=-len(s_hat))
 
 
-def rule12_many_cliques_neighbor(g: MultiGraph, k: int, mod: Modulator):
-    """A base vertex adjacent to 6k+5 cliques of one component must go."""
+def clique_hits(g: MultiGraph, mod: Modulator):
+    """(v, path, hits) for each base vertex v, ascending, and each clique
+    path: ``hits`` counts the path's cliques that v sees."""
     for v in sorted(mod.s):
         nbr = set(g.neighbors(v))
         for path in mod.paths:
-            hit = sum(1 for kq in path.cliques if nbr.intersection(kq))
-            if hit >= 6 * k + 5:
-                return deletion("12", [v], k_delta=-1)
+            yield v, path, sum(1 for kq in path.cliques
+                               if nbr.intersection(kq))
+
+
+def rule12_many_cliques_neighbor(g: MultiGraph, k: int, mod: Modulator):
+    """A base vertex adjacent to 6k+5 cliques of one component must go."""
+    for v, _, hits in clique_hits(g, mod):
+        if hits >= 6 * k + 5:
+            return deletion("12", [v], k_delta=-1)
     return None
+
+
+def bypass(g: MultiGraph, path: CliquePath, ell: int) -> RuleApplication:
+    """Rule 13's edit: delete clique ``ell`` of the clique path and join
+    its attachment sets in the two flanking cliques."""
+    mid = path.cliques[ell]
+    flank_a = attachment(g, path.cliques[ell - 1], mid)
+    flank_b = attachment(g, path.cliques[ell + 1], mid)
+    if any(g.has_edge(a, b) for a in flank_a for b in flank_b):
+        raise AssertionError(
+            "flanking cliques of a partition are never adjacent")
+    ops = [("del", v) for v in sorted(mid)]
+    ops += [("edge", a, b, 1) for a in flank_a for b in flank_b]
+    return RuleApplication(rule="13", ops=tuple(ops),
+                           affected=tuple(sorted(mid)))
 
 
 def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
@@ -346,16 +378,7 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
             if ell is None:
                 raise AssertionError(
                     "x-y separator meets all three middle cliques")
-            mid = path.cliques[ell]
-            flank_a = attachment(g, path.cliques[ell - 1], mid)
-            flank_b = attachment(g, path.cliques[ell + 1], mid)
-            if any(g.has_edge(a, b) for a in flank_a for b in flank_b):
-                raise AssertionError(
-                    "flanking cliques of a partition are never adjacent")
-            ops = [("del", v) for v in sorted(mid)]
-            ops += [("edge", a, b, 1) for a in flank_a for b in flank_b]
-            return RuleApplication(rule="13", ops=tuple(ops),
-                                   affected=tuple(sorted(mid)))
+            return bypass(g, path, ell)
     return None
 
 

@@ -307,6 +307,58 @@ def witness_in_searched_order(adjm, comp):
     return rec.Obstruction("claw+triangle", claw + tri)
 
 
+def find_hole_by_parents(adjm: list[int], comp: int, seed) -> tuple[int, ...]:
+    """``recognition.find_hole`` as one BFS from x that records, for each
+    vertex it reaches, the first vertex of the layer before to see it,
+    then walks those parents back from y."""
+    v, x, y = seed
+    allowed = (comp & ~adjm[v] & ~(1 << v)) | (1 << x) | (1 << y)
+    parent = {x: -1}
+    frontier = seen = 1 << x
+    while frontier and not (seen >> y) & 1:
+        nxt = 0
+        for u in bits(frontier):
+            new = adjm[u] & allowed & ~seen & ~nxt
+            for w in bits(new):
+                parent[w] = u
+            nxt |= new
+        seen |= nxt
+        frontier = nxt
+    path = [y]
+    while path[-1] != x:
+        path.append(parent[path[-1]])
+    return (v, *reversed(path))
+
+
+def claw_triangle_span_by_layers(adjm: list[int], comp: int) -> int:
+    """``recognition.claw_triangle_span`` with its own layered BFS from
+    the claw, walked back from the lowest vertex of the triangle in the
+    first layer that meets it to the lowest neighbour in each layer
+    before."""
+    claw = backend.find_claw(adjm, comp)
+    tri = claw and backend.find_triangle(adjm, comp)
+    if not tri:
+        return 0
+    span = sum(1 << v for v in claw)
+    ends = sum(1 << v for v in tri)
+    layers = [span]
+    seen = span
+    while not seen & ends:
+        nxt = 0
+        for u in bits(layers[-1]):
+            nxt |= adjm[u]
+        nxt &= comp & ~seen
+        layers.append(nxt)
+        seen |= nxt
+    step = layers.pop() & ends
+    span |= ends
+    for layer in reversed(layers):
+        step = step & -step
+        span |= step
+        step = adjm[step.bit_length() - 1] & layer
+    return span
+
+
 def net_tent_witnesses_unpruned(adj, mask, find_all):
     """``backend.net_tent_witnesses`` as it scanned before it skipped the
     triangle edges without a private neighbour on each side: every

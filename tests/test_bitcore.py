@@ -112,6 +112,48 @@ def check_component_ok(adj, mask):
         assert component_ok(adj, comp) == (is_tree or has_order)
 
 
+def test_shortest_path_against_a_list_bfs():
+    """``shortest_path`` on seeded random graphs, masks, sources and
+    targets, against a BFS over neighbour lists: a path of the least
+    length, from the lowest target at that distance, stepping each time
+    to the lowest neighbour one layer nearer the sources, and ``[]``
+    when no target is in reach."""
+    rng = random.Random(531)
+    found = missed = 0
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        adj = random_adj(rng, n, rng.uniform(0.05, 0.5))
+        members = [v for v in range(n) if rng.random() < 0.8]
+        if not members:
+            continue
+        mask = sum(1 << v for v in members)
+        sources = rng.sample(members, rng.randint(1, min(3, len(members))))
+        targets = rng.sample(range(n), rng.randint(1, min(3, n)))
+        dist = {s: 0 for s in sources}
+        queue = list(sources)
+        for u in queue:
+            for w in members:
+                if (adj[u] >> w) & 1 and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        path = P.shortest_path(adj, sum(1 << s for s in sources),
+                               sum(1 << t for t in targets), mask)
+        reached = [t for t in targets if t in dist]
+        if not reached:
+            assert path == [], (adj, mask, sources, targets)
+            missed += 1
+            continue
+        d = min(dist[t] for t in reached)
+        assert len(path) == d + 1
+        assert path[0] == min(t for t in reached if dist[t] == d)
+        for a, b in zip(path, path[1:]):
+            assert b == min(w for w in members if (adj[a] >> w) & 1
+                            and dist.get(w) == dist[a] - 1)
+        assert path[-1] in sources
+        found += 1
+    assert found > 300 and missed > 30, (found, missed)
+
+
 def test_exhaustive_small_graphs():
     """All graphs on up to N_SMALL vertices against the brute oracles.
 

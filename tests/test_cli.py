@@ -116,6 +116,17 @@ MALFORMED = {
     "p pitvd 2 1 0\ne 1 \u00b2 1\n": "line 2: non-integer edge field",
 }
 
+#: a field of more digits than ``int`` converts, where the interpreter
+#: limits them (4,300 digits by default)
+LONG_FIELD = "1" * 5000
+DIGITS_LIMITED = (0 < getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                  < len(LONG_FIELD))
+if DIGITS_LIMITED:
+    MALFORMED[f"p pitvd 2 1 0\ne 1 2 {LONG_FIELD}\n"] = (
+        "line 2: non-integer edge field")
+    MALFORMED[f"p pitvd 2 1 {LONG_FIELD}\ne 1 2 1\n"] = (
+        "line 1: non-integer header field")
+
 
 @pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_rejects_malformed(text):
@@ -319,6 +330,14 @@ def test_kernelize_warns_when_the_size_bound_is_void(tmp_path, capsys,
 def test_kernelize_rejects_malformed_file(tmp_path):
     assert main(["kernelize", write(tmp_path, "bad.txt",
                                     "p pitvd 2 1 0\ne 1 1 1\n")]) == 2
+
+
+@pytest.mark.skipif(not DIGITS_LIMITED,
+                    reason="this interpreter converts any number of digits")
+def test_kernelize_rejects_an_overlong_edge_field(tmp_path, capsys):
+    path = write(tmp_path, "long.txt", f"p pitvd 2 1 0\ne 1 2 {LONG_FIELD}\n")
+    assert main(["kernelize", path]) == 2
+    assert "line 2: non-integer edge field" in capsys.readouterr().err
 
 
 def test_kernelize_rejects_missing_file(tmp_path):

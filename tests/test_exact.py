@@ -17,7 +17,8 @@ from pitvd.multigraph import MultiGraph
 from pitvd.rules import apply_ops, rule1_drop_clean_component
 
 from conftest import (adj_from_edges, brute_claws, brute_triangles,
-                      component_ok, decide_unpruned, mask_of,
+                      claw_triangle_span_by_layers, component_ok,
+                      decide_unpruned, mask_of,
                       minimum_deletion, pitg_ok, planted_interval_graph,
                       planted_tree_graph, random_multigraph,
                       tree_with_triangles)
@@ -587,6 +588,7 @@ def test_tight_candidates_hold_every_cleaning_vertex():
         cands = plain_candidates(adj, comp) if got is None else got
         assert set(sol) <= set(cands), (adj, comp)
         span = rec.claw_triangle_span(adj, comp)
+        assert span == claw_triangle_span_by_layers(adj, comp), (adj, comp)
         if span:
             assert span & ~comp == 0
             assert bk.reach(adj, span & -span, span) == span, (adj, span)

@@ -59,18 +59,18 @@ def test_only_multigraph_reads_the_adjacency():
     assert not found
 
 
-#: public entry points that only code outside ``src`` and ``kbench`` calls
-ENTRY_POINTS = {"MultiGraph.add_vertex", "load_trace"}
+#: public entry points that only code outside ``src`` calls
+ENTRY_POINTS = {"MultiGraph.add_vertex", "load_trace", "replay"}
 
 
 def test_every_defined_name_is_used():
     """Every function, method and class of the package is named somewhere
-    in ``src`` or ``kbench`` outside its own definition (a word search),
-    unless it is a dunder or a listed entry point."""
+    in ``src`` outside its own definition (a word search), unless it is a
+    dunder or a listed entry point.  ``kbench`` is not searched: its
+    tracer names the functions it wraps as strings, which would count a
+    function whose last caller is gone as used."""
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "**", "*.py"),
-                             recursive=True)
-                   + glob.glob(os.path.join(KBENCH_DIR, "**", "*.py"),
-                               recursive=True))
+                             recursive=True))
     lines = {}
     for path in paths:
         with open(path) as fh:

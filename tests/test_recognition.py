@@ -17,6 +17,7 @@ from conftest import (
     adj_from_edges,
     all_graphs,
     component_ok,
+    find_hole_by_parents,
     lbfs_by_lists,
     mask_of,
     pig_order_bruteforce,
@@ -548,6 +549,7 @@ def test_chordality_failure_seeds_a_hole():
                 continue
             hole = R.find_hole(adj, comp, fail)
             assert hole is not None and hole[0] == fail[0], (adj, fail)
+            assert hole == find_hole_by_parents(adj, comp, fail), (adj, fail)
             k = len(hole)
             cyc = sum(1 << u for u in hole)
             assert k >= 4 and cyc.bit_count() == k
