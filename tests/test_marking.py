@@ -170,6 +170,47 @@ def test_marks_match_naive_rescan_on_wide_cliques():
     assert checked >= 40 and with_idle_hub >= 20, (checked, with_idle_hub)
 
 
+def flanked_clique(rng, k):
+    """Three cliques A, K, B in a row, K much wider than 2(k+3), and one
+    hub x.  Each flank vertex sees a run of K from the end facing it to
+    somewhere mid-K (the far ends of A and B see none of K), and x sees a
+    random share of the component, so its neighbours and non-neighbours
+    in a flank select pools of K that start at many different places."""
+    g = MultiGraph()
+    a, kq, b = ([g.add_vertex() for _ in range(size)] for size in
+                (rng.randint(k + 4, 2 * k + 8), rng.randint(8 * k + 24, 12 * k + 40),
+                 rng.randint(k + 4, 2 * k + 8)))
+    for clique in (a, kq, b):
+        for u, v in combinations(clique, 2):
+            g.add_edge(u, v)
+    for flank, ahead in ((a, kq), (b[::-1], kq[::-1])):
+        reach = sorted(rng.randint(1, len(kq) - 1) for _ in flank)
+        reach[0] = 0
+        for u, t in zip(flank, reach):
+            for v in ahead[:t]:
+                g.add_edge(u, v)
+    comp = a + kq + b
+    x = g.add_vertex()
+    share = rng.uniform(0.1, 0.9)
+    for v in comp:
+        if rng.random() < share:
+            g.add_edge(x, v)
+    return g, comp, x
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_marks_match_naive_rescan_between_flanking_cliques(seed):
+    # every width of groups 2-4, on either flank, changes the marks of
+    # some seed here
+    rng = random.Random(9100 + seed)
+    k = rng.randint(0, 2)
+    g, comp, x = flanked_clique(rng, k)
+    path = clique_path(g, comp)
+    assert len(path.cliques) == 3
+    for idx in range(3):
+        assert mark_clique(g, k, [x], path, idx) == naive_marks(g, k, [x], path, idx)
+
+
 def test_mark_budget_check_survives_python_O():
     script = textwrap.dedent("""
         from itertools import combinations
