@@ -7,21 +7,24 @@ come in four groups:
 1. adjacency signatures: for every subset Z of the base set with at most
    three vertices (the empty one included) and every in/out pattern f on
    Z, the first and last ``k + 3`` vertices of K matching (Z, f);
-2. common neighbors: for base vertices x and selected non-neighbors y of x
-   in the previous (next) clique, the last (first) ``k + 3`` vertices of K
+2. common neighbors: for base vertices x and the first ``k + 1``
+   non-neighbors y of x in a flank, the first ``k + 3`` vertices of K
    adjacent to both;
-3. one-sided neighbors of the selector: for selected neighbors y of x in
-   the previous (next) clique, the last (first) ``k + 3`` vertices of K
-   adjacent to y but not x;
-4. one-sided neighbors of x: for selected neighbors of x in the previous
-   (next) clique, extremal vertices of K adjacent to x but not to the
-   selector.
+3. one-sided neighbors of the selector: for the first ``w`` neighbors y
+   of x in a flank, the first ``k + 3`` vertices of K adjacent to y but
+   not x;
+4. one-sided neighbors of x: for the last ``k + 1`` neighbors y of x in
+   a flank, the last ``w`` vertices of K adjacent to x but not to y.
 
-"First"/"last" always refer to the umbrella order of the component.  Two
-selector widths are deliberately uneven (group 3 takes ``k + 3`` next-side
-selectors, group 4 marks only ``k + 1`` vertices on the previous side);
-``eta`` absorbs that with a small additive slack.  When a pool holds fewer
-vertices than a width asks for, the whole pool is used.
+Group 1 takes first and last alike, so it reads K in the umbrella order
+of the component.  Groups 2-4 run once for each flank of K, the previous
+and the next clique of the path, and read the previous side as the
+mirror image of the next: there the flank and K are both read against
+the umbrella order.  So in a flank "first" means nearest K, and in K it
+means farthest from that flank.  ``w`` is the one width that differs
+between the sides: ``k + 1`` on the previous side and ``k + 3`` on the
+next; ``eta`` absorbs that with a small additive slack.  When a pool
+holds fewer vertices than a width asks for, the whole pool is used.
 
 Group 1 with Z empty already marks the first and last ``k + 3`` vertices
 of K, and groups 2-4 only ever add vertices of K, so a clique of at most
@@ -55,8 +58,6 @@ def mark_clique(g: MultiGraph, k: int, s, path: CliquePath, idx: int) -> set[int
     kq = path.cliques[idx]
     if len(kq) <= 2 * (k + 3):
         return set(kq)
-    prv = path.cliques[idx - 1] if idx > 0 else None
-    nxt = path.cliques[idx + 1] if idx + 1 < len(path.cliques) else None
     s_list = sorted(s)
     adj = g.has_edge
     marked: set[int] = set()
@@ -77,31 +78,22 @@ def mark_clique(g: MultiGraph, k: int, s, path: CliquePath, idx: int) -> set[int
                 marked.update(pool[:k + 3])
                 marked.update(pool[-(k + 3):])
 
-    for x in s_list:
-        if prv is not None:
-            out_pv = [y for y in prv if not adj(x, y)]
-            in_pv = [y for y in prv if adj(x, y)]
-            for y in out_pv[-(k + 1):]:
-                marked.update([v for v in kq
-                               if adj(v, x) and adj(v, y)][-(k + 3):])
-            for y in in_pv[-(k + 1):]:
-                marked.update([v for v in kq
-                               if adj(v, y) and not adj(v, x)][-(k + 3):])
-            for y in in_pv[:k + 1]:
-                marked.update([v for v in kq
-                               if adj(v, x) and not adj(v, y)][:k + 1])
-        if nxt is not None:
-            out_nt = [z for z in nxt if not adj(x, z)]
-            in_nt = [z for z in nxt if adj(x, z)]
-            for z in out_nt[:k + 1]:
-                marked.update([v for v in kq
-                               if adj(v, x) and adj(v, z)][:k + 3])
-            for z in in_nt[:k + 3]:
-                marked.update([v for v in kq
-                               if adj(v, z) and not adj(v, x)][:k + 3])
-            for z in in_nt[-(k + 1):]:
-                marked.update([v for v in kq
-                               if adj(v, x) and not adj(v, z)][-(k + 3):])
+    # groups 2-4, once per flank; a missing flank is empty
+    prv = path.cliques[idx - 1] if idx else ()
+    nxt = path.cliques[idx + 1] if idx + 1 < len(path.cliques) else ()
+    for flank, kseq, w in ((prv[::-1], kq[::-1], k + 1), (nxt, kq, k + 3)):
+        for x in s_list:
+            out = [y for y in flank if not adj(x, y)]
+            inn = [y for y in flank if adj(x, y)]
+            for y in out[:k + 1]:
+                marked.update([v for v in kseq
+                               if adj(v, x) and adj(v, y)][:k + 3])
+            for y in inn[:w]:
+                marked.update([v for v in kseq
+                               if adj(v, y) and not adj(v, x)][:k + 3])
+            for y in inn[-(k + 1):]:
+                marked.update([v for v in kseq
+                               if adj(v, x) and not adj(v, y)][-w:])
 
     if len(marked) > eta(k, len(s_list)):
         raise AssertionError("mark budget exceeded")

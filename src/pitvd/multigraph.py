@@ -31,6 +31,12 @@ cheapest rules read it instead of rescanning the graph:
 - a version number changes with every edit, so a reader can tell
   whether the graph changed since it last looked.
 
+Each edit method keeps the edge count and the index itself, and calls
+``_touch`` once for every vertex it edits (a deleted vertex with its
+neighbours).  ``_touch`` alone decides what the edit does to the other
+structures: which it drops, and what it records for the ones that repair
+themselves on the next ask.
+
 The bookkeeping exists from construction on.  ``from_edges`` fills the
 adjacency first and builds the index once.  Copies and induced subgraphs
 rebuild the index from their own adjacency in one walk and start with
@@ -151,7 +157,6 @@ class MultiGraph:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         if v not in self._adj:
             self._adj[v] = {}
-            self._pendant = None
             self._touch(v)
             heappush(self._pending, v)
             if v >= self._next_id:
@@ -162,12 +167,8 @@ class MultiGraph:
         return v in self._adj
 
     def delete_vertex(self, v: int) -> None:
-        self._touch(v)
         nbrs = self._adj.pop(v)
-        if self._paths is not None:
-            self._touched.update(nbrs)
-        if self._pendant is not None:
-            self._dead.append((v, nbrs))
+        self._touch(v, nbrs)
         for u, m in nbrs.items():
             del self._adj[u][v]
             self._m -= m
@@ -206,9 +207,8 @@ class MultiGraph:
         self._set(u, v, multiplicity)
 
     def _set(self, u: int, v: int, m: int) -> None:
-        """Give the edge uv multiplicity ``m`` >= 0, keeping the
-        bookkeeping: the edge count, the heavy-edge index, and the
-        verdicts of the components of u and v, which it drops."""
+        """Give the edge uv multiplicity ``m`` >= 0, keeping the edge
+        count and the heavy-edge index, and touch u and v."""
         au, av = self._adj[u], self._adj[v]
         old = au.get(v, 0)
         if m:
@@ -222,7 +222,6 @@ class MultiGraph:
             self._count_doubled(v, step)
         if old <= 2 < m:
             heappush(self._heavy, (u, v) if u < v else (v, u))
-        self._pendant = None
         self._touch(u)
         self._touch(v)
 
@@ -233,14 +232,24 @@ class MultiGraph:
         else:
             del self._doubled[v]
 
-    def _touch(self, v: int) -> None:
-        """Drop the verdict of v's component, if it has one, and the kept
-        view of the graph, record v for the paths' repair, and move the
-        version on."""
+    def _touch(self, v: int, nbrs: dict[int, int] | None = None) -> None:
+        """Apply an edit at v to the kept structures; ``nbrs`` holds a
+        deleted v's neighbours with their multiplicities.
+
+        The view is dropped and the version moves on.  v, and a deleted
+        v's neighbours, are recorded for the degree-2 paths' repair.  A
+        deletion is recorded for the pendant-tree map's patch, and any
+        other edit drops the map.  The verdict of v's component, if it
+        has one, is dropped."""
         self._view = None
         self._version += 1
         if self._paths is not None:
             self._touched.add(v)
+            self._touched.update(nbrs or ())
+        if nbrs is None:
+            self._pendant = None
+        elif self._pendant is not None:
+            self._dead.append((v, nbrs))
         comp = self._judged.get(v)
         if comp is not None:
             for u in comp:
@@ -601,8 +610,7 @@ class MultiGraph:
         adj = self._adj
         if chain is None:
             self._path_of = {}
-            chain = {v for v, nbrs in adj.items()
-                     if len(nbrs) == 2 and sum(nbrs.values()) == 2}
+            chain = set(filter(self._chain_vertex, adj))
         path_of = self._path_of
 
         def walk(prev: int, cur: int) -> list[int]:

@@ -59,6 +59,40 @@ def test_only_multigraph_reads_the_adjacency():
     assert not found
 
 
+#: the kept structures of ``MultiGraph`` whose upkeep ``_touch`` decides
+KEPT = {"_view", "_version", "_pendant", "_dead", "_touched"}
+#: ``_touch``, and the readers that build, patch or repair a structure
+KEEPERS = {"__init__", "_touch", "view", "pendant_trees", "_patch_pendant",
+           "find_degree2_paths", "_repair_degree2_paths"}
+
+
+def test_only_touch_decides_what_an_edit_does_to_the_kept_structures():
+    """No edit method of ``MultiGraph`` writes a kept structure itself:
+    it calls ``_touch``, the one place that drops a structure or records
+    what its reader repairs.  A write is an assignment to the field, to
+    an item of it, or a method called on it."""
+    with open(os.path.join(PACKAGE_DIR, "multigraph.py")) as fh:
+        tree = ast.parse(fh.read())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "MultiGraph")
+    writes = (ast.Store, ast.Del)
+    found = []
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name in KEEPERS:
+            continue
+        for node in ast.walk(method):
+            target = None
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, writes):
+                target = node
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, writes):
+                target = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                target = node.func.value
+            if isinstance(target, ast.Attribute) and target.attr in KEPT:
+                found.append(f"{method.name}:{node.lineno} {target.attr}")
+    assert not found
+
+
 #: public entry points that only code outside ``src`` calls
 ENTRY_POINTS = {"MultiGraph.add_vertex", "load_trace", "replay"}
 
