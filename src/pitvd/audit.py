@@ -7,9 +7,24 @@ does.  Every rule that needs no base set is tried, and each one that
 fires is reported, so a kernel the exact search rejects still gets
 them; if any fires, the audit stops there, since the base-set rules
 assume those are exhausted.  Otherwise the base-set rules run in order,
-against a base set and strata recomputed from scratch, and only the
-first one that fires is reported: each later rule assumes the earlier
-ones no longer apply.
+against a base set S and its strata, and only the first one that fires
+is reported: each later rule assumes the earlier ones no longer apply.
+
+S is the one the kernel carries (``MultiGraph.base_set``) when it
+carries one: the base set the driver's final pass read rules 8-14
+against.  The audit checks that certificate instead of searching again
+(McConnell, Mehlhorn, Näher and Schweitzer, "Certifying algorithms",
+2011): S must stay within ``modulator.base_set_cap(k)`` and
+``classify_tree_side`` must accept it, and a failure of either check is
+a violation.  A graph that carries none (one built by hand or read from
+a file, any copy, the kernel of a fallback run or of a battery without
+the base-set rules) gets S from a fresh ``compute_base_set``, the
+from-scratch check the tests compare the carried one against.  A carried
+S certifies the fixpoint, not the answer: the fresh search also reports
+a kernel that has no solution within k, which with a correct battery
+the driver has already decided no, so that check is left to the
+decision check (``cli`` decides the kernel of every solvable input it
+verifies).
 
 Next to the rules, the audit checks the size bounds that no rule states
 as a trigger: branching pendant trees of at most five vertices,
@@ -26,7 +41,7 @@ from __future__ import annotations
 
 from . import marking
 from .exact import DEFAULT_NODE_LIMIT
-from .modulator import classify_tree_side, compute_base_set
+from .modulator import base_set_cap, classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
 from .rules import RULES, branching_trees
 
@@ -35,9 +50,12 @@ def audit_violations(g: MultiGraph, k: int,
                      node_limit: int = DEFAULT_NODE_LIMIT) -> list[str]:
     """All irreducibility violations of (g, k); empty means the kernel is
     irreducible.  The audit reads a copy of g, so it neither trusts the
-    verdicts g carries nor leaves any of its own in g.  On the copy, the
-    pendant-tree bound reads the map that rules 6 and 7 just built, and
-    the base set's search starts from the verdicts of rule 1's scan."""
+    verdicts g carries nor leaves any of its own in g; of what g keeps,
+    it reads only the base set g carries, and checks it before the rules
+    read it.  On the copy, the pendant-tree bound reads the map that
+    rules 6 and 7 just built, and a base set's search starts from the
+    verdicts of rule 1's scan."""
+    carried = g.base_set
     g = g.copy()
     bad = [f"rule {rule_id} still applies" for rule_id, needs_mod, fn in RULES
            if not needs_mod and fn(g, k) is not None]
@@ -52,11 +70,22 @@ def audit_violations(g: MultiGraph, k: int,
     if g.n == 0:
         return bad
 
-    s, _ = compute_base_set(g, k, node_limit)
-    if s is None:
-        bad.append("no base set: the exact search rejects the kernel")
+    if carried is None:
+        s, _ = compute_base_set(g, k, node_limit)
+        if s is None:
+            bad.append("no base set: the exact search rejects the kernel")
+            return bad
+        mod = classify_tree_side(g, s)
+    elif len(carried) > base_set_cap(k):
+        bad.append(f"carried base set of {len(carried)} vertices exceeds "
+                   f"its cap {base_set_cap(k)}")
         return bad
-    mod = classify_tree_side(g, s)
+    else:
+        try:
+            mod = classify_tree_side(g, carried)
+        except ValueError as exc:
+            bad.append(f"carried base set rejected: {exc}")
+            return bad
 
     cap = marking.eta(k, len(mod.s))
     ns = {u for x in mod.s for u in g.neighbors(x)}

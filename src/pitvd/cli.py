@@ -253,7 +253,10 @@ def cmd_generate(args) -> int:
 
 
 def _check_one(g: MultiGraph, k: int, battery) -> list[str]:
-    """Problems one instance exhibits under the given rule battery."""
+    """Problems one instance exhibits under the given rule battery: a
+    decision the kernel flips, then the audit's violations.  The kernel
+    of a solvable input is decided too, since the audit checks the base
+    set the kernel carries, not that the kernel has a solution."""
     truth = decide(g, k) is not None
     try:
         res = kernelize(g, k, rules=battery)
@@ -261,7 +264,12 @@ def _check_one(g: MultiGraph, k: int, battery) -> list[str]:
         return [f"crash: {exc!r}"]
     if res.decided_no:
         return [] if not truth else ["flipped: input solvable, kernel says no"]
-    problems = [] if truth else ["flipped: input unsolvable, kernel remains"]
+    if not truth:
+        problems = ["flipped: input unsolvable, kernel remains"]
+    elif decide(res.graph, res.k) is None:
+        problems = ["flipped: input solvable, kernel unsolvable"]
+    else:
+        problems = []
     problems.extend(audit_violations(res.graph, res.k))
     return problems
 

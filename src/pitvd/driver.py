@@ -38,7 +38,15 @@ returning the working graph itself keeps its bitmask view, degree-2
 paths, pendant-tree map and verdicts alive with every result, which
 raised kbench's median ``peak_rss_mb`` by 11 % on ``small-mixed`` (29.0
 to 32.2 MB) and by 4 % on ``planted-tree`` (23.6 to 24.4 MB) over four
-alternating pairs on a 2-vCPU machine.
+alternating pairs on a 2-vCPU machine.  For the same reason the kernel
+carries only the driver's last base set S, recorded on the copy
+(:meth:`MultiGraph.record_base_set`), never the ``Modulator`` that
+holds the working graph: it is the S the final pass read the base-set
+rules against, so the audit checks that S instead of searching for
+one again.  S is recorded only when the run was not decided no, no
+base set came from the greedy fallback, and S was classified at the
+final graph version; otherwise, as for a battery without the base-set
+rules, the kernel carries none.
 
 Rules 4, 6 and 7 delete only vertices D of a pendant path or pendant
 tree of some component C, and keep k; rules 1-3 found nothing before
@@ -105,6 +113,11 @@ class KernelInstance:
     fallback after the exact search ran out of nodes: the kernel is still
     equivalent to the input, but its size bound is void, and a no-instance
     may come back as a kernel instead of ``decided_no``.
+
+    ``graph.base_set`` is the base set the final pass read rules 8-14
+    against, which leaves ``graph`` clean.  It is None when the run was
+    decided no or fell back to greedy, and when the battery's last pass
+    read no base set at the final graph version.
     """
 
     graph: MultiGraph
@@ -140,7 +153,11 @@ def kernelize(g: MultiGraph, k: int,
     fallback = False
 
     def done(decided_no: bool) -> KernelInstance:
-        return KernelInstance(g.copy(), k, tuple(trace), decided_no, fallback)
+        kernel = g.copy()
+        if (not (decided_no or fallback) and mod is not None
+                and mod.version == g.version):
+            kernel.record_base_set(mod.s)
+        return KernelInstance(kernel, k, tuple(trace), decided_no, fallback)
 
     trimmed = False  # the last firing was a pendant trim
     mod = None  # the latest base set and its strata

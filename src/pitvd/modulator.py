@@ -111,6 +111,17 @@ def greedy_modulator(g: MultiGraph) -> set[int]:
         alive -= vs
 
 
+def base_set_cap(k: int) -> int:
+    """The most vertices an exact base set for budget k may hold:
+    d * d! * (k+1)^d for a sunflower-reduced family of at most
+    d! * (k+1)^d obstructions of at most d = ``SMALL_OBSTRUCTION_ARITY``
+    vertices each, plus 7k for the bootstrap half.
+    :func:`compute_base_set` asserts it, and the audit checks a base set
+    carried by a kernel against it."""
+    d = SMALL_OBSTRUCTION_ARITY
+    return d * math.factorial(d) * (k + 1) ** d + 7 * k
+
+
 def compute_base_set(g: MultiGraph, k: int,
                      node_limit: int = DEFAULT_NODE_LIMIT):
     """Return ``(S, used_fallback)``, or ``(None, False)`` when the exact
@@ -134,11 +145,9 @@ def compute_base_set(g: MultiGraph, k: int,
     s: set[int] = set(boot)
     for petal in sunflower_reduce(small_obstruction_family(g, boot), k):
         s |= petal
-    if not fallback:
-        arity = SMALL_OBSTRUCTION_ARITY
-        cap = arity * math.factorial(arity) * (k + 1) ** arity + 7 * k
-        if len(s) > cap:
-            raise AssertionError(f"base set of {len(s)} exceeds its cap {cap}")
+    if not fallback and len(s) > base_set_cap(k):
+        raise AssertionError(
+            f"base set of {len(s)} exceeds its cap {base_set_cap(k)}")
     return s, fallback
 
 

@@ -29,7 +29,10 @@ cheapest rules read it instead of rescanning the graph:
 - the whole-graph bitmask view (:meth:`view`), once asked for, is kept
   until the next edit, so the readers between two edits share one walk;
 - a version number changes with every edit, so a reader can tell
-  whether the graph changed since it last looked.
+  whether the graph changed since it last looked;
+- a base set recorded as leaving this graph state clean
+  (:meth:`record_base_set`), the certificate a kernel carries to its
+  audit, is kept until the next edit.
 
 Each edit method keeps the edge count and the index itself, and calls
 ``_touch`` once for every vertex it edits (a deleted vertex with its
@@ -40,8 +43,8 @@ themselves on the next ask.
 The bookkeeping exists from construction on.  ``from_edges`` fills the
 adjacency first and builds the index once.  Copies and induced subgraphs
 rebuild the index from their own adjacency in one walk and start with
-no verdicts and no kept paths, trees, parents or view, so a copy never
-trusts what its source remembers.
+no verdicts, no base set and no kept paths, trees, parents or view, so
+a copy never trusts what its source remembers.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class Deg2Path(NamedTuple):
 class MultiGraph:
     __slots__ = ("_adj", "_next_id", "_m", "_heavy", "_doubled", "_judged",
                  "_pending", "_paths", "_path_of", "_touched", "_pendant",
-                 "_parent", "_dead", "_view", "_version")
+                 "_parent", "_dead", "_view", "_version", "_base_set")
 
     def __init__(self) -> None:
         self._adj: dict[int, dict[int, int]] = {}
@@ -99,6 +102,8 @@ class MultiGraph:
         # and dropped by the next edit
         self._view: tuple[list[int], dict[int, int], list[int]] | None = None
         self._version = 0
+        # a base set recorded for this graph state, dropped by the next edit
+        self._base_set: frozenset[int] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -236,12 +241,13 @@ class MultiGraph:
         """Apply an edit at v to the kept structures; ``nbrs`` holds a
         deleted v's neighbours with their multiplicities.
 
-        The view is dropped and the version moves on.  v, and a deleted
-        v's neighbours, are recorded for the degree-2 paths' repair.  A
-        deletion is recorded for the pendant-tree map's patch, and any
-        other edit drops the map.  The verdict of v's component, if it
-        has one, is dropped."""
+        The view and the recorded base set are dropped and the version
+        moves on.  v, and a deleted v's neighbours, are recorded for the
+        degree-2 paths' repair.  A deletion is recorded for the
+        pendant-tree map's patch, and any other edit drops the map.  The
+        verdict of v's component, if it has one, is dropped."""
         self._view = None
+        self._base_set = None
         self._version += 1
         if self._paths is not None:
             self._touched.add(v)
@@ -282,6 +288,23 @@ class MultiGraph:
         """A number that every edit changes: equal readings bracket a
         stretch in which the graph stood still."""
         return self._version
+
+    @property
+    def base_set(self) -> frozenset[int] | None:
+        """The base set last recorded with :meth:`record_base_set`, or
+        None if there is none or an edit came after it."""
+        return self._base_set
+
+    def record_base_set(self, s: Iterable[int]) -> None:
+        """Record ``s`` as a base set of this graph state, one whose
+        removal leaves every component clean; the next edit drops it.
+        The graph takes the caller's word for it and only checks that
+        every vertex of ``s`` is in the graph (``KeyError``)."""
+        s = frozenset(s)
+        missing = s.difference(self._adj)
+        if missing:
+            raise KeyError(f"vertex {min(missing)} not in graph")
+        self._base_set = s
 
     @property
     def edge_count(self) -> int:

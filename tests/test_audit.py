@@ -4,13 +4,20 @@ does."""
 
 from itertools import combinations
 
+import random
+
 import pytest
+from conftest import planted_interval_graph, planted_tree_graph
 
 from pitvd import audit, rules
 from pitvd.audit import audit_violations
+from pitvd.cli import _check_one, random_instance
+from pitvd.driver import kernelize
+from pitvd.exact import decide
+from pitvd.modulator import base_set_cap
 from pitvd.multigraph import MultiGraph
-from pitvd.mutation import killer_instances
-from pitvd.rules import RULES
+from pitvd.mutation import MUTANTS, killer_instances, mutated_rules
+from pitvd.rules import RULES, RuleApplication
 
 KILLERS = killer_instances()
 
@@ -126,3 +133,129 @@ def test_audit_checks_each_size_bound_at_its_edge(monkeypatch, build, k, size, f
     the hole's base set is all four of its vertices."""
     monkeypatch.setattr(audit, "RULES", [r for r in RULES if r[0] in ("2", "3")])
     assert audit_violations(MultiGraph.from_edges(build(size)), k) == found
+
+
+# -- the base set a kernel carries ------------------------------------------
+
+def test_kernels_carry_a_base_set_only_when_their_fixpoint_read_one():
+    """Two disjoint 4-holes: at k = 2 the kernel carries the base set its
+    fixpoint was checked against.  Decided no (by the bootstrap at k = 1,
+    or by a rule that spends the budget without an edit, so the base set
+    still describes the graph), fallen back to the greedy base set (node
+    limit 1), or cut to a battery without the base-set rules, it carries
+    none, and the audit searches afresh."""
+    g = MultiGraph.from_edges(HOLE + [(u + 10, v + 10) for u, v in HOLE])
+    assert kernelize(g, 2).graph.base_set == frozenset(g.vertices)
+    overspend = ("x", True,
+                 lambda h, k, mod: RuleApplication("x", (), k_delta=-k - 1))
+    decided = kernelize(g, 1)
+    overspent = kernelize(g, 2, rules=(overspend,))
+    fallen = kernelize(g, 2, node_limit=1)
+    prefix = kernelize(g, 2, rules=tuple(r for r in RULES if not r[1]))
+    assert decided.decided_no and overspent.decided_no and fallen.fallback
+    assert not (prefix.decided_no or prefix.fallback)
+    for res in (decided, overspent, fallen, prefix):
+        assert res.graph.base_set is None
+
+
+@pytest.mark.parametrize("s,found", [
+    ({3}, "carried base set rejected: "
+          "base set leaves the parallel edge (1, 2)"),
+    ({1}, "carried base set rejected: "
+          "component is not a proper interval graph"),
+], ids=["parallel-edge", "unclean-cyclic-component"])
+def test_a_carried_base_set_that_leaves_dirt_is_one_violation(s, found):
+    """A doubled edge on a 4-hole audits clean from scratch; a recorded
+    set that leaves the doubled edge, or the hole, is one violation, and
+    the audit does not fall back to a search of its own."""
+    g = MultiGraph.from_edges([(1, 2, 2)] + [(u + 2, v + 2) for u, v in HOLE])
+    assert audit_violations(g, 1) == []
+    g.record_base_set(s)
+    assert audit_violations(g, 1) == [found]
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-the-cap", "past-the-cap"])
+def test_a_carried_base_set_past_its_cap_is_one_violation(monkeypatch, extra):
+    """Disjoint 4-holes at k = 0, the whole graph recorded as the base
+    set: at ``base_set_cap(0)`` vertices the set passes (no rule finds
+    anything to do against it), one hole more is one violation, and
+    neither reads a fresh base set."""
+    monkeypatch.setattr(audit, "compute_base_set", None)
+    holes = base_set_cap(0) // 4 + extra
+    g = MultiGraph.from_edges([(4 * i + u, 4 * i + v)
+                               for i in range(holes) for u, v in HOLE])
+    g.record_base_set(g.vertices)
+    found = [f"carried base set of {g.n} vertices exceeds its cap "
+             f"{base_set_cap(0)}"] if extra else []
+    assert audit_violations(g, 0) == found
+
+
+def _audited_kernels():
+    """(name, input, k, battery): the benchmark's planted shapes and a few
+    hundred verification-corpus graphs under the full battery, and the
+    killer instances under it and under every mutated battery."""
+    for seed in range(4):
+        yield (f"planted-interval/{seed}",
+               *planted_interval_graph(random.Random(seed)), RULES)
+        yield (f"planted-tree/{seed}",
+               *planted_tree_graph(random.Random(seed)), RULES)
+    rng = random.Random(32)
+    for i in range(300):
+        yield f"random/{i}", *random_instance(rng, 12, 4), RULES
+    for rule_id in (None, *MUTANTS):
+        battery = RULES if rule_id is None else mutated_rules(rule_id)
+        for name, g, k in killer_instances():
+            yield f"{name}/mutant-{rule_id}", g, k, battery
+
+
+def test_a_carried_base_set_audits_as_a_fresh_one(monkeypatch):
+    """Every kernel not decided no carries the base set its fixpoint read,
+    and that set is the one a fresh ``compute_base_set`` gives: auditing
+    the kernel as it comes reads no fresh base set and finds what the
+    from-scratch audit of its copy finds, which reads one whenever the
+    rules that need no base set are exhausted.
+
+    A broken battery may leave a kernel with no solution within its
+    budget.  Only the fresh search reports that ("no base set"); the
+    decision check of ``cli`` flags it instead.  On these instances it
+    happens only for the mutant of rule 11 on one killer instance."""
+    calls = []
+    fresh_base_set = audit.compute_base_set
+
+    def spy(*args):
+        calls.append(args)
+        return fresh_base_set(*args)
+
+    def audited(g, k):
+        calls.clear()
+        return audit_violations(g, k), len(calls)
+
+    monkeypatch.setattr(audit, "compute_base_set", spy)
+    raw = [fn for _, needs_mod, fn in RULES if not needs_mod]
+    reached = unsolvable = 0
+    for name, g, k, battery in _audited_kernels():
+        try:
+            res = kernelize(g, k, rules=battery)
+        except AssertionError:  # a broken battery may trip internal checks
+            assert battery is not RULES, name
+            continue
+        if res.decided_no:
+            continue
+        kg, kk = res.graph, res.k
+        assert not res.fallback and kg.base_set is not None, name
+        reaches = kg.n > 0 and not any(fn(kg.copy(), kk) for fn in raw)
+        reached += reaches
+        carried, carried_calls = audited(kg, kk)
+        fresh, fresh_calls = audited(kg.copy(), kk)
+        assert (carried_calls, fresh_calls) == (0, reaches), name
+        if decide(kg.copy(), kk) is None:
+            unsolvable += 1
+            assert battery is not RULES, name
+            assert fresh == carried + [
+                "no base set: the exact search rejects the kernel"], name
+            assert "flipped: input solvable, kernel unsolvable" in _check_one(
+                g.copy(), k, battery), name
+            continue
+        assert kg.base_set == fresh_base_set(kg.copy(), kk)[0], name
+        assert carried == fresh, name
+    assert reached >= 150 and unsolvable == 1, (reached, unsolvable)

@@ -656,3 +656,39 @@ def test_queries_after_an_edit_see_it():
     assert is_pitg(g)[1].kind == "hole"
     g.delete_vertex(0)
     assert is_pitg(g) == (True, None) and obstruction_sets(g, [1]) == []
+
+
+@pytest.mark.parametrize("edit", [
+    lambda g: g.delete_vertex(3),
+    lambda g: g.add_edge(0, 2),
+    lambda g: g.set_multiplicity(0, 1, 2),
+    lambda g: g.add_vertex(),
+    lambda g: g.ensure_vertex(9),
+], ids=["delete_vertex", "add_edge", "set_multiplicity", "add_vertex",
+        "ensure_vertex"])
+def test_recorded_base_set_is_dropped_by_every_edit(edit):
+    """A recorded base set describes one graph state: it reads back as
+    recorded until an edit, which drops it.  Asking for a vertex the
+    graph already has is no edit and keeps it."""
+    g = build([(0, 1), (1, 2), (2, 3), (3, 0)], vertices=[5])
+    assert g.base_set is None
+    g.record_base_set([0, 5])
+    assert g.base_set == frozenset({0, 5})
+    g.ensure_vertex(5)
+    assert g.base_set == frozenset({0, 5})
+    edit(g)
+    assert g.base_set is None
+
+
+def test_copies_start_without_a_base_set():
+    """A copy, an induced subgraph and a graph built from edges carry no
+    base set, whatever their source recorded; a set naming a vertex the
+    graph lacks is refused."""
+    g = build([(0, 1), (1, 2), (2, 0), (2, 3)])
+    g.record_base_set({2})
+    assert g.copy().base_set is None
+    assert g.induced([0, 1, 2]).base_set is None
+    assert MultiGraph.from_edges(g.edges()).base_set is None
+    with pytest.raises(KeyError):
+        g.record_base_set({2, 7})
+    assert g.base_set == frozenset({2})

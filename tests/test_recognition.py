@@ -135,7 +135,8 @@ def test_one_sweep_per_recognition_on_planted_interval_graphs(monkeypatch):
     """On ``planted-interval``-shaped instances (seeds 0-3), every
     ``pig_order`` call of ``kernelize`` and then of ``audit_violations``
     makes exactly one LBFS sweep: each first sweep is already an umbrella
-    ordering."""
+    ordering.  Each kernel is audited as it comes and through a copy, so
+    the audit's own base-set search runs too."""
     sweeps = [0]
     per_call: list[int] = []
     orig_lbfs, orig_pig_order = bk.lbfs, R.pig_order
@@ -157,6 +158,7 @@ def test_one_sweep_per_recognition_on_planted_interval_graphs(monkeypatch):
         ker = kernelize(g, k)
         assert not ker.decided_no
         assert audit_violations(ker.graph, ker.k) == []
+        assert audit_violations(ker.graph.copy(), ker.k) == []
     assert per_call and set(per_call) == {1}, per_call
 
 
@@ -311,7 +313,9 @@ def test_sweeps_run_only_on_components_they_accept(monkeypatch):
     """On a ``planted-tree``-shaped instance, every ``pig_order`` call of
     ``kernelize`` and then of ``audit_violations`` returns an order: each
     component it would reject holds a claw the scan finds first.  The
-    star-plus-triangle component alone never reaches ``pig_order``.
+    star-plus-triangle component alone never reaches ``pig_order``.  The
+    kernel is audited as it comes and through a copy, so the audit's own
+    base-set search runs too.
 
     The instance is ``conftest.planted_tree_graph`` (trees grown from
     6-vertex spines, each closed into a 7-hole by a planted vertex that
@@ -326,6 +330,7 @@ def test_sweeps_run_only_on_components_they_accept(monkeypatch):
     ker = kernelize(g, k + 1)
     assert not ker.decided_no
     assert audit_violations(ker.graph, ker.k) == []
+    assert audit_violations(ker.graph.copy(), ker.k) == []
     assert calls and all(calls)
     calls.clear()
     assert not R.component_clean(g, star)
