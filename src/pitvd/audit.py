@@ -14,17 +14,19 @@ S is the one the kernel carries (``MultiGraph.base_set``) when it
 carries one: the base set the driver's final pass read rules 8-14
 against.  The audit checks that certificate instead of searching again
 (McConnell, Mehlhorn, Näher and Schweitzer, "Certifying algorithms",
-2011): S must stay within ``modulator.base_set_cap(k)`` and
-``classify_tree_side`` must accept it, and a failure of either check is
-a violation.  A graph that carries none (one built by hand or read from
-a file, any copy, the kernel of a fallback run or of a battery without
-the base-set rules) gets S from a fresh ``compute_base_set``, the
-from-scratch check the tests compare the carried one against.  A carried
-S certifies the fixpoint, not the answer: the fresh search also reports
-a kernel that has no solution within k, which with a correct battery
-the driver has already decided no, so that check is left to the
-decision check (``cli`` decides the kernel of every solvable input it
-verifies).
+2011).  A graph that carries none (one built by hand or read from a
+file, any copy, the kernel of a fallback run or of a battery without
+the base-set rules) gets S from a fresh ``compute_base_set`` under the
+search's default node budget, the from-scratch check the tests compare
+the carried one against.  From there both take one path:
+``classify_tree_side`` must accept S, and a rejection is one violation.
+A carried S must also stay within ``modulator.base_set_cap(k)``; a fresh
+one needs no such check, since the search enforces the cap on an exact
+S and a greedy S has none.  A carried S certifies the fixpoint, not the
+answer: the fresh search also reports a kernel that has no solution
+within k, which with a correct battery the driver has already decided
+no, so that check is left to the decision check (``cli`` decides the
+kernel of every solvable input it verifies).
 
 Next to the rules, the audit checks the size bounds that no rule states
 as a trigger: branching pendant trees of at most five vertices,
@@ -32,7 +34,8 @@ marked-size cliques, bounded base-set-free clique runs, and the stratum
 cardinality bounds.  The pendant-tree bound is checked on the maximal
 branching pendant trees only, the ones rule 6 reads
 (``rules.branching_trees``); a tree nested in one is a subtree of it, so
-it branches only if the maximal tree does and has no more vertices.
+it branches only if the maximal tree does and has no more vertices.  The
+run bound reads the run lengths of rule 13's scan (``rules.free_runs``).
 Every finding is a human-readable violation string; an irreducible
 kernel reports none.
 """
@@ -40,21 +43,20 @@ kernel reports none.
 from __future__ import annotations
 
 from . import marking
-from .exact import DEFAULT_NODE_LIMIT
 from .modulator import base_set_cap, classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
-from .rules import RULES, branching_trees
+from .rules import RULES, branching_trees, free_runs
 
 
-def audit_violations(g: MultiGraph, k: int,
-                     node_limit: int = DEFAULT_NODE_LIMIT) -> list[str]:
+def audit_violations(g: MultiGraph, k: int) -> list[str]:
     """All irreducibility violations of (g, k); empty means the kernel is
     irreducible.  The audit reads a copy of g, so it neither trusts the
     verdicts g carries nor leaves any of its own in g; of what g keeps,
     it reads only the base set g carries, and checks it before the rules
-    read it.  On the copy, the pendant-tree bound reads the map that
-    rules 6 and 7 just built, and a base set's search starts from the
-    verdicts of rule 1's scan."""
+    read it.  A fresh base set, searched for when g carries none, passes
+    the same check.  On the copy, the pendant-tree bound reads the map
+    that rules 6 and 7 just built, and a base set's search starts from
+    the verdicts of rule 1's scan."""
     carried = g.base_set
     g = g.copy()
     bad = [f"rule {rule_id} still applies" for rule_id, needs_mod, fn in RULES
@@ -70,34 +72,29 @@ def audit_violations(g: MultiGraph, k: int,
     if g.n == 0:
         return bad
 
-    if carried is None:
-        s, _ = compute_base_set(g, k, node_limit)
+    s = carried
+    if s is None:
+        s, _ = compute_base_set(g, k)
         if s is None:
             bad.append("no base set: the exact search rejects the kernel")
             return bad
-        mod = classify_tree_side(g, s)
-    elif len(carried) > base_set_cap(k):
-        bad.append(f"carried base set of {len(carried)} vertices exceeds "
+    elif len(s) > base_set_cap(k):
+        bad.append(f"carried base set of {len(s)} vertices exceeds "
                    f"its cap {base_set_cap(k)}")
         return bad
-    else:
-        try:
-            mod = classify_tree_side(g, carried)
-        except ValueError as exc:
-            bad.append(f"carried base set rejected: {exc}")
-            return bad
+    try:
+        mod = classify_tree_side(g, s)
+    except ValueError as exc:
+        bad.append(f"{'fresh' if carried is None else 'carried'} "
+                   f"base set rejected: {exc}")
+        return bad
 
     cap = marking.eta(k, len(mod.s))
-    ns = {u for x in mod.s for u in g.neighbors(x)}
-    for path in mod.paths:
+    for path, runs in free_runs(g, mod):
         for kq in path.cliques:
             if len(kq) > cap:
                 bad.append(f"clique of size {len(kq)} exceeds eta = {cap}")
-        run = best = 0
-        for kq in path.cliques:
-            run = run + 1 if not ns.intersection(kq) else 0
-            best = max(best, run)
-        if best > 14 * k + 5:
+        if (best := max(runs)) > 14 * k + 5:
             bad.append(f"base-set-free clique run of length {best} "
                        f"> 14k+5 = {14 * k + 5}")
 

@@ -192,9 +192,8 @@ def q_expansion(a_items, b_items, nbrs, q: int):
     na, nb = len(a_list), len(b_list)
     s, t = na + nb, na + nb + 1
     net = Dinic(na + nb + 2)
-    src_arcs = {}
-    for i, a in enumerate(a_list):
-        src_arcs[a] = net.add_edge(s, i, q)
+    for i in range(na):
+        net.add_edge(s, i, q)
     mid_arcs = []  # (a, b, edge index)
     for j, b in enumerate(b_list):
         for a in sorted(set(nbrs[b])):

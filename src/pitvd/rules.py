@@ -34,8 +34,10 @@ vertex / component ids first); only the hanger and marking rules batch,
 since their edits are computed from a whole stratification at once.
 
 Rules 6, 12 and 13 read their scan or edit from a helper that their
-mutants share (``branching_trees``, ``clique_hits``, ``bypass``), and
-the audit's pendant-tree bound walks ``branching_trees`` too.
+mutants share (``branching_trees``, ``clique_hits``, ``bypass``).  The
+audit reads two scans too: its pendant-tree bound walks
+``branching_trees``, and its bound on base-set-free clique runs reads
+``free_runs``, the scan behind rule 13's windows.
 """
 
 from __future__ import annotations
@@ -339,6 +341,20 @@ def bypass(g: MultiGraph, path: CliquePath, ell: int) -> RuleApplication:
                            affected=tuple(sorted(mid)))
 
 
+def free_runs(g: MultiGraph, mod: Modulator):
+    """(path, runs) for each clique path, N(S) read once per call:
+    ``runs[j]`` is the length of the base-set-free run that ends at
+    clique j, the cliques up to it that no base vertex sees (0 when one
+    sees clique j)."""
+    ns = {u for s in mod.s for u in g.neighbors(s)}
+    for path in mod.paths:
+        run, runs = 0, []
+        for kq in path.cliques:
+            run = 0 if ns.intersection(kq) else run + 1
+            runs.append(run)
+        yield path, runs
+
+
 def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
     """Shortcut one clique inside a long run of cliques unseen by the base set.
 
@@ -359,13 +375,10 @@ def rule13_bypass_clique(g: MultiGraph, k: int, mod: Modulator):
     p+1..r(p) with the prefix up to p on x's side, so the cut nearest x,
     the one the flow returns, is the one with the least p in both.
     """
-    ns = {u for s in mod.s for u in g.neighbors(s)}
     span = 14 * k + 5
-    for path in mod.paths:
+    for path, runs in free_runs(g, mod):
         last = len(path.cliques) - 1
-        run = 0
-        for j, kq in enumerate(path.cliques):
-            run = run + 1 if not ns.intersection(kq) else 0
+        for j, run in enumerate(runs):
             i = j - span + 1 + 7 * k
             if run < span or i + 5 > last:
                 continue

@@ -583,6 +583,23 @@ def rule3_by_rescan(g: MultiGraph, k: int):
     return None
 
 
+def free_runs_by_rescan(g: MultiGraph, mod) -> list:
+    """``rules.free_runs`` without N(S): for each clique path, at each
+    clique, walk back while no base vertex has an edge into the clique,
+    and count the cliques passed."""
+    out = []
+    for path in mod.paths:
+        runs = []
+        for j in range(len(path.cliques)):
+            i = j
+            while i >= 0 and not any(g.has_edge(x, u) for x in mod.s
+                                     for u in path.cliques[i]):
+                i -= 1
+            runs.append(j - i)
+        out.append((path, runs))
+    return out
+
+
 def minimum_deletion(g: MultiGraph, node_limit: int = DEFAULT_NODE_LIMIT):
     """Smallest deletion set, by deepening k: (size, vertex ids)."""
     for k in range(g.n + 1):

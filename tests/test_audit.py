@@ -174,6 +174,16 @@ def test_a_carried_base_set_that_leaves_dirt_is_one_violation(s, found):
     assert audit_violations(g, 1) == [found]
 
 
+def test_a_fresh_base_set_that_leaves_dirt_is_one_violation(monkeypatch):
+    """A fresh base set passes the check a carried one does: on the
+    doubled edge beside a 4-hole, a search that returns {3} leaves the
+    doubled edge, which is one violation."""
+    monkeypatch.setattr(audit, "compute_base_set", lambda *args: ({3}, False))
+    g = MultiGraph.from_edges([(1, 2, 2)] + [(u + 2, v + 2) for u, v in HOLE])
+    assert audit_violations(g, 1) == [
+        "fresh base set rejected: base set leaves the parallel edge (1, 2)"]
+
+
 @pytest.mark.parametrize("extra", [0, 1], ids=["at-the-cap", "past-the-cap"])
 def test_a_carried_base_set_past_its_cap_is_one_violation(monkeypatch, extra):
     """Disjoint 4-holes at k = 0, the whole graph recorded as the base

@@ -25,9 +25,10 @@ from pitvd.modulator import classify_tree_side
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
-from conftest import (degree2_paths_reference, nx_multigraph,
-                      pendant_trees_by_copy, random_forest, random_multigraph,
-                      random_near_tree, tree_and_cyclic, unit_interval_graph)
+from conftest import (degree2_paths_reference, free_runs_by_rescan,
+                      nx_multigraph, pendant_trees_by_copy, random_forest,
+                      random_multigraph, random_near_tree, tree_and_cyclic,
+                      unit_interval_graph)
 
 
 def strip(n):
@@ -529,6 +530,31 @@ def test_rule13_cut_on_six_cliques_is_the_component_cut():
                         == min_vertex_separator(whole, x, y)), (comp, i)
                 starts += 1
     assert starts >= 300
+
+
+def test_free_runs_match_a_rescan():
+    """The run lengths rule 13's windows and the audit's run bound read,
+    against a walk back from every clique, on unit-interval strips with
+    one to three base vertices tied to random stretches; some path's
+    longest run passes the 14k+5 = 19 window of k = 1."""
+    rng = random.Random(34)
+    longest = []
+    for _ in range(30):
+        n = rng.randint(40, 300)
+        g = unit_interval_graph(rng, n, n / rng.uniform(4.0, 8.0))
+        strip_vs = sorted(g.vertices)
+        s = []
+        for _ in range(rng.randint(1, 3)):
+            x = g.add_vertex()
+            a = rng.randrange(n)
+            for u in strip_vs[a:a + rng.randint(1, 6)]:
+                g.add_edge(x, u)
+            s.append(x)
+        mod = classify_tree_side(g, s)
+        got = list(R.free_runs(g, mod))
+        assert got == free_runs_by_rescan(g, mod)
+        longest += [max(runs) for _, runs in got]
+    assert max(longest) > 19, sorted(longest)
 
 
 def test_rule13_ignores_short_runs():
