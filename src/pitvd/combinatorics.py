@@ -58,8 +58,6 @@ def find_sunflower(sets, petals: int):
     for s in family:
         for x in s:
             counts[x] = counts.get(x, 0) + 1
-    if not counts:
-        return None
     x = min(counts, key=lambda e: (-counts[e], e))
     found = find_sunflower([s - {x} for s in family if x in s], petals)
     if found is None:

@@ -18,8 +18,9 @@ Every edit moves the version on, so of the firings that edit the graph
 only the rule-8 firing above keeps its strata: it replaces them by
 ``Modulator.without_bad_hangers()``, the strata rule 8 read less the
 deleted hangers, stamped anew, and if rules 4-7 then fire nothing the
-base-set rules read those.  Any other rule-8 edit restarts at rule 1
-and classifies afresh.
+base-set rules read those.  The driver tells that firing by asking rule
+8 for its edit on the strata it read: rule 8 reads nothing else.  Any
+other rule-8 edit restarts at rule 1 and classifies afresh.
 
 Every application strictly shrinks the triple (budget, vertex count,
 edge count) in lexicographic order, which is checked and is what
@@ -97,7 +98,8 @@ from dataclasses import dataclass
 from .exact import DEFAULT_NODE_LIMIT
 from .modulator import classify_tree_side, compute_base_set
 from .multigraph import MultiGraph
-from .rules import RULES, RuleApplication, apply_ops
+from .rules import (RULES, RuleApplication, apply_ops,
+                    rule8_remove_bad_hangers)
 
 
 @dataclass(frozen=True)
@@ -197,8 +199,7 @@ def kernelize(g: MultiGraph, k: int,
             # read off the firing, not the version: a firing that lowered
             # only k would leave rule 3 something to do
             trimmed = app.rule in ("4", "6", "7")
-            if app.rule == "8" and app.ops == tuple(
-                    ("del", u) for u in sorted(mod.bad_hangers)):
+            if app.rule == "8" and app == rule8_remove_bad_hangers(g, k, mod):
                 mod = mod.without_bad_hangers()
                 trimmed = True
             break

@@ -13,7 +13,7 @@ decided.
 
 Relative to S, the leftover graph splits into
 
-* ``v1`` - vertices of components that contain a cycle, and
+* V1 - vertices of components that contain a cycle, and
 * ``v2`` - vertices of tree components,
 
 and the tree side refines further into strata that the later rules need:
@@ -23,6 +23,12 @@ two distinct S-neighbors inside their tree), the branch points
 subtrees ("hangers").  Along each chain of connectors between two branch
 points or S-neighbors, only the outermost hooks are *good*; the hangers
 of the remaining *bad* hooks are deletable.
+
+Each stratum has one holder.  V1 is the union of the clique paths'
+orders (``paths``), the hooks are the keys of ``hangers``, and the good
+hooks are those keys outside ``bad_hooks``.  No rule reads ``f3`` or
+``f3_critical``, and no other field determines them; they are kept for
+the tests, which check them against the paper's definitions.
 
 G - S is analysed once, without copying it, and the result holds
 everything the base-set rules read: the clique path of each cyclic
@@ -154,15 +160,19 @@ def compute_base_set(g: MultiGraph, k: int,
 @dataclass(frozen=True)
 class Modulator:
     """Base set plus the derived strata of ``graph`` as it stood when
-    they were made."""
+    they were made.
+
+    V1 is the union of ``p.order`` over ``paths``, the hooks are the keys
+    of ``hangers`` and the good hooks are those outside ``bad_hooks``.
+    ``f3`` and ``f3_critical`` are read by no rule; no other field
+    determines them, and the tests compare them with the paper's
+    definitions."""
 
     s: frozenset[int]
-    v1: frozenset[int]
     v2: frozenset[int]
     f1: frozenset[int]
     f3: frozenset[int]
     f3_critical: frozenset[int]
-    good_hooks: frozenset[int]
     bad_hooks: frozenset[int]
     #: hook vertex -> its pendant subtrees, each disjoint from the connectors
     hangers: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
@@ -174,10 +184,6 @@ class Modulator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "version", self.graph.version)
-
-    @property
-    def hooks(self) -> frozenset[int]:
-        return self.good_hooks | self.bad_hooks
 
     @property
     def bad_hangers(self) -> frozenset[int]:
@@ -220,10 +226,10 @@ class Modulator:
         The good hooks keep their hangers, and in each chain they were
         the outermost hooks, so the stretch between them stands and no
         hook is bad any more.  So V2 loses the hangers, the bad hooks
-        drop out of ``hangers``, and nothing else changes but the
-        flowers.  Those are walked afresh on the new graph, not carried:
-        a walk starts at the least vertex of a tree, which may have been
-        in a hanger.
+        drop out of ``hangers``, leaving the good ones as its keys, and
+        nothing else changes but the flowers.  Those are walked afresh
+        on the new graph, not carried: a walk starts at the least vertex
+        of a tree, which may have been in a hanger.
         """
         return replace(self, v2=self.v2 - self.bad_hangers,
                        bad_hooks=frozenset(),
@@ -245,7 +251,6 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     if doubles:
         raise ValueError(f"base set leaves the parallel edge {doubles[0]}")
 
-    v1: set[int] = set()
     v2: set[int] = set()
     paths: list[CliquePath] = []
     ids, index, adjm = g.view()
@@ -258,7 +263,6 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
             trees |= mask
             continue
         paths.append(clique_path(g, comp))
-        v1.update(comp)
         if backend.find_triangle(adjm, mask) is None:
             raise AssertionError("cyclic clean component without a triangle")
 
@@ -291,12 +295,10 @@ def classify_tree_side(g: MultiGraph, s) -> Modulator:
     # to its hooks leaves the stretch from its first hook to its last;
     # only the two ends of that stretch keep their hangers.
     stretch = g.hanging_trees(chains, keep=hangers)
-    bad = {w for w in hangers
-           if sum(1 for u in g.neighbors(w) if u in stretch) == 2}
-    good = set(hangers) - bad
-    return Modulator(s=s, v1=frozenset(v1), v2=frozenset(v2),
-                     f1=frozenset(f1), f3=frozenset(f3),
-                     f3_critical=frozenset(f3c),
-                     good_hooks=frozenset(good), bad_hooks=frozenset(bad),
-                     hangers=hangers, paths=tuple(paths), graph=g)
+    bad = frozenset(w for w in hangers
+                    if sum(1 for u in g.neighbors(w) if u in stretch) == 2)
+    return Modulator(s=s, v2=frozenset(v2), f1=frozenset(f1),
+                     f3=frozenset(f3), f3_critical=frozenset(f3c),
+                     bad_hooks=bad, hangers=hangers, paths=tuple(paths),
+                     graph=g)
 

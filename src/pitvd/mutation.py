@@ -93,7 +93,8 @@ def mutant7_keep_one_tree(g: MultiGraph, k: int):
 
 def mutant8_strip_all_hooks(g: MultiGraph, k: int, mod: Modulator):
     """Rule 8, deleting the hangers of every hook, good ones included."""
-    return rule8_remove_bad_hangers(g, k, replace(mod, bad_hooks=mod.hooks))
+    return rule8_remove_bad_hangers(
+        g, k, replace(mod, bad_hooks=frozenset(mod.hangers)))
 
 
 def mutant9_delete_cover_vertex(g: MultiGraph, k: int, mod: Modulator):
@@ -120,8 +121,9 @@ def mutant10_cut_two_contacts(g: MultiGraph, k: int, mod: Modulator):
 def mutant11_delete_wrong_side(g: MultiGraph, k: int, mod: Modulator):
     """Charges the budget for a vertex of the cyclic side rather than the
     expansion's base-set side."""
-    if mod.v1 and mod.s:
-        return deletion("11", [min(mod.v1)], k_delta=-1)
+    if mod.paths and mod.s:
+        return deletion("11", [min(min(p.order) for p in mod.paths)],
+                        k_delta=-1)
     return None
 
 

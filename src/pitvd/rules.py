@@ -288,7 +288,7 @@ def rule10_rewire_expansion(g: MultiGraph, k: int, mod: Modulator):
 
 def rule11_delete_expansion_side(g: MultiGraph, k: int, mod: Modulator):
     """Many cyclic components force part of the base set into the solution."""
-    if not mod.v1:
+    if not mod.paths:
         return None
     # label each component by its minimum id: q_expansion sorts the labels
     comps = {min(p.order): p.order for p in mod.paths}

@@ -670,6 +670,12 @@ def compute_modulator(g: MultiGraph, k: int,
     return None if s is None else classify_tree_side(g, s)
 
 
+def cyclic_side(mod) -> frozenset[int]:
+    """V1, the vertices of the cyclic components of G - S: the union of
+    the orders of ``mod.paths``."""
+    return frozenset(u for p in mod.paths for u in p.order)
+
+
 def base_set_from_whole_family(g: MultiGraph, k: int,
                                node_limit: int = DEFAULT_NODE_LIMIT):
     """``compute_base_set`` as it was before the short holes were searched

@@ -32,7 +32,7 @@ from pitvd.mutation import MUTANTS, killer_instances, mutated_rules
 from pitvd.rules import RULES, apply_ops
 
 from conftest import (mask_of, all_graphs, attach_tail, compute_modulator,
-                      pig_order_bruteforce, random_multigraph)
+                      cyclic_side, pig_order_bruteforce, random_multigraph)
 from test_combinatorics import (
     min_hitting_set_size,
     random_forest_with_hub,
@@ -448,11 +448,11 @@ def _two_disjoint_triangles(g: MultiGraph, verts) -> bool:
 def _free_window_packings(g: MultiGraph, k: int) -> tuple[int, int]:
     """(checked, packed) over all 7-clique runs disjoint from N(base set)."""
     mod = compute_modulator(g, k)
-    if mod is None or not mod.v1:
+    if mod is None or not cyclic_side(mod):
         return 0, 0
     ns = {u for s in mod.s for u in g.neighbors(s)}
     checked = packed = 0
-    for comp in g.induced(sorted(mod.v1)).components():
+    for comp in g.induced(sorted(cyclic_side(mod))).components():
         path = clique_path(g, sorted(comp))
         free = [not (set(kq) & ns) for kq in path.cliques]
         for i in range(len(free) - 6):

@@ -104,6 +104,7 @@ MALFORMED = {
     "p pitvd 2 1 0\nq 1 2 1\n": "line 2: unknown record 'q'",
     "p pitvd two 1 0\ne 1 2 1\n": "line 1: non-integer header field",
     "p pitvd 2 1 0\ne 1 2 1 1\n": "line 2: expected 'e u v mult'",
+    "c no problem line\n": "missing problem line",
     # spellings that int() reads but an instance file may not hold
     "p pitvd 2 1 1_0\ne 1 2 1\n": "line 1: non-integer header field",
     "p pitvd +2 1 0\ne 1 2 1\n": "line 1: non-integer header field",
@@ -257,6 +258,14 @@ def test_trace_text_round_trips_and_replays():
         assert serialize(h, k2) == serialize(res.graph, res.k)
 
 
+def test_load_trace_skips_blank_lines():
+    g = random_multigraph(random.Random(78), 8, 0.4, 0.2)
+    trace = kernelize(g, 2).trace
+    assert trace
+    text = "\n" + trace_lines(trace).replace("\n", "\n  \n")
+    assert load_trace(text) == trace
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -330,6 +339,37 @@ def test_kernelize_warns_when_the_size_bound_is_void(tmp_path, capsys,
 def test_kernelize_rejects_malformed_file(tmp_path):
     assert main(["kernelize", write(tmp_path, "bad.txt",
                                     "p pitvd 2 1 0\ne 1 1 1\n")]) == 2
+
+
+def test_kernelize_rejects_a_file_without_a_problem_line(tmp_path, capsys):
+    path = write(tmp_path, "bare.txt", "c only a comment\n")
+    assert main(["kernelize", path]) == 2
+    assert capsys.readouterr().err == "parse error: missing problem line\n"
+
+
+def test_kernelize_and_generate_write_to_stdout_without_o(tmp_path, capsys):
+    text = "p pitvd 4 4 1\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 1 2\n"
+    assert main(["kernelize", write(tmp_path, "in.txt", text)]) == 0
+    out = capsys.readouterr().out
+    res = kernelize(*parse(text))
+    assert out == serialize(res.graph, res.k) == serialize(*parse(out))
+    assert main(["generate", "--n", "7", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    g, k = parse(out)
+    assert g.n == 7 and serialize(g, k) == out
+
+
+def test_kernelize_decided_at_the_root_has_an_empty_trace(tmp_path, capsys):
+    """A 4-cycle at budget 0: no rule fires before the bootstrap search
+    proves no, so the run exits 20 with no rule in its histogram and an
+    empty trace."""
+    path = write(tmp_path, "c4.txt",
+                 "p pitvd 4 4 0\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 4 1 1\n")
+    tr = tmp_path / "trace.jsonl"
+    assert main(["kernelize", path, "--trace", str(tr)]) == 20
+    err = capsys.readouterr().err
+    assert "rules    none\n" in err and "decided no" in err
+    assert tr.read_text() == ""
 
 
 @pytest.mark.skipif(not DIGITS_LIMITED,

@@ -48,6 +48,12 @@ def test_find_sunflower_with_core():
     assert_sunflower(fam, core, pets, 3)
 
 
+def test_find_sunflower_of_the_empty_set_alone():
+    """An all-empty family is {∅}: one petal, found by the greedy pass."""
+    assert find_sunflower([set(), set()], 1) == (frozenset(), [frozenset()])
+    assert find_sunflower([set()], 2) is None
+
+
 def test_find_sunflower_absent():
     # pairwise intersections differ: no 3-petal sunflower
     fam = [{1, 2}, {2, 3}, {3, 1}]
@@ -244,6 +250,12 @@ def test_flower_rejects_cyclic_region():
     except ValueError:
         return
     raise AssertionError("cyclic region accepted")
+
+
+def test_flower_rejects_a_hub_inside_the_region():
+    g = MultiGraph.from_edges([(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="hub must lie outside the region"):
+        flower_in_forest(g, 0, [0, 1, 2])
 
 
 def test_flower_rejects_parallel_edge_in_region():

@@ -46,6 +46,10 @@ def test_clean_graph_needs_nothing():
     assert decide(mg([(0, 1), (1, 2)]), 0) == []
 
 
+def test_negative_budget_has_no_solution():
+    assert decide(mg([(0, 1), (1, 2)]), -1) is None
+
+
 def test_single_hole():
     g = mg([(0, 1), (1, 2), (2, 3), (3, 0)])
     assert decide(g, 0) is None

@@ -153,3 +153,13 @@ def test_traced_names_resolve(monkeypatch):
             owner = getattr(owner, attr)
         assert callable(owner), (modname, path)
     assert backend.HAVE_COMPILED is False
+
+
+def test_traced_names_keep_a_caller_in_src(monkeypatch):
+    """No function ``kbench/tracer.py`` wraps is a listed entry point, so
+    ``test_every_defined_name_is_used`` fails once its last caller in
+    ``src`` is gone, instead of the benchmark reporting zero calls."""
+    monkeypatch.syspath_prepend(KBENCH_DIR)
+    from tracer import TRACED
+
+    assert not {path for _, path in TRACED} & ENTRY_POINTS

@@ -22,8 +22,9 @@ from pitvd.recognition import is_pitg
 from pitvd.rules import RULES
 
 from conftest import (base_set_from_whole_family, compute_modulator,
-                      minimum_deletion, nx_multigraph, planted_interval_graph,
-                      planted_tree_graph, random_multigraph, tree_and_cyclic)
+                      cyclic_side, minimum_deletion, nx_multigraph,
+                      planted_interval_graph, planted_tree_graph,
+                      random_multigraph, tree_and_cyclic)
 
 TENT = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]
 
@@ -48,7 +49,7 @@ def path_with_hangers(hanger_at, length=9):
 def test_no_hangers_no_hooks():
     g, _ = path_with_hangers([])
     m = classify_tree_side(g, [0])
-    assert m.good_hooks == frozenset() and m.bad_hooks == frozenset()
+    assert set(m.hangers) - m.bad_hooks == set() and m.bad_hooks == frozenset()
     assert m.hangers == {}
     assert m.f3 == frozenset(range(2, 9))
 
@@ -56,14 +57,14 @@ def test_no_hangers_no_hooks():
 def test_single_hanger_is_good():
     g, _ = path_with_hangers([5])
     m = classify_tree_side(g, [0])
-    assert m.good_hooks == frozenset({5})
+    assert set(m.hangers) - m.bad_hooks == {5}
     assert m.bad_hooks == frozenset()
 
 
 def test_middle_of_three_hangers_is_bad():
     g, _ = path_with_hangers([3, 5, 7])
     m = classify_tree_side(g, [0])
-    assert m.good_hooks == frozenset({3, 7})
+    assert set(m.hangers) - m.bad_hooks == {3, 7}
     assert m.bad_hooks == frozenset({5})
     (c,) = m.hangers[5]
     assert nx.is_tree(nx_multigraph(g, c))
@@ -72,7 +73,7 @@ def test_middle_of_three_hangers_is_bad():
 def test_two_hangers_both_good():
     g, _ = path_with_hangers([4, 6])
     m = classify_tree_side(g, [0])
-    assert m.good_hooks == frozenset({4, 6})
+    assert set(m.hangers) - m.bad_hooks == {4, 6}
     assert m.bad_hooks == frozenset()
 
 
@@ -91,7 +92,7 @@ def test_branch_point_splits_chains():
     g = MultiGraph.from_edges(edges)
     m = classify_tree_side(g, [0])
     assert m.f3_critical == frozenset({c})
-    assert m.good_hooks == frozenset({12, 14})
+    assert set(m.hangers) - m.bad_hooks == {12, 14}
     assert m.bad_hooks == frozenset({13})
 
 
@@ -203,7 +204,7 @@ def check_strata(g, s):
     assert set(m.hangers) == set(hooks)
     for w in hooks:
         assert sorted(m.hangers[w]) == sorted(hooks[w])
-    assert m.good_hooks == frozenset(good)
+    assert set(m.hangers) - m.bad_hooks == set(good)
     assert m.bad_hooks == frozenset(bad)
     return m
 
@@ -241,13 +242,14 @@ def test_strata_partition_random_multigraphs(seed):
         size, _ = minimum_deletion(g)
         assert size > 3
         return
-    everything = set(m.s) | set(m.v1) | set(m.v2)
+    v1 = cyclic_side(m)
+    everything = set(m.s) | set(v1) | set(m.v2)
     assert everything == set(g.vertices)
-    assert m.s.isdisjoint(m.v1) and m.s.isdisjoint(m.v2) and m.v1.isdisjoint(m.v2)
+    assert m.s.isdisjoint(v1) and m.s.isdisjoint(m.v2) and v1.isdisjoint(m.v2)
     assert m.f1 <= m.v2
     assert m.f3 <= m.v2 - m.f1
     assert m.f3_critical <= m.f3
-    assert m.hooks <= m.f3 - m.f3_critical
+    assert set(m.hangers) <= m.f3 - m.f3_critical
     assert len(m.f3_critical) <= len(m.f1)
     h = g.induced([v for v in g.vertices if v not in m.s])
     ok, _ = is_pitg(h)
@@ -276,7 +278,7 @@ def test_classify_reads_the_leftover_in_place(monkeypatch):
         monkeypatch.setattr(MultiGraph, name, counted)
     hooked = 0
     for g in graphs:
-        hooked += bool(classify_tree_side(g, [0]).hooks)
+        hooked += bool(set(classify_tree_side(g, [0]).hangers))
     assert hooked and copies == []
 
 
@@ -477,7 +479,7 @@ def test_paths_and_flowers_match_a_direct_computation():
         if m is None:
             continue
         assert m.paths == tuple(clique_path(g, comp)
-                                for comp in g.components(m.v1))
+                                for comp in g.components(cyclic_side(m)))
         assert m.flowers == {v: flower_in_forest(g, v, sorted(m.v2))
                              for v in sorted(m.s)}
         assert list(m.flowers) == sorted(m.s)

@@ -67,6 +67,13 @@ def test_missing_endpoint_rejected():
         g.add_edge(0, 7)
 
 
+def test_set_multiplicity_negative_rejected():
+    g = build([(0, 1)])
+    with pytest.raises(ValueError):
+        g.set_multiplicity(0, 1, -1)
+    assert list(g.edges()) == [(0, 1, 1)]
+
+
 def test_set_multiplicity_zero_removes():
     g = build([(0, 1, 2)])
     g.set_multiplicity(0, 1, 0)
@@ -114,6 +121,12 @@ def test_components_and_induced():
     assert sub.has_edge(2, 3) and sub.has_edge(3, 4) and not sub.has_edge(2, 4)
     # induced copy preserves the id counter of the parent
     assert sub.add_vertex() == 6
+
+
+def test_induced_rejects_a_missing_vertex():
+    g = build([(0, 1)])
+    with pytest.raises(KeyError):
+        g.induced([0, 7])
 
 
 def test_subset_queries_match_induced_copy():

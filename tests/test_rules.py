@@ -25,8 +25,9 @@ from pitvd.modulator import classify_tree_side
 from pitvd.multigraph import MultiGraph
 from pitvd.recognition import is_pitg
 
-from conftest import (degree2_paths_reference, free_runs_by_rescan,
-                      nx_multigraph, pendant_trees_by_copy, random_forest,
+from conftest import (cyclic_side, degree2_paths_reference,
+                      free_runs_by_rescan, nx_multigraph,
+                      pendant_trees_by_copy, random_forest,
                       random_multigraph, random_near_tree, tree_and_cyclic,
                       unit_interval_graph)
 
@@ -42,6 +43,12 @@ def apply(g, app):
     h = g.copy()
     R.apply_ops(h, app.ops)
     return h
+
+
+def test_apply_ops_rejects_an_unknown_op():
+    g = strip(4)
+    with pytest.raises(ValueError, match="unknown op"):
+        R.apply_ops(g, [("swap", 1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +464,8 @@ def rule13_instance():
 
 def test_rule13_bypasses_a_clique_in_a_free_run():
     g, mod = rule13_instance()
-    blocks = clique_path(g.induced(sorted(mod.v1)),
-                         sorted(mod.v1)).cliques
+    v1 = sorted(cyclic_side(mod))
+    blocks = clique_path(g.induced(v1), v1).cliques
     app = R.rule13_bypass_clique(g, 1, mod)
     assert app.rule == "13" and app.k_delta == 0
     gone = tuple(sorted(op[1] for op in app.ops if op[0] == "del"))
@@ -573,7 +580,8 @@ def test_rule14_drops_exactly_the_unmarked():
     for v in range(1, 31, 2):
         g.add_edge(0, v)
     mod = classify_tree_side(g, [0])
-    path = clique_path(g.induced(sorted(mod.v1)), sorted(mod.v1))
+    v1 = sorted(cyclic_side(mod))
+    path = clique_path(g.induced(v1), v1)
     want = unmarked_vertices(g, 0, {0}, path)
     assert want
     app = R.rule14_delete_unmarked(g, 0, mod)
