@@ -16,10 +16,7 @@ stderr that the kernel's size bound does not hold.
 ``generate`` emits seeded random instances (the same builder as the
 verification corpus, with its own multiplicities), ``verify`` round-trips
 generated instances through the pipeline against the exact solver and
-audits every kernel.  With
-``--mutation-test`` the verifier swaps one rule for its deliberately
-broken variant and reports whether the checks notice; a detected mutant
-exits 0, a surviving one exits 1.
+audits every kernel.
 
 Traces are written one JSON object per line so a run can be replayed or
 diffed with standard tools.
@@ -37,7 +34,6 @@ from .audit import audit_violations
 from .driver import KernelInstance, kernelize
 from .exact import decide
 from .multigraph import MultiGraph
-from .mutation import killer_instances, mutated_rules
 from .rules import RULES, RuleApplication
 
 DENSITIES = (0.15, 0.3, 0.5)
@@ -275,35 +271,16 @@ def _check_one(g: MultiGraph, k: int, battery) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    mutating = args.mutation_test is not None
-    try:
-        battery = mutated_rules(args.mutation_test) if mutating else RULES
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     rng = random.Random(args.seed)
-    pool = list(killer_instances()) if mutating else []
-    pool.extend((f"{i:04d}",) + random_instance(rng, args.max_n, args.max_k)
-                for i in range(args.count))
     failures = 0
-    ran = 0
-    for name, g, k in pool:
-        ran += 1
-        problems = _check_one(g, k, battery)
+    for i in range(args.count):
+        g, k = random_instance(rng, args.max_n, args.max_k)
+        problems = _check_one(g, k, RULES)
         tag = "ok" if not problems else "FAIL  " + "; ".join(problems)
+        name = f"{i:04d}"
         print(f"{name:<24} n={g.n:<3} m={g.edge_count:<3} k={k}  {tag}")
-        if problems:
-            failures += 1
-            if mutating:
-                break
-    if mutating:
-        if failures:
-            print(f"mutant rule {args.mutation_test}: "
-                  f"detected after {ran} instances")
-            return 0
-        print(f"mutant rule {args.mutation_test}: survived {ran} instances")
-        return 1
-    print(f"passed {ran - failures}/{ran}")
+        failures += bool(problems)
+    print(f"passed {args.count - failures}/{args.count}")
     return 0 if failures == 0 else 1
 
 
@@ -351,9 +328,6 @@ def main(argv=None) -> int:
                          "(default 12)")
     vf.add_argument("--max-k", type=_int_in(0), default=4,
                     help="largest budget to generate (default 4)")
-    vf.add_argument("--mutation-test", metavar="RULE",
-                    help="swap rule RULE (1..14) for its broken variant and "
-                         "check the suite notices; exit 0 iff detected")
 
     gn = sub.add_parser("generate", help="emit a seeded random instance")
     gn.add_argument("--n", type=_int_in(0, MAX_VERTICES), default=12,

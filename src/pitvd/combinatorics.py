@@ -66,20 +66,19 @@ def find_sunflower(sets, petals: int):
     return (core | {x}, [p | {x} for p in pets])
 
 
-def sunflower_reduce(sets, k: int, d: int | None = None) -> set[frozenset]:
+def sunflower_reduce(sets, k: int) -> set[frozenset]:
     """Drop petals of (k+2)-sunflowers until the family is small.
 
-    The result has at most d! * (k+1)**d sets (d defaults to the largest
-    set size) and admits exactly the same hitting sets of size <= k as the
-    input: a hitting set missing the core of a (k+2)-petal sunflower would
-    need k+2 > k private vertices, so the core is always hit and any one
-    petal is redundant.
+    The result has at most d! * (k+1)**d sets, d the largest set size,
+    and admits exactly the same hitting sets of size <= k as the input: a
+    hitting set missing the core of a (k+2)-petal sunflower would need
+    k+2 > k private vertices, so the core is always hit and any one petal
+    is redundant.
     """
     family = set(frozenset(s) for s in sets)
     if not family:
         return family
-    if d is None:
-        d = max(len(s) for s in family)
+    d = max(len(s) for s in family)
     bound = factorial(d) * (k + 1) ** d
     while len(family) > bound:
         found = find_sunflower(family, k + 2)

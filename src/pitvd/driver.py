@@ -145,8 +145,8 @@ def kernelize(g: MultiGraph, k: int,
 
     ``rules`` defaults to the full ordered battery; passing a prefix
     stops the fixpoint early (handy for exercising one rule in
-    isolation), and the mutation harness passes deliberately broken
-    batteries to check that the test suites notice.
+    isolation), and the tests pass deliberately broken batteries to
+    check that they notice.
     """
     if k < 0:
         raise ValueError("budget must be non-negative")

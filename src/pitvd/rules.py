@@ -34,7 +34,8 @@ vertex / component ids first); only the hanger and marking rules batch,
 since their edits are computed from a whole stratification at once.
 
 Rules 6, 12 and 13 read their scan or edit from a helper that their
-mutants share (``branching_trees``, ``clique_hits``, ``bypass``).  The
+mutants in ``tests/mutants.py`` share (``branching_trees``,
+``clique_hits``, ``bypass``).  The
 audit reads two scans too: its pendant-tree bound walks
 ``branching_trees``, and its bound on base-set-free clique runs reads
 ``free_runs``, the scan behind rule 13's windows.

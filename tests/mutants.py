@@ -1,5 +1,9 @@
 """Deliberately broken rule variants for sensitivity testing.
 
+This is mutation analysis of the test suite, not part of the kernelizer:
+acceptance criterion 7 and the pinned first-catch table both run the
+mutants through ``first_catch``, the one runner here.
+
 Each entry here mirrors one reduction rule with a single planted bug of
 the kind a refactor could plausibly introduce: a dropped guard, an
 off-by-one in a slice, a forgotten op, the wrong vertex picked from a
@@ -30,12 +34,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .modulator import Modulator
-from .multigraph import MultiGraph
-from .rules import (RULES, RuleApplication, branch_path, branching_trees,
-                    bypass, clique_hits, deletion, rule2_cap_multiplicity,
-                    rule3_many_double_edges, rule4_trim_tail,
-                    rule5_shrink_degree2_path, rule8_remove_bad_hangers)
+from pitvd.cli import _check_one
+from pitvd.modulator import Modulator
+from pitvd.multigraph import MultiGraph
+from pitvd.rules import (RULES, RuleApplication, branch_path,
+                         branching_trees, bypass, clique_hits, deletion,
+                         rule2_cap_multiplicity, rule3_many_double_edges,
+                         rule4_trim_tail, rule5_shrink_degree2_path,
+                         rule8_remove_bad_hangers)
 
 
 def mutant1_drop_any_component(g: MultiGraph, k: int):
@@ -177,6 +183,17 @@ def mutated_rules(rule_id: str) -> tuple:
     swapped = MUTANTS[rule_id]
     return tuple((rid, needs_mod, swapped if rid == rule_id else fn)
                  for rid, needs_mod, fn in RULES)
+
+
+def first_catch(rule_id: str, pool) -> int | None:
+    """The 1-based position of the first ``(name, graph, budget)`` in
+    ``pool`` on which ``_check_one`` reports a problem under rule
+    ``rule_id``'s mutant, or None if the mutant survives the whole pool."""
+    battery = mutated_rules(rule_id)
+    for pos, (_, g, k) in enumerate(pool, 1):
+        if _check_one(g, k, battery):
+            return pos
+    return None
 
 
 def _cycle(vs):

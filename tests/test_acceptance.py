@@ -22,17 +22,17 @@ from math import factorial
 from pitvd import backend as P
 from pitvd import recognition as R
 from pitvd.audit import audit_violations
-from pitvd.cli import _check_one, random_instance, serialize
+from pitvd.cli import random_instance, serialize
 from pitvd.cliques import clique_path
 from pitvd.combinatorics import flower_in_forest, q_expansion, sunflower_reduce
 from pitvd.driver import kernelize
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
-from pitvd.mutation import MUTANTS, killer_instances, mutated_rules
 from pitvd.rules import RULES, apply_ops
 
 from conftest import (mask_of, all_graphs, attach_tail, compute_modulator,
                       cyclic_side, pig_order_bruteforce, random_multigraph)
+from mutants import MUTANTS, first_catch, killer_instances
 from test_combinatorics import (
     min_hitting_set_size,
     random_forest_with_hub,
@@ -383,9 +383,10 @@ def test_criterion_4_combinatorics_contracts(capsys):
         k = rng.randint(0, 3)
         fam = {frozenset(rng.sample(universe, rng.randint(1, d)))
                for _ in range(rng.randint(1, 40))}
-        red = sunflower_reduce(fam, k, d)
+        red = sunflower_reduce(fam, k)
         assert red <= fam
-        assert len(red) <= factorial(d) * (k + 1) ** d
+        top = max(map(len, fam))
+        assert len(red) <= factorial(top) * (k + 1) ** top
         # exhaustive hitting equivalence over every candidate deletion set
         for r in range(k + 1):
             for z in combinations(universe, r):
@@ -601,8 +602,7 @@ def test_criterion_7_mutation_detection(capsys):
 
     detected, survived = [], []
     for rule_id in MUTANTS:
-        battery = mutated_rules(rule_id)
-        if any(_check_one(g.copy(), k, battery) for _, g, k in pool):
+        if first_catch(rule_id, pool):
             detected.append(rule_id)
         else:
             survived.append(rule_id)

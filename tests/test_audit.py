@@ -8,6 +8,7 @@ import random
 
 import pytest
 from conftest import planted_interval_graph, planted_tree_graph
+from mutants import MUTANTS, killer_instances, mutated_rules
 
 from pitvd import audit, rules
 from pitvd.audit import audit_violations
@@ -16,7 +17,6 @@ from pitvd.driver import kernelize
 from pitvd.exact import decide
 from pitvd.modulator import base_set_cap
 from pitvd.multigraph import MultiGraph
-from pitvd.mutation import MUTANTS, killer_instances, mutated_rules
 from pitvd.rules import RULES, RuleApplication
 
 KILLERS = killer_instances()

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 from conftest import (parse_by_fields, planted_interval_graph,
                       random_multigraph, tree_with_triangles)
+from mutants import killer_instances
 
 from pitvd import cli
 from pitvd.audit import audit_violations
@@ -22,7 +23,6 @@ from pitvd.cli import (MAX_VERTICES, ParseError, load_trace, main, parse,
 from pitvd.driver import kernelize, replay
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
-from pitvd.mutation import killer_instances
 from pitvd.recognition import is_pitg
 from pitvd.rules import RULES
 
@@ -497,10 +497,6 @@ def test_verify_reports_are_seed_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_unknown_mutant_rejected(capsys):
-    assert main(["verify", "--count", "1", "--mutation-test", "99"]) == 2
-
-
 def test_checked_functions_leave_their_input_unchanged():
     """``_check_one`` hands its graph to each of these uncopied."""
     rng = random.Random(515)
@@ -517,25 +513,6 @@ def test_checked_functions_leave_their_input_unchanged():
         is_pitg(g, [v for v in g.vertices if rng.random() < 0.7])
         assert g == before
         assert res.graph is not g
-
-
-#: the last line of ``verify --count 0 --seed 3 --mutation-test R`` for
-#: the mutants built on their rules, and its exit code
-MUTANT_REPORTS = {
-    "2": (0, "mutant rule 2: detected after 2 instances"),
-    "3": (0, "mutant rule 3: detected after 3 instances"),
-    "4": (0, "mutant rule 4: detected after 4 instances"),
-    "5": (0, "mutant rule 5: detected after 1 instances"),
-    "8": (1, "mutant rule 8: survived 14 instances"),
-}
-
-
-@pytest.mark.parametrize("rule", sorted(MUTANT_REPORTS))
-def test_verify_detects_a_broken_rule(capsys, rule):
-    code, last = MUTANT_REPORTS[rule]
-    assert main(["verify", "--count", "0", "--seed", "3",
-                 "--mutation-test", rule]) == code
-    assert capsys.readouterr().out.splitlines()[-1] == last
 
 
 # ---------------------------------------------------------------------------

@@ -303,7 +303,7 @@ def test_rule8_strata_are_carried_only_after_an_exact_firing(monkeypatch):
     a fresh one.  Mutant 8 deletes the hangers of a good hook too, so
     the pass after it restarts at rule 1 and classifies afresh."""
     from pitvd.modulator import classify_tree_side
-    from pitvd.mutation import mutated_rules
+    from mutants import mutated_rules
 
     events: list[str] = []
     strata = []

@@ -1,6 +1,7 @@
-"""Repository-shape checks: the package holds source only, its checks
-survive ``python -O``, it defines no dead helper, and the names the
-benchmark tracer wraps still exist."""
+"""Repository-shape checks: the package holds source only, imports
+nothing outside the standard library, its checks survive ``python -O``,
+it defines no dead helper, and the names the benchmark tracer wraps
+still exist."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import glob
 import importlib
 import os
 import re
+import sys
 
 from pitvd import backend
 from pitvd.multigraph import MultiGraph
@@ -25,6 +27,27 @@ def test_package_holds_only_python_sources():
         stray += [os.path.join(root, f) for f in files
                   if not f.endswith(".py")]
     assert not stray
+
+
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependency: every import in it is
+    relative or names a standard-library module, so it never reaches
+    into the tests' helpers or their third-party oracles."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{os.path.basename(path)}:{node.lineno} {name}"
+                      for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not found
 
 
 def test_package_has_no_assert_statements():

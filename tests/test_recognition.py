@@ -11,7 +11,6 @@ from pitvd.audit import audit_violations
 from pitvd.driver import kernelize
 from pitvd.exact import decide
 from pitvd.multigraph import MultiGraph
-from pitvd.mutation import killer_instances
 
 from conftest import (
     adj_from_edges,
@@ -34,6 +33,7 @@ from conftest import (
     validate_obstruction,
     witness_in_searched_order,
 )
+from mutants import killer_instances
 
 
 def mg(edges, vertices=()):
